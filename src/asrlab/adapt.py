@@ -82,9 +82,10 @@ class AdamState:
         return self.m[name], self.v[name]
 
 
-def adam_step(params: dict, state: AdamState, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8, grad_clip: float = 5.0) -> None:
-    """One Adam update over {name: Tensor}; grads are clipped by global norm."""
+def adam_step(params: dict, state: AdamState, cfg: TrainConfig) -> None:
+    """One Adam update over {name: Tensor} with cfg's lr, betas and eps;
+    grads are clipped to global norm cfg.grad_clip."""
+    lr, beta1, beta2, eps = cfg.lr, cfg.beta1, cfg.beta2, cfg.eps
     grads = {}
     sq_sum = 0.0
     for name, p in params.items():
@@ -92,8 +93,8 @@ def adam_step(params: dict, state: AdamState, lr: float, beta1: float = 0.9,
         grads[name] = g
         sq_sum += float(np.sum(g.astype(np.float64) ** 2))
     norm = np.sqrt(sq_sum)
-    if grad_clip > 0 and norm > grad_clip:
-        scale = grad_clip / norm
+    if norm > cfg.grad_clip:
+        scale = cfg.grad_clip / norm
         grads = {name: g * scale for name, g in grads.items()}
 
     state.step += 1
@@ -214,7 +215,7 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
                 if not np.isfinite(loss_val):
                     raise DivergenceError(f"non-finite loss at step {step}")
                 tape.backward(loss)
-            adam_step(params, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, cfg.grad_clip)
+            adam_step(params, state, cfg)
             log.append({"step": step, "loss": round(loss_val, 6), "lr": cfg.lr,
                         "wall_ms": round(1000 * (time.monotonic() - t0), 1)})
             step += 1

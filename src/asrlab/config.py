@@ -64,12 +64,14 @@ def las_paper_shapes() -> LasConfig:
 
 
 def model_config_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "ctc":
-        return CtcConfig(**d)
-    if kind == "las":
-        return LasConfig(**d)
-    raise DataError(f"unknown model kind {kind!r}")
+    kind = d.get("kind") if isinstance(d, dict) else None
+    cls = CtcConfig if kind == "ctc" else LasConfig if kind == "las" else None
+    if cls is None:
+        raise DataError(f"unknown model kind {kind!r}")
+    try:
+        return cls(**d)
+    except TypeError as exc:  # an unknown field
+        raise DataError(f"bad {kind} model config: {exc}") from exc
 
 
 @dataclass
@@ -96,11 +98,11 @@ class TrainConfig:
 
 
 def pretrain_defaults(seed: int = 0, **overrides) -> TrainConfig:
-    return TrainConfig(lr=1e-3, seed=seed, **overrides)
+    return TrainConfig(**{"lr": 1e-3, "seed": seed, **overrides})
 
 
 def finetune_defaults(seed: int = 0, **overrides) -> TrainConfig:
-    return TrainConfig(lr=1e-4, seed=seed, **overrides)
+    return TrainConfig(**{"lr": 1e-4, "seed": seed, **overrides})
 
 
 def save_json_config(path, cfg) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .models import LasModel
-from .tensor import Tensor
+from .tensor import Tensor, log_softmax_np
 from .tokenizer import SubwordModel
 
 LOG_ZERO = -np.inf
@@ -151,9 +151,7 @@ def las_beam(model: LasModel, feats: np.ndarray, tok: SubwordModel, beam: int = 
         mem_b = _tile_memory(memory, n_active)
         mask_b = np.repeat(mem_mask, n_active, axis=0)
         logits = model.decode_logits(mem_b, mask_b, prefixes)
-        last = logits.data[:, -1, :]
-        m = last.max(axis=-1, keepdims=True)
-        logp = last - m - np.log(np.sum(np.exp(last - m), axis=-1, keepdims=True))
+        logp = log_softmax_np(logits.data[:, -1, :])
         logp[:, model.bos_id] = LOG_ZERO  # BOS is never generated
 
         cand_scores = np.array([s for _, s in active])[:, None] + logp  # [n_active, V']

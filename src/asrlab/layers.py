@@ -1,10 +1,10 @@
 """Neural building blocks: dense, LSTM, attention, layer norm, embeddings.
 
 Every layer owns its parameter tensors and exposes them through
-``parameters()`` as a flat {local_name: Tensor} dict; models prefix these
-with ``model.submodule.index`` to build the checkpoint/freeze-policy
-namespace. Weights start uniform in ±1/sqrt(fan_in); LSTM forget-gate
-biases start at 1.0.
+``parameters()`` as a flat {local_name: Tensor} dict; composite modules
+and models prefix these through ``prefixed`` to build the
+"submodule.index.param" checkpoint/freeze-policy namespace. Weights
+start uniform in ±1/sqrt(fan_in); LSTM forget-gate biases start at 1.0.
 """
 
 from __future__ import annotations
@@ -21,6 +21,22 @@ NEG_FILL = -1e9  # pre-softmax fill for masked attention positions
 def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
+def prefixed(**subs) -> dict[str, Tensor]:
+    """Sub-module parameters as {"tag.name": Tensor}, in argument order.
+
+    A list of modules under one tag expands to "tag.index.name". This is
+    the naming rule that checkpoints and freeze policies key off, and
+    checkpoints store tensors in this order.
+    """
+    out = {}
+    for tag, sub in subs.items():
+        entries = [(f"{tag}.{i}", m) for i, m in enumerate(sub)] if isinstance(sub, list) else [(tag, sub)]
+        for prefix, module in entries:
+            for name, p in module.parameters().items():
+                out[f"{prefix}.{name}"] = p
+    return out
 
 
 class Dense:
@@ -77,18 +93,6 @@ class LstmLayer:
 
     def parameters(self):
         return {"w": self.w, "u": self.u, "b": self.b}
-
-
-def lstm_forward(x: Tensor, layer: LstmLayer) -> Tensor:
-    """Convenience wrapper: [T,B,D] in, [T,B,H] out, zero initial state.
-
-    Accepts an untracked feature tensor; stacked layers pass per-step
-    lists through LstmLayer.forward directly instead.
-    """
-    if x.requires_grad:
-        raise ShapeError("lstm_forward expects a non-tracked feature tensor; use LstmLayer.forward for stacked layers")
-    xs = [Tensor(np.ascontiguousarray(x.data[t])) for t in range(x.shape[0])]
-    return T.stack0(layer.forward(xs))
 
 
 class LayerNorm:
@@ -195,15 +199,7 @@ class MultiHeadAttention:
         return self.wo(ctx)
 
     def parameters(self):
-        out = {}
-        for tag, lin in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
-            for name, p in lin.parameters().items():
-                out[f"{tag}.{name}"] = p
-        return out
-
-
-def mha_forward(q: Tensor, k: Tensor, v: Tensor, attn: MultiHeadAttention, mask=None) -> Tensor:
-    return attn(q, k, v, mask)
+        return prefixed(wq=self.wq, wk=self.wk, wv=self.wv, wo=self.wo)
 
 
 class FeedForward:
@@ -215,11 +211,7 @@ class FeedForward:
         return self.lin2(T.relu(self.lin1(x)))
 
     def parameters(self):
-        out = {}
-        for tag, lin in (("lin1", self.lin1), ("lin2", self.lin2)):
-            for name, p in lin.parameters().items():
-                out[f"{tag}.{name}"] = p
-        return out
+        return prefixed(lin1=self.lin1, lin2=self.lin2)
 
 
 class EncoderBlock:
@@ -237,11 +229,7 @@ class EncoderBlock:
         return T.add(x, self.ff(self.ln2(x)))
 
     def parameters(self):
-        out = {}
-        for tag, sub in (("attn", self.attn), ("ff", self.ff), ("ln1", self.ln1), ("ln2", self.ln2)):
-            for name, p in sub.parameters().items():
-                out[f"{tag}.{name}"] = p
-        return out
+        return prefixed(attn=self.attn, ff=self.ff, ln1=self.ln1, ln2=self.ln2)
 
 
 class DecoderBlock:
@@ -264,12 +252,8 @@ class DecoderBlock:
         return T.add(x, self.ff(self.ln3(x)))
 
     def parameters(self):
-        out = {}
-        for tag, sub in (("self_attn", self.self_attn), ("cross_attn", self.cross_attn),
-                         ("ff", self.ff), ("ln1", self.ln1), ("ln2", self.ln2), ("ln3", self.ln3)):
-            for name, p in sub.parameters().items():
-                out[f"{tag}.{name}"] = p
-        return out
+        return prefixed(self_attn=self.self_attn, cross_attn=self.cross_attn, ff=self.ff,
+                        ln1=self.ln1, ln2=self.ln2, ln3=self.ln3)
 
 
 def causal_mask(t: int) -> np.ndarray:

@@ -13,7 +13,6 @@ buffers under "norm.*".
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import asdict
@@ -23,9 +22,9 @@ import numpy as np
 
 from . import tensor as T
 from .config import CtcConfig, LasConfig, model_config_from_dict
-from .errors import DataError, ShapeError, UsageError
-from .layers import (Dense, DecoderBlock, EncoderBlock, Embedding, LayerNorm,
-                     LstmLayer, causal_mask, key_padding_mask, positional_encoding)
+from .errors import DataError, NumericError, ShapeError, UsageError
+from .layers import (Dense, DecoderBlock, EncoderBlock, Embedding, LayerNorm, LstmLayer,
+                     causal_mask, key_padding_mask, positional_encoding, prefixed)
 from .tensor import Tensor
 
 CKPT_MAGIC = b"CKPT"
@@ -48,6 +47,10 @@ class _ModelBase:
         if feats.shape[-1] != self.cfg.feat_dim:
             raise ShapeError(f"feature dim {feats.shape[-1]} does not match config {self.cfg.feat_dim}")
         return ((feats - self.norm_mean) / self.norm_std).astype(np.float32)
+
+    def parameter_groups(self) -> dict[str, list[str]]:
+        names = list(self.parameters())
+        return {"dense": [n for n in names if n.startswith("dense.")], "all": names}
 
     def buffers(self) -> dict[str, np.ndarray]:
         return {"norm.mean": self.norm_mean, "norm.std": self.norm_std}
@@ -85,17 +88,7 @@ class CtcModel(_ModelBase):
         return self.cfg.vocab
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.lstms):
-            for name, p in layer.parameters().items():
-                out[f"lstm.{i}.{name}"] = p
-        for name, p in self.dense.parameters().items():
-            out[f"dense.{name}"] = p
-        return out
-
-    def parameter_groups(self) -> dict[str, list[str]]:
-        dense = [f"dense.{n}" for n in self.dense.parameters()]
-        return {"dense": dense, "all": list(self.parameters())}
+        return prefixed(lstm=self.lstms, dense=self.dense)
 
     def top_lstm_names(self, k: int) -> list[str]:
         """Names of the k LSTM layers nearest the output."""
@@ -122,10 +115,6 @@ class CtcModel(_ModelBase):
         return self.forward(feats[:, None, :]).data[:, 0]
 
 
-def ctc_forward(model: CtcModel, feats: np.ndarray) -> Tensor:
-    return model.forward(feats)
-
-
 class LasModel(_ModelBase):
     def __init__(self, cfg: LasConfig, seed: int = 0):
         super().__init__(cfg)
@@ -148,31 +137,14 @@ class LasModel(_ModelBase):
         return self.cfg.vocab + 1
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for name, p in self.input_proj.parameters().items():
-            out[f"input_proj.{name}"] = p
-        for i, block in enumerate(self.encoder):
-            for name, p in block.parameters().items():
-                out[f"encoder.{i}.{name}"] = p
-        for name, p in self.enc_norm.parameters().items():
-            out[f"enc_norm.{name}"] = p
-        for name, p in self.embed.parameters().items():
-            out[f"embed.{name}"] = p
-        for i, block in enumerate(self.decoder):
-            for name, p in block.parameters().items():
-                out[f"decoder.{i}.{name}"] = p
-        for name, p in self.dec_norm.parameters().items():
-            out[f"dec_norm.{name}"] = p
-        for name, p in self.dense.parameters().items():
-            out[f"dense.{name}"] = p
-        return out
+        return prefixed(input_proj=self.input_proj, encoder=self.encoder, enc_norm=self.enc_norm,
+                        embed=self.embed, decoder=self.decoder, dec_norm=self.dec_norm, dense=self.dense)
 
     def parameter_groups(self) -> dict[str, list[str]]:
-        names = list(self.parameters())
-        dense = [n for n in names if n.startswith("dense.")]
-        decoder = [n for n in names
-                   if n.startswith(("decoder.", "dec_norm.", "embed.")) or n.startswith("dense.")]
-        return {"dense": dense, "decoder": decoder, "all": names}
+        groups = super().parameter_groups()
+        groups["decoder"] = [n for n in groups["all"]
+                             if n.startswith(("decoder.", "dec_norm.", "embed.", "dense."))]
+        return groups
 
     def _pe_slice(self, length: int) -> np.ndarray:
         if length > self._pe.shape[0]:
@@ -212,13 +184,6 @@ class LasModel(_ModelBase):
             raise DataError("decoder prefix must begin with BOS")
         memory, pad = self.encode(feats, lengths)
         return self.decode_logits(memory, pad, prefix)
-
-
-def las_forward(model: LasModel, feats: np.ndarray, prefix: np.ndarray,
-                lengths: np.ndarray | None = None) -> Tensor:
-    """Spec-shaped wrapper: logits [prefix_len, B, V']."""
-    logits = model.forward(feats, lengths, prefix)
-    return T.transpose(logits, (1, 0, 2))
 
 
 def build_model(cfg, seed: int = 0):
@@ -292,22 +257,33 @@ def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
+    size = path.stat().st_size
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        if raw[:4] != CKPT_MAGIC:
-            raise DataError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", raw[4:8])
-        if version != CKPT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + header_len].decode())
-        (index_pos,) = struct.unpack("<Q", raw[-8:])
-        index = json.loads(raw[index_pos:-8].decode())
-        tensors = {}
-        for name, offset in index.items():
-            tensors[name] = T.read_array(io.BytesIO(raw[offset:]))
-    except (struct.error, json.JSONDecodeError, IndexError) as exc:
-        raise DataError(f"{path}: corrupt checkpoint: {exc}") from exc
-    cfg = model_config_from_dict(header["model"])
+        try:
+            if fh.read(4) != CKPT_MAGIC:
+                raise DataError(f"{path}: not a checkpoint file")
+            version, header_len = struct.unpack("<II", fh.read(8))
+            if version != CKPT_VERSION:
+                raise DataError(f"{path}: unsupported checkpoint version {version}")
+            header = json.loads(fh.read(header_len))
+            blocks_start = fh.tell()
+            fh.seek(size - 8)
+            (index_pos,) = struct.unpack("<Q", fh.read(8))
+            if not blocks_start <= index_pos <= size - 8:
+                raise DataError(f"{path}: index offset {index_pos} out of range")
+            fh.seek(index_pos)
+            index = json.loads(fh.read(size - 8 - index_pos))
+            if not isinstance(header, dict) or not isinstance(index, dict):
+                raise DataError(f"{path}: header and index must be JSON objects")
+            tensors = {}
+            for name, offset in index.items():
+                if type(offset) is not int or not blocks_start <= offset < index_pos:
+                    raise DataError(f"{path}: tensor {name!r} offset {offset!r} out of range")
+                fh.seek(offset)
+                tensors[name] = T.read_array(fh)
+                if fh.tell() > index_pos:
+                    raise DataError(f"{path}: tensor {name!r} runs into the index")
+            cfg = model_config_from_dict(header.get("model"))
+        except (struct.error, ValueError, NumericError) as exc:
+            raise DataError(f"{path}: corrupt checkpoint: {exc}") from exc
     return Checkpoint(cfg, tensors, step=header.get("step", 0), rng_state=header.get("rng_state"))

@@ -1,10 +1,11 @@
 """Waveform front-end: framing, FFT, log-mel features, spec-augment.
 
 The pipeline is 16 kHz audio -> 20 ms Hann frames with 10 ms hop ->
-512-point radix-2 FFT -> one-sided power spectrum -> triangular mel
-filterbank (HTK mel scale, 0-8 kHz) -> log -> stacking of 3 consecutive
-frames with a time stride of 3. Desk default is 20 mel bins (60-dim
-stacked features); the paper-shape preset uses 80 (240-dim).
+one-sided power spectrum of numpy's 512-point real FFT (frames
+zero-padded) -> triangular mel filterbank (HTK mel scale, 0-8 kHz) ->
+log -> stacking of 3 consecutive frames with a time stride of 3. Desk
+default is 20 mel bins (60-dim stacked features); the paper-shape
+preset uses 80 (240-dim).
 """
 
 from __future__ import annotations
@@ -39,64 +40,15 @@ def frame(samples: np.ndarray, win: int = WIN_SAMPLES, hop: int = HOP_SAMPLES) -
     return samples[idx] * hann_window(win)
 
 
-# -- radix-2 FFT ---------------------------------------------------------------
-
-_BITREV_CACHE: dict[int, np.ndarray] = {}
-_TWIDDLE_CACHE: dict[int, np.ndarray] = {}
-
-
-def _bit_reversal(n: int) -> np.ndarray:
-    perm = _BITREV_CACHE.get(n)
-    if perm is None:
-        bits = n.bit_length() - 1
-        idx = np.arange(n)
-        perm = np.zeros(n, dtype=np.int64)
-        for b in range(bits):
-            perm |= ((idx >> b) & 1) << (bits - 1 - b)
-        _BITREV_CACHE[n] = perm
-    return perm
-
-
-def _twiddles(size: int) -> np.ndarray:
-    tw = _TWIDDLE_CACHE.get(size)
-    if tw is None:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        _TWIDDLE_CACHE[size] = tw
-    return tw
-
-
-def fft(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time FFT over the last axis."""
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if n == 0 or (n & (n - 1)) != 0:
-        raise ShapeError(f"fft length must be a power of two, got {n}")
-    lead = x.shape[:-1]
-    y = np.ascontiguousarray(x[..., _bit_reversal(n)]).astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = _twiddles(size)
-        y = y.reshape(lead + (n // size, size))
-        odd = y[..., half:] * tw
-        even = y[..., :half].copy()
-        y[..., :half] = even + odd
-        y[..., half:] = even - odd
-        y = y.reshape(lead + (n,))
-        size *= 2
-    return y
-
+# -- power spectrum ------------------------------------------------------------
 
 def power_spectrum(frames: np.ndarray, n_fft: int = N_FFT) -> np.ndarray:
     """One-sided |FFT|^2 of zero-padded frames: [N, n_fft//2 + 1]."""
     frames = np.atleast_2d(frames)
-    if frames.shape[-1] > n_fft:
+    if frames.shape[-1] > n_fft:  # rfft would silently truncate
         raise ShapeError(f"frame longer than FFT size: {frames.shape[-1]} > {n_fft}")
-    padded = np.zeros(frames.shape[:-1] + (n_fft,), dtype=np.float64)
-    padded[..., : frames.shape[-1]] = frames
-    spec = fft(padded)[..., : n_fft // 2 + 1]
-    return (spec.real ** 2 + spec.imag ** 2)
+    spec = np.fft.rfft(frames, n=n_fft)
+    return spec.real ** 2 + spec.imag ** 2
 
 
 # -- mel filterbank -------------------------------------------------------------
@@ -225,9 +177,6 @@ class FeatureNormalizer:
         mean = total / count
         var = np.maximum(total_sq / count - mean * mean, 1e-10)
         return cls(mean, np.sqrt(var))
-
-    def apply(self, feats: np.ndarray) -> np.ndarray:
-        return ((feats - self.mean) / self.std).astype(np.float32)
 
 
 # -- WAV files (16-bit PCM mono RIFF) ----------------------------------------------------

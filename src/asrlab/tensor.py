@@ -59,9 +59,6 @@ class Tape:
             if not out._leaf:
                 out.grad = None  # free intermediate grads
 
-    def clear(self) -> None:
-        self._nodes.clear()
-
     def __len__(self):
         return len(self._nodes)
 

@@ -46,13 +46,22 @@ def test_policy_group_selection():
     assert top1 == {"dense.w", "dense.b", "lstm.2.w", "lstm.2.u", "lstm.2.b"}
 
 
+# -- config presets ----------------------------------------------------------------
+
+def test_train_presets_take_overrides():
+    assert C.pretrain_defaults().lr == 1e-3 and C.finetune_defaults().lr == 1e-4
+    cfg = C.finetune_defaults(seed=3, lr=5e-4, epochs=2)
+    assert (cfg.lr, cfg.seed, cfg.epochs) == (5e-4, 3, 2)
+    assert C.pretrain_defaults(lr=0.0).lr == 0.0
+
+
 # -- Adam -----------------------------------------------------------------------
 
 def test_adam_zero_grads_no_update():
     p = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
     state = A.AdamState(["p"])
     before = p.data.copy()
-    A.adam_step({"p": p}, state, lr=0.1)
+    A.adam_step({"p": p}, state, C.TrainConfig(lr=0.1))
     assert np.array_equal(p.data, before)
     assert state.step == 1
     assert np.all(state.m["p"] == 0) and np.all(state.v["p"] == 0)
@@ -62,7 +71,7 @@ def test_adam_first_step_is_minus_lr():
     p = Tensor(np.array([0.0], dtype=np.float64), requires_grad=True)
     p.grad = np.array([1.0])
     state = A.AdamState(["p"])
-    A.adam_step({"p": p}, state, lr=0.01, grad_clip=100.0)
+    A.adam_step({"p": p}, state, C.TrainConfig(lr=0.01, grad_clip=100.0))
     # bias-corrected m/sqrt(v) is 1 at step 1, so the move is ~ -lr
     assert np.isclose(p.data[0], -0.01, rtol=1e-6)
 
@@ -71,7 +80,7 @@ def test_adam_global_norm_clip():
     p = Tensor(np.zeros(4, dtype=np.float64), requires_grad=True)
     p.grad = np.full(4, 5.0)  # norm 10
     state = A.AdamState(["p"])
-    A.adam_step({"p": p}, state, lr=1.0, beta1=0.0, beta2=0.0, eps=0.0, grad_clip=1.0)
+    A.adam_step({"p": p}, state, C.TrainConfig(lr=1.0, beta1=0.0, beta2=0.0, eps=0.0, grad_clip=1.0))
     # effective grad scaled by 0.1 -> m = g, v = g^2, update = -lr * sign(g)
     assert np.allclose(state.m["p"], 0.5)
 

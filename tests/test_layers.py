@@ -64,11 +64,12 @@ def test_lstm_gradients_match_finite_differences():
     assert T.gradient_check(loss, params) <= 1e-3
 
 
-def test_lstm_forward_wrapper_shape():
+def test_lstm_forward_shape():
     layer = L.LstmLayer(3, 5, np.random.default_rng(3))
-    x = Tensor(np.random.default_rng(4).normal(size=(6, 2, 3)).astype(np.float32))
-    out = L.lstm_forward(x, layer)
-    assert out.shape == (6, 2, 5)
+    x = np.random.default_rng(4).normal(size=(6, 2, 3)).astype(np.float32)
+    out = layer.forward([Tensor(x[t]) for t in range(6)])
+    assert [h.shape for h in out] == [(2, 5)] * 6
+    assert T.stack0(out).dtype == np.float32
 
 
 def test_dense_forward_and_gradient():

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -52,8 +55,6 @@ def test_las_forward_shapes_and_bos_check():
     prefix[:, 0] = model.bos_id
     logits = model.forward(feats, None, prefix)
     assert logits.shape == (2, 4, 7)  # vocab 5 + BOS + EOS
-    spec_shaped = M.las_forward(model, feats, prefix)
-    assert spec_shaped.shape == (4, 2, 7)
     with pytest.raises(DataError):
         model.forward(feats, None, np.ones((2, 4), dtype=np.int64))
 
@@ -80,6 +81,25 @@ def test_parameter_groups_nesting():
     assert set(g["dense"]) < set(g["decoder"]) < set(g["all"])
     assert "embed.table" in g["decoder"]
     assert all(n.startswith(("decoder.", "dec_norm.", "embed.", "dense.")) for n in g["decoder"])
+
+
+ATTN = ["wq.w", "wq.b", "wk.w", "wk.b", "wv.w", "wv.b", "wo.w", "wo.b"]
+FF = ["ff.lin1.w", "ff.lin1.b", "ff.lin2.w", "ff.lin2.b"]
+
+
+def test_parameter_names_and_order_are_pinned():
+    # checkpoints store tensors in this order; freeze policies select by these names
+    assert list(small_ctc().parameters()) == [
+        "lstm.0.w", "lstm.0.u", "lstm.0.b", "lstm.1.w", "lstm.1.u", "lstm.1.b", "dense.w", "dense.b"]
+    enc = [f"attn.{n}" for n in ATTN] + FF + ["ln1.gamma", "ln1.beta", "ln2.gamma", "ln2.beta"]
+    dec = ([f"self_attn.{n}" for n in ATTN] + [f"cross_attn.{n}" for n in ATTN] + FF
+           + ["ln1.gamma", "ln1.beta", "ln2.gamma", "ln2.beta", "ln3.gamma", "ln3.beta"])
+    assert list(small_las().parameters()) == (
+        ["input_proj.w", "input_proj.b"]
+        + [f"encoder.{i}.{n}" for i in range(2) for n in enc]
+        + ["enc_norm.gamma", "enc_norm.beta", "embed.table"]
+        + [f"decoder.0.{n}" for n in dec]
+        + ["dec_norm.gamma", "dec_norm.beta", "dense.w", "dense.b"])
 
 
 def test_top_lstm_names():
@@ -125,6 +145,35 @@ def test_checkpoint_truncated_and_bad_magic(tmp_path):
     bad.write_bytes(b"WHAT" + raw[4:])
     with pytest.raises(DataError):
         M.load_checkpoint(bad)
+
+
+def _move_dense_w(new_offset):
+    """Corrupt the index entry of dense.w: new_offset(offset, index_pos)."""
+    def corrupt(raw):
+        (index_pos,) = struct.unpack("<Q", raw[-8:])
+        index = json.loads(raw[index_pos:-8])
+        index["dense.w"] = new_offset(index["dense.w"], index_pos)
+        return raw[:index_pos] + json.dumps(index).encode() + raw[-8:]
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _move_dense_w(lambda off, end: end + 4),
+    _move_dense_w(lambda off, end: -4),
+    _move_dense_w(lambda off, end: str(off)),
+    _move_dense_w(lambda off, end: float(off)),
+    _move_dense_w(lambda off, end: off + 4),
+    lambda raw: raw.replace(b'"layers"', b'"layerz"', 1),
+], ids=["offset-past-blocks", "offset-negative", "offset-string", "offset-float",
+        "offset-mid-block", "unknown-config-field"])
+def test_checkpoint_corruption_raises_data_error(tmp_path, corrupt):
+    path = tmp_path / "m.ckpt"
+    M.save_checkpoint(path, small_ctc())
+    raw = path.read_bytes()
+    path.write_bytes(corrupt(raw))
+    assert path.read_bytes() != raw
+    with pytest.raises(DataError):
+        M.load_checkpoint(path)
 
 
 def test_paper_preset_ctc_dense_shape(tmp_path):

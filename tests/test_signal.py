@@ -3,15 +3,14 @@ import pytest
 
 from asrlab import signal as S
 from asrlab.errors import DataError, ShapeError
+from asrlab.ttssim import synth
 
 
 def naive_dft(x):
-    """O(n^2) reference DFT, independent of the radix-2 path."""
+    """O(n^2) reference DFT over the last axis, independent of numpy's FFT."""
     x = np.asarray(x, dtype=np.complex128)
-    n = len(x)
-    k = np.arange(n)
-    basis = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return basis @ x
+    k = np.arange(x.shape[-1])
+    return x @ np.exp(-2j * np.pi * np.outer(k, k) / len(k))  # the DFT matrix is symmetric
 
 
 def test_frame_count_boundary():
@@ -33,47 +32,57 @@ def test_frame_too_short():
         S.frame(np.zeros(100))
 
 
+def one_sided_power(x, n_fft):
+    """Reference power spectrum: naive DFT of the zero-padded rows."""
+    x = np.atleast_2d(x)
+    padded = np.zeros((x.shape[0], n_fft))
+    padded[:, : x.shape[1]] = x
+    return np.abs(naive_dft(padded)[:, : n_fft // 2 + 1]) ** 2
+
+
 def test_fft_impulse():
-    out = S.fft(np.array([1.0, 0.0, 0.0, 0.0]))
-    assert np.allclose(out, np.ones(4), atol=1e-12)
+    assert np.allclose(S.power_spectrum(np.array([1.0, 0.0, 0.0, 0.0]), n_fft=4), 1.0, atol=1e-12)
+    # a one-sample frame zero-padded to the front-end's FFT size stays flat
+    assert np.allclose(S.power_spectrum(np.array([1.0])), np.ones((1, 257)), atol=1e-12)
 
 
 def test_fft_constant_input():
     c = 0.37
-    out = S.fft(np.full(512, c))
-    assert np.isclose(out[0].real, 512 * c, atol=1e-9)
+    out = S.power_spectrum(np.full(512, c))[0]
+    assert np.isclose(out[0], (512 * c) ** 2, rtol=1e-12)
     assert np.allclose(out[1:], 0.0, atol=1e-9)
 
 
 def test_fft_matches_naive_dft():
     rng = np.random.default_rng(0)
-    for n in (2, 8, 64, 512):
+    for n, n_fft in ((2, 2), (8, 8), (64, 64), (512, 512), (320, 512), (48, 48)):
         x = rng.normal(size=n)
-        got = S.fft(x)
-        want = naive_dft(x)
-        assert np.max(np.abs(got - want)) <= 1e-6 * np.linalg.norm(x)
+        got = S.power_spectrum(x, n_fft=n_fft)
+        # |X_k|^2 <= n * sum(x^2), so this bound is relative to the largest possible bin
+        assert np.max(np.abs(got - one_sided_power(x, n_fft))) <= 1e-9 * n * np.sum(x ** 2)
 
 
 def test_fft_batched_rows_match_single():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(5, 128))
-    got = S.fft(x)
+    got = S.power_spectrum(x, n_fft=128)
     for i in range(5):
-        assert np.allclose(got[i], S.fft(x[i]), atol=1e-12)
+        assert np.allclose(got[i], S.power_spectrum(x[i], n_fft=128)[0], atol=1e-12)
 
 
-def test_fft_non_power_of_two_rejected():
+def test_power_spectrum_frame_longer_than_fft_rejected():
     with pytest.raises(ShapeError):
-        S.fft(np.zeros(48))
+        S.power_spectrum(np.zeros((2, 513)))
 
 
 def test_parseval():
     rng = np.random.default_rng(2)
     x = rng.normal(size=512)
-    spec = S.fft(x)
-    lhs = np.sum(np.abs(spec) ** 2) / 512
+    p = S.power_spectrum(x)[0]
+    # one-sided: interior bins stand for a conjugate pair, DC and Nyquist for themselves
+    lhs = (p[0] + p[-1] + 2.0 * np.sum(p[1:-1])) / 512
     rhs = np.sum(x ** 2)
-    assert abs(lhs - rhs) <= 1e-4 * rhs
+    assert abs(lhs - rhs) <= 1e-9 * rhs
 
 
 def test_mel_scale_known_point():
@@ -157,11 +166,27 @@ def test_extract_features_deterministic_and_shapes():
     assert f1.dtype == np.float32
 
 
+@pytest.mark.parametrize("mel_bins", [20, 80])
+def test_extract_features_matches_naive_dft_front_end(mel_bins):
+    """Feature tolerance: 1e-5 absolute against a naive-DFT front-end."""
+    rng = np.random.default_rng(9)
+    waves = [synth("turn left at main street"),
+             rng.uniform(-0.5, 0.5, size=6000).astype(np.float32)]
+    cfg = S.FrontendConfig(mel_bins=mel_bins)
+    fb = S.mel_filterbank(mel_bins)
+    for w in waves:
+        power = one_sided_power(S.frame(w), S.N_FFT)
+        want = S.stack(np.log(power @ fb.T + S.LOG_FLOOR), cfg.stack_k, cfg.stack_stride)
+        got = S.extract_features(w, cfg)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-5
+
+
 def test_feature_normalizer():
     rng = np.random.default_rng(7)
     mats = [rng.normal(loc=3.0, scale=2.0, size=(50, 4)) for _ in range(10)]
     norm = S.FeatureNormalizer.fit(mats)
-    normed = np.concatenate([norm.apply(m) for m in mats])
+    normed = np.concatenate([(m - norm.mean) / norm.std for m in mats])
     assert np.allclose(normed.mean(axis=0), 0.0, atol=1e-3)
     assert np.allclose(normed.std(axis=0), 1.0, atol=1e-3)
     with pytest.raises(DataError):
