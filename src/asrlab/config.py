@@ -9,10 +9,20 @@ desk-scale training.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import DataError
+
+
+def _check_sizes(cfg, kind: str) -> None:
+    """Every model config field but `kind` is a size: a positive int."""
+    if cfg.kind != kind:
+        raise DataError(f"{type(cfg).__name__} needs kind {kind!r}, got {cfg.kind!r}")
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name != "kind" and (type(value) is not int or value < 1):
+            raise DataError(f"{kind} config {f.name} must be a positive int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -22,6 +32,9 @@ class CtcConfig:
     hidden: int = 64
     layers: int = 2
     vocab: int = 200  # CTC output width is vocab + 1 (blank last)
+
+    def __post_init__(self):
+        _check_sizes(self, "ctc")
 
     @property
     def output_dim(self) -> int:
@@ -38,6 +51,11 @@ class LasConfig:
     enc_blocks: int = 2
     dec_blocks: int = 1
     vocab: int = 200  # BOS/EOS appended as ids vocab, vocab+1
+
+    def __post_init__(self):
+        _check_sizes(self, "las")
+        if self.dim % self.heads:
+            raise DataError(f"las config dim {self.dim} is not a multiple of heads {self.heads}")
 
     @property
     def output_dim(self) -> int:

@@ -1,5 +1,10 @@
 """Decoders: CTC greedy/prefix beam search and LAS beam search.
 
+The CTC prefix beam scores each frame as one [n_beam, V] candidate
+matrix in numpy; Python only touches the few candidates that can make
+the next beam. The LAS beam re-runs the decoder over the whole prefix
+at every step.
+
 N-best lists carry (token ids, text, acoustic score); the language-model
 score and combined total are filled in by rescoring. The JSONL wire
 format {id, hyps: [{text, am, lm?, total?}]} is the contract between
@@ -14,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError, NumericError, ShapeError, UsageError
 from .models import LasModel
 from .tensor import Tensor, log_softmax_np
 from .tokenizer import SubwordModel
@@ -73,58 +78,74 @@ def ctc_greedy(log_probs: np.ndarray, tok: SubwordModel) -> Hypothesis:
     return Hypothesis(tuple(tokens), tok.decode(tokens), score)
 
 
-def ctc_prefix_beam(log_probs: np.ndarray, tok: SubwordModel, beam: int = 10,
-                    prune_vocab: int | None = None) -> list[Hypothesis]:
+def ctc_prefix_beam(log_probs: np.ndarray, tok: SubwordModel, beam: int = 10) -> list[Hypothesis]:
     """Prefix beam search tracking (blank, non-blank) mass per prefix.
 
-    Returns up to `beam` prefixes ranked by total log probability.
-    prune_vocab limits per-frame extension candidates to the most likely
-    symbols (None = exact expansion over the whole vocabulary).
+    log_probs is one utterance [T, V], blank last. The live beam is a
+    list of prefix tuples with float64 arrays pb / pnb: the log mass of
+    each prefix on paths ending in blank / in its last symbol. Each frame
+    fills an [n_beam, V] candidate matrix: cell (i, c) is prefix i
+    extended by symbol c, and the blank column is prefix i itself. An
+    extension by the prefix's own last symbol only continues paths that
+    end in blank. When an extension is itself a beam prefix, its mass is
+    folded into that prefix's cell and the extension cell is dropped.
+    The next beam is the `beam` best cells ranked by (-total, prefix):
+    equal totals go to the lexicographically smaller token tuple.
+    Expansion is exact over the whole vocabulary. Returns up to `beam`
+    hypotheses with distinct texts, best first.
     """
     if beam < 1:
         raise UsageError("beam must be >= 1")
-    t_len, width = log_probs.shape
+    log_probs = np.asarray(log_probs)
+    if log_probs.ndim != 2 or log_probs.shape[1] < 2:
+        raise ShapeError(f"ctc_prefix_beam wants [T, V] log-probs with V >= 2, got {log_probs.shape}")
+    if not np.all(np.isfinite(log_probs)):
+        raise NumericError("non-finite log-probs fed to ctc_prefix_beam")
+    width = log_probs.shape[1]
     blank = width - 1
 
-    # prefix -> [log p ending in blank, log p ending in non-blank]
-    beams: dict[tuple, list[float]] = {(): [0.0, LOG_ZERO]}
-    for t in range(t_len):
-        lp = log_probs[t]
-        if prune_vocab is not None and prune_vocab < width - 1:
-            cand = np.argpartition(lp[:blank], -prune_vocab)[-prune_vocab:]
-            candidates = [int(c) for c in cand]
-        else:
-            candidates = range(blank)
-        new: dict[tuple, list[float]] = {}
+    prefixes: list[tuple] = [()]
+    last = np.array([-1])  # last symbol of each prefix, -1 for the empty one
+    pb = np.zeros(1)
+    pnb = np.full(1, LOG_ZERO)
+    for lp in log_probs.astype(np.float64):
+        n = len(prefixes)
+        p_tot = np.logaddexp(pb, pnb)
+        cand_pb = np.full((n, width), LOG_ZERO)
+        cand_pb[:, blank] = p_tot + lp[blank]
+        cand_pnb = p_tot[:, None] + lp
+        has = np.flatnonzero(last >= 0)
+        cand_pnb[has, last[has]] = pb[has] + lp[last[has]]
+        cand_pnb[:, blank] = pnb + lp[last]  # the empty prefix has pnb = -inf
 
-        def slot(prefix):
-            s = new.get(prefix)
-            if s is None:
-                s = [LOG_ZERO, LOG_ZERO]
-                new[prefix] = s
-            return s
+        row = {p: i for i, p in enumerate(prefixes)}
+        child = [i for i, p in enumerate(prefixes) if p and p[:-1] in row]
+        live = np.ones(n * width, dtype=bool)
+        if child:
+            parent = [row[prefixes[i][:-1]] for i in child]
+            cols = last[child]
+            cand_pnb[child, blank] = np.logaddexp(cand_pnb[child, blank], cand_pnb[parent, cols])
+            live[np.array(parent) * width + cols] = False
 
-        for prefix, (pb, pnb) in beams.items():
-            p_tot = np.logaddexp(pb, pnb)
-            # stay on blank
-            s = slot(prefix)
-            s[0] = np.logaddexp(s[0], p_tot + lp[blank])
-            # repeat last symbol without a separating blank
-            if prefix:
-                last = prefix[-1]
-                s[1] = np.logaddexp(s[1], pnb + lp[last])
-            for c in candidates:
-                ext = slot(prefix + (c,))
-                if prefix and c == prefix[-1]:
-                    ext[1] = np.logaddexp(ext[1], pb + lp[c])
-                else:
-                    ext[1] = np.logaddexp(ext[1], p_tot + lp[c])
-        ranked = sorted(new.items(), key=lambda kv: (-np.logaddexp(kv[1][0], kv[1][1]), kv[0]))
-        beams = dict(ranked[:beam])
+        total = np.logaddexp(cand_pb, cand_pnb).ravel()
+        ids = np.flatnonzero(live)
+        cand = total[ids]
+        k = min(beam, cand.size)
+        kth = np.partition(cand, cand.size - k)[cand.size - k]
+        ranked = []
+        for x in ids[cand >= kth].tolist():  # every cell tied with the k-th is ranked
+            i, c = divmod(x, width)
+            ranked.append((-total[x], prefixes[i] if c == blank else prefixes[i] + (c,), x))
+        ranked.sort(key=lambda r: r[:2])
+        keep = np.array([x for _, _, x in ranked[:k]])
+        prefixes = [p for _, p, _ in ranked[:k]]
+        rows, cols = np.divmod(keep, width)
+        last = np.where(cols == blank, last[rows], cols)
+        pb = cand_pb.ravel()[keep]
+        pnb = cand_pnb.ravel()[keep]
 
-    hyps = [Hypothesis(prefix, tok.decode(list(prefix)), float(np.logaddexp(pb, pnb)))
-            for prefix, (pb, pnb) in beams.items()]
-    hyps.sort(key=lambda h: (-h.am_score, h.tokens))
+    scores = np.logaddexp(pb, pnb)
+    hyps = [Hypothesis(p, tok.decode(list(p)), float(s)) for p, s in zip(prefixes, scores)]
     return dedup_by_text(hyps, beam)
 
 

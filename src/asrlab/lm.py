@@ -181,21 +181,26 @@ def tune_weights(dev_nbests: list[NBestList], dev_refs: dict[str, str], lm: NGra
 
     The identity point (0,0) is on the grid, so the selected dev WER
     never exceeds the un-rescored dev WER. wer_fn(ref, hyp) returns a
-    WerBreakdown-like object with .errors and .ref_len.
+    WerBreakdown-like object with .errors and .ref_len; it is called
+    once per distinct (utterance, chosen hypothesis) pair.
     """
     cache = [(nb, [lm.score(h.text) for h in nb.hyps], [len(h.text.split()) for h in nb.hyps])
              for nb in dev_nbests]
+    scored: dict[tuple[int, int], tuple[int, int]] = {}  # (utt, hyp) -> (errors, ref_len)
     best: tuple[RescoreWeights, float] | None = None
     for lam in LAMBDA_GRID:
         for beta in BETA_GRID:
             errors = 0
             ref_len = 0
-            for nb, lm_scores, wc in cache:
+            for u, (nb, lm_scores, wc) in enumerate(cache):
                 idx = max(range(len(nb.hyps)),
                           key=lambda i: (nb.hyps[i].am_score + lam * lm_scores[i] + beta * wc[i], -i))
-                b = wer_fn(dev_refs[nb.utt_id], nb.hyps[idx].text)
-                errors += b.errors
-                ref_len += b.ref_len
+                if (u, idx) not in scored:
+                    b = wer_fn(dev_refs[nb.utt_id], nb.hyps[idx].text)
+                    scored[u, idx] = (b.errors, b.ref_len)
+                e, r = scored[u, idx]
+                errors += e
+                ref_len += r
             w = errors / ref_len
             if best is None or w < best[1]:
                 best = (RescoreWeights(lam, beta), w)

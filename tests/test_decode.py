@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from oracle_utils import exhaustive_ctc_marginals
+from oracle_utils import exhaustive_ctc_marginals, reference_prefix_beam
 
 from asrlab import decode as D
 from asrlab import tensor as T
-from asrlab.errors import UsageError
+from asrlab import ttssim
+from asrlab.errors import NumericError, ShapeError, UsageError
 from asrlab.tokenizer import train_bpe
 
 
@@ -81,6 +82,54 @@ def test_prefix_beam_no_duplicate_texts():
     assert len(texts) == len(set(texts))
     with pytest.raises(UsageError):
         D.ctc_prefix_beam(lp, tok, beam=0)
+
+
+def assert_same_nbest(got, want):
+    assert [(h.tokens, h.text) for h in got] == [(h.tokens, h.text) for h in want]
+    assert np.allclose([h.am_score for h in got], [h.am_score for h in want], rtol=0, atol=1e-9)
+
+
+def test_prefix_beam_matches_reference_on_small_vocab():
+    tok = train_bpe(["ab ba cd dc"], vocab_size=5)  # ids 0-4, so every width up to 5 decodes
+    rng = np.random.default_rng(4)
+    for width in (3, 4, 5):
+        for t_len in range(1, 10):
+            lp = T.log_softmax_np(rng.normal(scale=2.0, size=(t_len, width)), axis=-1)
+            # rounded log-probs give equal totals, which the prefix order must break
+            for case in (lp, np.round(lp, 1)):
+                for beam in (1, 2, 4, 10, 32):
+                    assert_same_nbest(D.ctc_prefix_beam(case, tok, beam=beam),
+                                      reference_prefix_beam(case, tok, beam=beam))
+
+
+def test_prefix_beam_matches_reference_at_desk_shape():
+    tok = train_bpe(ttssim.sample_text(ttssim.ADDRESS, 300, seed=0), vocab_size=200,
+                    charset=ttssim.CHARSET)
+    rng = np.random.default_rng(5)
+    for t_len in (60, 140):
+        logits = rng.normal(scale=2.0, size=(t_len, 201))
+        logits[np.arange(t_len), rng.integers(0, 201, size=t_len)] += 8.0  # peaked, like a trained model
+        lp = T.log_softmax_np(logits.astype(np.float32), axis=-1)
+        assert lp.dtype == np.float32
+        assert_same_nbest(D.ctc_prefix_beam(lp, tok, beam=8), reference_prefix_beam(lp, tok, beam=8))
+
+
+@pytest.mark.parametrize("log_probs, error", [
+    (np.zeros(4), ShapeError),
+    (np.zeros((2, 3, 4)), ShapeError),
+    (np.zeros((3, 1)), ShapeError),
+    (np.array([[0.0, np.nan, 0.0, 0.0]]), NumericError),
+    (np.array([[0.0, 0.0, np.inf, 0.0]]), NumericError),
+    (np.array([[-np.inf, 0.0, 0.0, 0.0]]), NumericError),
+], ids=["1d", "3d", "width-1", "nan", "inf", "neg-inf"])
+def test_prefix_beam_rejects_bad_log_probs(log_probs, error):
+    with pytest.raises(error):
+        D.ctc_prefix_beam(log_probs, char_tok())
+
+
+def test_prefix_beam_zero_frames_is_empty_hypothesis():
+    hyps = D.ctc_prefix_beam(np.zeros((0, 4)), char_tok(), beam=4)
+    assert [(h.tokens, h.text, h.am_score) for h in hyps] == [((), "", 0.0)]
 
 
 class _ToyLas:

@@ -123,6 +123,38 @@ def test_tune_weights_never_worse_than_identity():
     assert dev_wer <= errors / ref_len + 1e-12
 
 
+def test_tune_weights_scores_each_chosen_hypothesis_once():
+    corpus = ttssim.sample_text(ttssim.ADDRESS, 300, seed=4)
+    model = LM.train_lm(corpus, order=3)
+    rng = np.random.default_rng(7)
+    nbests, refs = [], {}
+    for u, ref in enumerate(ttssim.sample_text(ttssim.ADDRESS, 12, seed=9)):
+        words = ref.split()
+        hyps = []
+        for _ in range(5):
+            w = list(words)
+            for _ in range(int(rng.integers(0, 3))):
+                j = int(rng.integers(0, len(w)))
+                w[j] = str(rng.choice(["street", "road", "7", "lakeview", "plot"]))
+            # word errors buy acoustic score, so only the LM can pick the reference
+            edits = sum(a != b for a, b in zip(w, words))
+            hyps.append(Hypothesis((), " ".join(w), float(rng.normal(-5.0 + 0.5 * edits, 0.5))))
+        hyps.sort(key=lambda h: -h.am_score)
+        nbests.append(NBestList(f"u{u}", hyps))
+        refs[f"u{u}"] = ref
+    calls = []
+
+    def counting_wer(ref, hyp):
+        calls.append((ref, hyp))
+        return wer(ref, hyp)
+
+    weights, dev_wer = LM.tune_weights(nbests, refs, model, counting_wer)
+    assert len(calls) <= sum(len(nb.hyps) for nb in nbests)  # 60; one call per grid point was 396
+    # the search itself is unchanged: same pick and WER as scoring at every grid point
+    assert weights == LM.RescoreWeights(1.0, 0.0)
+    assert dev_wer == 15 / 82
+
+
 def test_rescore_weights_validation():
     with pytest.raises(DataError):
         LM.RescoreWeights(-0.5, 0.0)

@@ -157,23 +157,48 @@ def _move_dense_w(new_offset):
     return corrupt
 
 
-@pytest.mark.parametrize("corrupt", [
-    _move_dense_w(lambda off, end: end + 4),
-    _move_dense_w(lambda off, end: -4),
-    _move_dense_w(lambda off, end: str(off)),
-    _move_dense_w(lambda off, end: float(off)),
-    _move_dense_w(lambda off, end: off + 4),
-    lambda raw: raw.replace(b'"layers"', b'"layerz"', 1),
+def _edit_model_config(**changes):
+    """Corrupt header config values, keeping the header's byte length."""
+    def corrupt(raw):
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + header_len])
+        header["model"].update(changes)
+        edited = json.dumps(header, separators=(",", ":")).encode()
+        assert len(edited) <= header_len
+        return raw[:12] + edited.ljust(header_len) + raw[12 + header_len:]
+    return corrupt
+
+
+@pytest.mark.parametrize("model, corrupt", [
+    (small_ctc, _move_dense_w(lambda off, end: end + 4)),
+    (small_ctc, _move_dense_w(lambda off, end: -4)),
+    (small_ctc, _move_dense_w(lambda off, end: str(off))),
+    (small_ctc, _move_dense_w(lambda off, end: float(off))),
+    (small_ctc, _move_dense_w(lambda off, end: off + 4)),
+    (small_ctc, lambda raw: raw.replace(b'"layers"', b'"layerz"', 1)),
+    (small_ctc, _edit_model_config(hidden=0)),
+    (small_ctc, _edit_model_config(layers=-1)),
+    (small_las, _edit_model_config(dim=64, heads=3)),
+    (small_ctc, _edit_model_config(vocab="200")),
 ], ids=["offset-past-blocks", "offset-negative", "offset-string", "offset-float",
-        "offset-mid-block", "unknown-config-field"])
-def test_checkpoint_corruption_raises_data_error(tmp_path, corrupt):
+        "offset-mid-block", "unknown-config-field", "hidden-zero", "layers-negative",
+        "heads-not-dividing-dim", "vocab-string"])
+def test_checkpoint_corruption_raises_data_error(tmp_path, model, corrupt):
     path = tmp_path / "m.ckpt"
-    M.save_checkpoint(path, small_ctc())
+    M.save_checkpoint(path, model())
     raw = path.read_bytes()
     path.write_bytes(corrupt(raw))
     assert path.read_bytes() != raw
     with pytest.raises(DataError):
         M.load_checkpoint(path)
+
+
+def test_model_config_values_checked_on_construction():
+    for preset in (C.ctc_desk, C.las_desk, C.ctc_paper_shapes, C.las_paper_shapes):
+        preset()
+    for bad in ({"hidden": True}, {"feat_dim": 6.0}, {"kind": "las"}):
+        with pytest.raises(DataError):
+            C.CtcConfig(**bad)
 
 
 def test_paper_preset_ctc_dense_shape(tmp_path):
