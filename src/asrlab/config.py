@@ -92,6 +92,9 @@ def model_config_from_dict(d: dict):
         raise DataError(f"bad {kind} model config: {exc}") from exc
 
 
+_VALUE_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}  # by annotation; bools are not numbers
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 16
@@ -110,6 +113,10 @@ class TrainConfig:
     label_smoothing: float = 0.1  # LAS only
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) not in _VALUE_TYPES[f.type]:
+                raise DataError(f"training config {f.name} must be {f.type}, got {value!r}")
         # lr == 0 is allowed: it makes fine-tuning a provable no-op
         if self.batch_size < 1 or self.lr < 0 or self.epochs < 0 or self.grad_clip <= 0:
             raise DataError("invalid training config")
@@ -131,4 +138,13 @@ def save_json_config(path, cfg) -> None:
 
 def load_json_config(path, cls):
     with open(path) as fh:
-        return cls(**json.load(fh))
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(d, dict):
+        raise DataError(f"{path}: config must be a JSON object")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise DataError(f"{path}: unknown {cls.__name__} fields {sorted(unknown)}")
+    return cls(**d)

@@ -2,8 +2,10 @@
 
 The CTC prefix beam scores each frame as one [n_beam, V] candidate
 matrix in numpy; Python only touches the few candidates that can make
-the next beam. The LAS beam re-runs the decoder over the whole prefix
-at every step.
+the next beam. The LAS beam encodes the utterance once and then feeds
+only the newest token of each live hypothesis through the model's
+incremental decoder, which caches the attention keys and values of
+the memory and of the earlier positions.
 
 N-best lists carry (token ids, text, acoustic score); the language-model
 score and combined total are filled in by rescoring. The JSONL wire
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .models import LasModel
-from .tensor import Tensor, log_softmax_np
+from .tensor import log_softmax_np
 from .tokenizer import SubwordModel
 
 LOG_ZERO = -np.inf
@@ -155,24 +157,27 @@ def las_beam(model: LasModel, feats: np.ndarray, tok: SubwordModel, beam: int = 
              max_len: int = 60) -> list[Hypothesis]:
     """Length-normalized beam search; finished hypotheses are frozen.
 
-    feats is a single utterance [T, D]. Each step expands at most
-    3*beam candidates; scores are sums of log-softmax outputs divided by
-    the generated length (EOS included, BOS excluded).
+    feats is a single utterance [T, D]. Each step decodes only the newest
+    position of every live hypothesis through the model's incremental
+    decoder and expands at most 3*beam candidates; scores are sums of
+    log-softmax outputs divided by the generated length (EOS included,
+    BOS excluded).
     """
     if beam < 1 or max_len < 1:
         raise UsageError("beam and max_len must be >= 1")
-    memory, mem_mask = model.encode(feats[:, None, :])
+    feats = np.asarray(feats)
+    if feats.ndim != 2 or feats.shape[0] < 1:
+        raise ShapeError(f"las_beam wants features [T, D] with T >= 1, got {feats.shape}")
+    if not np.all(np.isfinite(feats)):
+        raise NumericError("non-finite features fed to las_beam")
+    decoder = model.start_decoding(*model.encode(feats[:, None, :]))
     expansion_cap = 3 * beam
 
     active: list[tuple[tuple, float]] = [((model.bos_id,), 0.0)]
+    rows, tokens = [0], [model.bos_id]  # each live hypothesis's parent row and newest token
     finished: list[tuple[tuple, float]] = []
     for _step in range(max_len):
-        prefixes = np.array([p for p, _ in active], dtype=np.int64)
-        n_active = len(active)
-        mem_b = _tile_memory(memory, n_active)
-        mask_b = np.repeat(mem_mask, n_active, axis=0)
-        logits = model.decode_logits(mem_b, mask_b, prefixes)
-        logp = log_softmax_np(logits.data[:, -1, :])
+        logp = log_softmax_np(decoder.step(rows, tokens))
         logp[:, model.bos_id] = LOG_ZERO  # BOS is never generated
 
         cand_scores = np.array([s for _, s in active])[:, None] + logp  # [n_active, V']
@@ -182,6 +187,7 @@ def las_beam(model: LasModel, feats: np.ndarray, tok: SubwordModel, beam: int = 
         top = top[np.argsort(-flat[top], kind="stable")]
 
         next_active: list[tuple[tuple, float]] = []
+        rows, tokens = [], []
         gen_len = len(active[0][0])  # BOS excluded, new token included
         for idx in top:
             if not np.isfinite(flat[idx]):
@@ -193,6 +199,8 @@ def las_beam(model: LasModel, feats: np.ndarray, tok: SubwordModel, beam: int = 
                 finished.append((seq, score / gen_len))
             else:
                 next_active.append((seq, score))
+                rows.append(hyp_i)
+                tokens.append(token)
             if len(next_active) >= beam:
                 break
         if not next_active:
@@ -212,12 +220,6 @@ def las_beam(model: LasModel, feats: np.ndarray, tok: SubwordModel, beam: int = 
         toks = [t for t in seq[1:] if t != model.eos_id]
         hyps.append(Hypothesis(tuple(toks), tok.decode(toks), float(score)))
     return dedup_by_text(hyps, beam)
-
-
-def _tile_memory(memory, n: int):
-    if n == 1:
-        return memory
-    return Tensor(np.repeat(memory.data, n, axis=0))
 
 
 # -- N-best serialization -------------------------------------------------------------

@@ -168,19 +168,25 @@ class MultiHeadAttention:
         self.wk = Dense(dim, dim, rng, dtype)
         self.wv = Dense(dim, dim, rng, dtype)
         self.wo = Dense(dim, dim, rng, dtype)
-        self.last_attn = None  # [B*h, Tq, Tk] weights from the latest call
 
-    def _split(self, x: Tensor, batch: int, t: int) -> Tensor:
+    def _split(self, x: Tensor) -> Tensor:
+        batch, t, _ = x.shape
         x = T.reshape(x, (batch, t, self.heads, self.head_dim))
         x = T.transpose(x, (0, 2, 1, 3))
         return T.reshape(x, (batch * self.heads, t, self.head_dim))
 
-    def __call__(self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        batch, tq, _ = q.shape
-        tk = k.shape[1]
-        qh = self._split(self.wq(q), batch, tq)
-        kh = self._split(self.wk(k), batch, tk)
-        vh = self._split(self.wv(v), batch, tk)
+    def project_q(self, q: Tensor) -> Tensor:
+        """Queries [B, Tq, dim] -> per-head queries [B*h, Tq, head_dim]."""
+        return self._split(self.wq(q))
+
+    def project_kv(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Keys and values [B, Tk, dim] -> per-head keys and values [B*h, Tk, head_dim]."""
+        return self._split(self.wk(k)), self._split(self.wv(v))
+
+    def weights(self, qh: Tensor, kh: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Softmax attention weights [B*h, Tq, Tk]; mask is True where a key is hidden."""
+        batch = qh.shape[0] // self.heads
+        tq, tk = qh.shape[1], kh.shape[1]
         scores = T.bmm(qh, T.transpose(kh, (0, 2, 1)))
         scores = T.mul(scores, 1.0 / np.sqrt(self.head_dim))
         if mask is not None:
@@ -190,13 +196,20 @@ class MultiHeadAttention:
             full = np.broadcast_to(expand, (batch, self.heads, tq, tk))
             fill = np.where(full.reshape(batch * self.heads, tq, tk), NEG_FILL, 0.0)
             scores = T.add(scores, Tensor(fill.astype(scores.dtype)))
-        attn = T.softmax(scores, axis=-1)
-        self.last_attn = attn.data
-        ctx = T.bmm(attn, vh)
+        return T.softmax(scores, axis=-1)
+
+    def attend(self, qh: Tensor, kh: Tensor, vh: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Attention output [B, Tq, dim] from projected queries, keys and values."""
+        batch = qh.shape[0] // self.heads
+        tq = qh.shape[1]
+        ctx = T.bmm(self.weights(qh, kh, mask), vh)
         ctx = T.reshape(ctx, (batch, self.heads, tq, self.head_dim))
         ctx = T.transpose(ctx, (0, 2, 1, 3))
         ctx = T.reshape(ctx, (batch, tq, self.dim))
         return self.wo(ctx)
+
+    def __call__(self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        return self.attend(self.project_q(q), *self.project_kv(k, v), mask)
 
     def parameters(self):
         return prefixed(wq=self.wq, wk=self.wk, wv=self.wv, wo=self.wo)
@@ -250,6 +263,29 @@ class DecoderBlock:
         h = self.ln2(x)
         x = T.add(x, self.cross_attn(h, memory, memory, mem_mask))
         return T.add(x, self.ff(self.ln3(x)))
+
+    def step(self, x: Tensor, past_kv: tuple[np.ndarray, np.ndarray], memory_kv: tuple[Tensor, Tensor],
+             mem_mask: np.ndarray | None = None) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
+        """Run one new position of n rows through the block.
+
+        x is [n, 1, dim]. past_kv holds the self-attention keys and values
+        of the earlier positions of each row, [n*h, L, head_dim] each.
+        memory_kv is ``cross_attn.project_kv`` of one utterance's memory
+        [1, Tenc, dim], which every row shares. Returns the block output
+        [n, 1, dim] and past_kv with the new position appended.
+        """
+        n, _, dim = x.shape
+        h = self.ln1(x)
+        qh = self.self_attn.project_q(h)
+        k_new, v_new = self.self_attn.project_kv(h, h)
+        kv = (np.concatenate([past_kv[0], k_new.data], axis=1),
+              np.concatenate([past_kv[1], v_new.data], axis=1))
+        x = T.add(x, self.self_attn.attend(qh, Tensor(kv[0]), Tensor(kv[1])))
+        # the n rows attend to one memory, so they go in as n queries of a single batch entry
+        h = T.reshape(self.ln2(x), (1, n, dim))
+        ctx = self.cross_attn.attend(self.cross_attn.project_q(h), *memory_kv, mem_mask)
+        x = T.add(x, T.reshape(ctx, (n, 1, dim)))
+        return T.add(x, self.ff(self.ln3(x))), kv
 
     def parameters(self):
         return prefixed(self_attn=self.self_attn, cross_attn=self.cross_attn, ff=self.ff,

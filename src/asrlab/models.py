@@ -185,6 +185,50 @@ class LasModel(_ModelBase):
         memory, pad = self.encode(feats, lengths)
         return self.decode_logits(memory, pad, prefix)
 
+    def start_decoding(self, memory: Tensor, mem_mask: np.ndarray | None = None) -> IncrementalDecoder:
+        """Incremental decoder state for one utterance's memory [1, Tenc, dim]."""
+        return IncrementalDecoder(self, memory, mem_mask)
+
+
+class IncrementalDecoder:
+    """Decodes one new position per step, reusing the work of earlier steps.
+
+    Each decoder block projects the cross-attention keys and values of
+    the memory once, and caches the self-attention keys and values of
+    every earlier position per row, [rows*heads, L, head_dim]. A step
+    first reorders that cache by each row's parent row, so the logits
+    match ``LasModel.decode_logits`` on the rows' full prefixes.
+    """
+
+    def __init__(self, model: LasModel, memory: Tensor, mem_mask: np.ndarray | None):
+        if memory.ndim != 3 or memory.shape[0] != 1:
+            raise ShapeError(f"incremental decoding wants the memory of one utterance, got {memory.shape}")
+        self.model = model
+        # a mask that hides no memory frame would only add zeros to the scores at every step
+        self.mem_mask = mem_mask if mem_mask is not None and mem_mask.any() else None
+        self.memory_kv = [block.cross_attn.project_kv(memory, memory) for block in model.decoder]
+        cfg = model.cfg
+        empty = np.zeros((cfg.heads, 0, cfg.dim // cfg.heads), dtype=memory.dtype)
+        self.past = [(empty, empty)] * len(model.decoder)
+        self.pos = 0
+
+    def step(self, rows, tokens) -> np.ndarray:
+        """Logits [n, V'] for the next position of n rows.
+
+        Row i extends row rows[i] of the previous step by token tokens[i];
+        the first step has the one row 0, extended by BOS.
+        """
+        model, heads = self.model, self.model.cfg.heads
+        rows = np.asarray(rows, dtype=np.int64)
+        cache_rows = (rows[:, None] * heads + np.arange(heads)).ravel()
+        y = T.mul(model.embed(np.asarray(tokens, dtype=np.int64)[:, None]), float(np.sqrt(model.cfg.dim)))
+        y = T.add(y, Tensor(model._pe_slice(self.pos + 1)[self.pos]))
+        for i, block in enumerate(model.decoder):
+            k, v = self.past[i]
+            y, self.past[i] = block.step(y, (k[cache_rows], v[cache_rows]), self.memory_kv[i], self.mem_mask)
+        self.pos += 1
+        return model.dense(model.dec_norm(y)).data[:, 0]
+
 
 def build_model(cfg, seed: int = 0):
     if isinstance(cfg, CtcConfig):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from asrlab.decode import Hypothesis, dedup_by_text
+from asrlab.tensor import Tensor, log_softmax_np
 
 
 def collapse(path, blank):
@@ -74,6 +75,62 @@ def reference_prefix_beam(log_probs, tok, beam=10):
     hyps = [Hypothesis(prefix, tok.decode(list(prefix)), float(np.logaddexp(pb, pnb)))
             for prefix, (pb, pnb) in beams.items()]
     hyps.sort(key=lambda h: (-h.am_score, h.tokens))
+    return dedup_by_text(hyps, beam)
+
+
+def reference_las_beam(model, feats, tok, beam=10, max_len=60):
+    """LAS beam search that re-runs `decode_logits` over every whole prefix
+    at every step, against beam-tiled memory; `decode.las_beam` must return
+    the same n-best."""
+    memory, mem_mask = model.encode(feats[:, None, :])
+    expansion_cap = 3 * beam
+
+    active = [((model.bos_id,), 0.0)]
+    finished = []
+    for _step in range(max_len):
+        prefixes = np.array([p for p, _ in active], dtype=np.int64)
+        n_active = len(active)
+        mem_b = Tensor(np.repeat(memory.data, n_active, axis=0))
+        mask_b = np.repeat(mem_mask, n_active, axis=0)
+        logits = model.decode_logits(mem_b, mask_b, prefixes)
+        logp = log_softmax_np(logits.data[:, -1, :])
+        logp[:, model.bos_id] = -np.inf  # BOS is never generated
+
+        cand_scores = np.array([s for _, s in active])[:, None] + logp
+        flat = cand_scores.reshape(-1)
+        k = min(expansion_cap, flat.size)
+        top = np.argpartition(flat, -k)[-k:]
+        top = top[np.argsort(-flat[top], kind="stable")]
+
+        next_active = []
+        gen_len = len(active[0][0])  # BOS excluded, new token included
+        for idx in top:
+            if not np.isfinite(flat[idx]):
+                continue
+            hyp_i, token = divmod(int(idx), logp.shape[1])
+            seq = active[hyp_i][0] + (token,)
+            score = float(flat[idx])
+            if token == model.eos_id:
+                finished.append((seq, score / gen_len))
+            else:
+                next_active.append((seq, score))
+            if len(next_active) >= beam:
+                break
+        if not next_active:
+            break
+        active = next_active
+
+    for seq, score in active:
+        if len(seq) - 1 >= max_len:
+            finished.append((seq, score / (len(seq) - 1)))
+    if not finished:
+        finished = [(seq, score / max(1, len(seq) - 1)) for seq, score in active]
+
+    finished.sort(key=lambda kv: (-kv[1], kv[0]))
+    hyps = []
+    for seq, score in finished[: 4 * beam]:
+        toks = [t for t in seq[1:] if t != model.eos_id]
+        hyps.append(Hypothesis(tuple(toks), tok.decode(toks), float(score)))
     return dedup_by_text(hyps, beam)
 
 

@@ -55,6 +55,30 @@ def test_train_presets_take_overrides():
     assert C.pretrain_defaults(lr=0.0).lr == 0.0
 
 
+def test_json_train_config_round_trips(tmp_path):
+    cfg = C.finetune_defaults(seed=3, epochs=2, spec_augment=False)
+    C.save_json_config(tmp_path / "train.json", cfg)
+    assert C.load_json_config(tmp_path / "train.json", C.TrainConfig) == cfg
+
+
+@pytest.mark.parametrize("text", [
+    '{"lrr": 0.001}',
+    '{"batch_size": "16"}',
+    '{"epochs": 2.5}',
+    '{"lr": true}',
+    '{"spec_augment": 1}',
+    '{"seed": null}',
+    '[16]',
+    '{"lr": ',
+], ids=["unknown-key", "int-as-string", "int-as-float", "float-as-bool", "bool-as-int", "null",
+        "not-an-object", "not-json"])
+def test_json_train_config_bad_fields_raise_data_error(tmp_path, text):
+    path = tmp_path / "train.json"
+    path.write_text(text)
+    with pytest.raises(DataError):
+        C.load_json_config(path, C.TrainConfig)
+
+
 # -- Adam -----------------------------------------------------------------------
 
 def test_adam_zero_grads_no_update():

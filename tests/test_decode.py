@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from oracle_utils import exhaustive_ctc_marginals, reference_prefix_beam
+from oracle_utils import exhaustive_ctc_marginals, reference_las_beam, reference_prefix_beam
 
+from asrlab import config as C
 from asrlab import decode as D
+from asrlab import models as M
 from asrlab import tensor as T
 from asrlab import ttssim
 from asrlab.errors import NumericError, ShapeError, UsageError
@@ -148,12 +150,11 @@ class _ToyLas:
     def encode(self, feats):
         return T.Tensor(np.zeros((1, 1, 1), dtype=np.float32)), np.zeros((1, 1, 1), dtype=bool)
 
-    def decode_logits(self, memory, mask, prefix):
-        batch, length = prefix.shape
-        out = np.zeros((batch, length, 4), dtype=np.float64)
-        for i in range(batch):
-            out[i, -1] = self.step1 if length == 1 else self.after[int(prefix[i, -1])]
-        return T.Tensor(out)
+    def start_decoding(self, memory, mem_mask):
+        return self
+
+    def step(self, rows, tokens):
+        return np.array([self.step1 if t == self.bos_id else self.after[t] for t in tokens])
 
 
 def test_las_beam_finds_sequence_greedy_misses():
@@ -179,15 +180,70 @@ def test_las_beam_hyps_end_with_eos_or_max_len():
     tok = char_tok()
 
     class NeverEos(_ToyLas):
-        def decode_logits(self, memory, mask, prefix):
-            batch, length = prefix.shape
-            out = np.full((batch, length, 4), np.log(1e-9))
-            out[:, -1, 0] = np.log(0.6)
-            out[:, -1, 1] = np.log(0.4)
-            return T.Tensor(out)
+        def step(self, rows, tokens):
+            out = np.full((len(tokens), 4), np.log(1e-9))
+            out[:, 0] = np.log(0.6)
+            out[:, 1] = np.log(0.4)
+            return out
 
     hyps = D.las_beam(NeverEos(), np.zeros((3, 1), np.float32), tok, beam=2, max_len=4)
     assert all(len(h.tokens) == 4 for h in hyps)  # max_len reached, no EOS
+
+
+def small_las(seed, dec_blocks=2):
+    cfg = C.LasConfig(feat_dim=6, dim=8, ff_dim=16, heads=2, enc_blocks=1, dec_blocks=dec_blocks, vocab=5)
+    return M.LasModel(cfg, seed=seed)
+
+
+def test_incremental_decoder_matches_decode_logits_on_reordered_prefixes():
+    model = small_las(0)
+    rng = np.random.default_rng(6)
+    feats = rng.normal(size=(9, 1, 6)).astype(np.float32)
+    memory, mem_mask = model.encode(feats, lengths=np.array([7]))  # two padded memory frames
+    decoder = model.start_decoding(memory, mem_mask)
+    prefixes = np.full((1, 1), model.bos_id)
+    rows, tokens = [0], [model.bos_id]
+    checked = 0
+    for pos in range(515):
+        logits = decoder.step(rows, tokens)
+        if pos < 6 or pos >= 510:  # 510-514 run past the 512-row position table
+            n = len(prefixes)
+            want = model.decode_logits(T.Tensor(np.repeat(memory.data, n, axis=0)),
+                                       np.repeat(mem_mask, n, axis=0), prefixes).data[:, -1]
+            assert logits.shape == want.shape
+            assert np.max(np.abs(logits - want)) <= 1e-5, pos
+            checked += 1
+        n_next = int(rng.integers(1, 5))
+        rows = rng.integers(0, len(prefixes), size=n_next)
+        tokens = rng.integers(0, model.cfg.vocab, size=n_next)
+        prefixes = np.concatenate([prefixes[rows], tokens[:, None]], axis=1)
+    assert checked == 11
+    assert model._pe.shape[0] > 512
+
+
+def test_las_beam_matches_reference_on_random_models():
+    tok = train_bpe(["ab ba cd dc"], vocab_size=5)
+    rng = np.random.default_rng(7)
+    for seed in range(6):
+        model = small_las(seed, dec_blocks=1 + seed % 2)
+        feats = rng.normal(size=(int(rng.integers(1, 12)), 6)).astype(np.float32)
+        for beam, max_len in ((1, 8), (3, 12), (8, 20)):
+            got = D.las_beam(model, feats, tok, beam=beam, max_len=max_len)
+            want = reference_las_beam(model, feats, tok, beam=beam, max_len=max_len)
+            assert [(h.tokens, h.text) for h in got] == [(h.tokens, h.text) for h in want], (seed, beam)
+            assert np.allclose([h.am_score for h in got], [h.am_score for h in want], rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("feats, error", [
+    (np.zeros(6, np.float32), ShapeError),
+    (np.zeros((4, 1, 6), np.float32), ShapeError),
+    (np.zeros((0, 6), np.float32), ShapeError),
+    (np.full((4, 6), np.nan, np.float32), NumericError),
+    (np.array([[0.0] * 5 + [np.inf]] * 3, np.float32), NumericError),
+], ids=["1d", "3d", "zero-frames", "nan", "inf"])
+def test_las_beam_rejects_bad_features(feats, error):
+    with pytest.raises(error):
+        D.las_beam(small_las(0), feats, char_tok(), beam=2, max_len=4)
 
 
 def test_nbest_serialization_round_trip(tmp_path):

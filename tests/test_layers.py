@@ -80,13 +80,17 @@ def test_dense_forward_and_gradient():
     assert err <= 1e-3
 
 
+def attention_weights(attn, x, mask=None):
+    return attn.weights(attn.project_q(x), attn.project_kv(x, x)[0], mask).data
+
+
 def test_mha_single_position_softmax_is_identity_path():
     rng = np.random.default_rng(6)
     attn = L.MultiHeadAttention(4, 2, rng, dtype=np.float64)
     x = Tensor(rng.normal(size=(1, 1, 4)), dtype=np.float64)
     out = attn(x, x, x)
     # with a single key the attention weight is exactly 1
-    assert np.allclose(attn.last_attn, 1.0)
+    assert np.allclose(attention_weights(attn, x), 1.0)
     v = attn.wv(x)
     expected = attn.wo(v)
     assert np.allclose(out.data, expected.data, atol=1e-12)
@@ -96,8 +100,7 @@ def test_causal_mask_first_row_attends_only_to_itself():
     rng = np.random.default_rng(7)
     attn = L.MultiHeadAttention(4, 1, rng, dtype=np.float64)
     x = Tensor(rng.normal(size=(1, 3, 4)), dtype=np.float64)
-    attn(x, x, x, L.causal_mask(3))
-    row0 = attn.last_attn[:, 0, :]
+    row0 = attention_weights(attn, x, L.causal_mask(3))[:, 0, :]
     assert np.allclose(row0, [[1.0, 0.0, 0.0]], atol=1e-12)
 
 
@@ -133,8 +136,7 @@ def test_attention_weights_sum_to_one_over_unmasked_keys():
     rng = np.random.default_rng(10)
     attn = L.MultiHeadAttention(8, 2, rng, dtype=np.float64)
     x = Tensor(rng.normal(size=(2, 5, 8)), dtype=np.float64)
-    attn(x, x, x, L.causal_mask(5))
-    w = attn.last_attn
+    w = attention_weights(attn, x, L.causal_mask(5))
     assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-6)
     causal = L.causal_mask(5)
     assert np.all(w[:, causal] < 1e-8)
