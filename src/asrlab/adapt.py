@@ -13,13 +13,13 @@ import json
 import time
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .config import TrainConfig
 from .data import Manifest
-from .errors import DataError, DivergenceError, UsageError
+from .errors import DataError, DivergenceError, SkippedUtteranceWarning, UsageError
 from .losses import CtcBatch, cross_entropy, ctc_loss
 from .models import Checkpoint, CtcModel, LasModel, load_checkpoint, save_checkpoint
 from .signal import FeatureNormalizer, spec_augment
@@ -69,10 +69,9 @@ class FreezePolicy:
 # -- Adam ---------------------------------------------------------------------
 
 class AdamState:
-    def __init__(self, param_names):
+    def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self.names = list(param_names)
         self.step = 0
 
     def slot(self, name: str, shape, dtype):
@@ -82,9 +81,10 @@ class AdamState:
         return self.m[name], self.v[name]
 
 
-def adam_step(params: dict, state: AdamState, cfg: TrainConfig) -> None:
+def adam_step(params: dict, state: AdamState, cfg: TrainConfig) -> float:
     """One Adam update over {name: Tensor} with cfg's lr, betas and eps;
-    grads are clipped to global norm cfg.grad_clip."""
+    grads are clipped to global norm cfg.grad_clip. Returns the global
+    grad norm before clipping."""
     lr, beta1, beta2, eps = cfg.lr, cfg.beta1, cfg.beta2, cfg.eps
     grads = {}
     sq_sum = 0.0
@@ -109,6 +109,7 @@ def adam_step(params: dict, state: AdamState, cfg: TrainConfig) -> None:
         v *= beta2
         v += (1.0 - beta2) * g * g
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return float(norm)
 
 
 # -- data plumbing ---------------------------------------------------------------
@@ -177,10 +178,12 @@ def _augment(feats: np.ndarray, cfg: TrainConfig, rng: np.random.Generator) -> n
 
 def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: list[str],
                 log_path=None) -> tuple[list[dict], dict]:
-    """Adam-train the selected parameters; returns (step log, final rng state)."""
+    """Adam-train the selected parameters; returns (step log, final rng state).
+    A step row holds the loss, the grad norm before clipping, whether the clip
+    fired, the utterances CTC skipped as inadmissible and the wall time."""
     model.set_trainable(trainable)
     params = {n: p for n, p in model.parameters().items() if n in set(trainable)}
-    state = AdamState(params)
+    state = AdamState()
     rng = np.random.default_rng(cfg.seed)
     batches = _bucket_batches(dataset, cfg.batch_size)
     is_ctc = isinstance(model, CtcModel)
@@ -201,12 +204,18 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
             padded, lengths = _collate(feats_list)
 
             t0 = time.monotonic()
+            skipped = 0
             with Tape() as tape:
                 if is_ctc:
                     lp = model.forward(padded)
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")  # inadmissible labels already skipped upstream
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
                         loss, _ = ctc_loss(CtcBatch(lp, labels, lengths), reduction="token_mean")
+                    for w in caught:
+                        if issubclass(w.category, SkippedUtteranceWarning):
+                            skipped += 1
+                        else:
+                            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
                 else:
                     prefix, target, mask = _las_targets(labels, model.bos_id, model.eos_id)
                     logits = model.forward(padded, lengths, prefix)
@@ -215,14 +224,14 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
                 if not np.isfinite(loss_val):
                     raise DivergenceError(f"non-finite loss at step {step}")
                 tape.backward(loss)
-            adam_step(params, state, cfg)
+            grad_norm = adam_step(params, state, cfg)
             log.append({"step": step, "loss": round(loss_val, 6), "lr": cfg.lr,
-                        "wall_ms": round(1000 * (time.monotonic() - t0), 1)})
+                        "grad_norm": grad_norm, "clipped": grad_norm > cfg.grad_clip,
+                        "ctc_skipped": skipped, "wall_ms": round(1000 * (time.monotonic() - t0), 1)})
             step += 1
 
     if log_path is not None:
-        Path(log_path).parent.mkdir(parents=True, exist_ok=True)
-        with open(log_path, "w") as fh:
+        with atomic_write(log_path) as fh:
             for row in log:
                 fh.write(json.dumps(row) + "\n")
     return log, rng.bit_generator.state

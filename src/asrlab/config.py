@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 
+from .atomic import atomic_write
 from .errors import DataError
 
 
@@ -131,8 +131,7 @@ def finetune_defaults(seed: int = 0, **overrides) -> TrainConfig:
 
 
 def save_json_config(path, cfg) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import signal, tensor
+from .atomic import atomic_write
 from .errors import DataError
 
 
@@ -59,9 +60,7 @@ class Manifest:
         return cls(utts, path.parent)
 
     def write(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             for utt in self.utterances:
                 row = {k: v for k, v in asdict(utt).items() if v is not None}
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
@@ -85,9 +84,7 @@ class Manifest:
 
 
 def write_text_corpus(path, sentences) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for s in sentences:
             fh.write(s + "\n")
 

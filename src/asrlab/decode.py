@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .models import LasModel
 from .tensor import log_softmax_np
@@ -36,9 +37,6 @@ class Hypothesis:
     am_score: float
     lm_score: float | None = None
     total: float | None = None
-
-    def ranking_score(self) -> float:
-        return self.am_score if self.total is None else self.total
 
 
 @dataclass
@@ -225,9 +223,7 @@ def las_beam(model: LasModel, feats: np.ndarray, tok: SubwordModel, beam: int = 
 # -- N-best serialization -------------------------------------------------------------
 
 def write_nbest(path, nbests: list[NBestList]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for nb in nbests:
             row = {"id": nb.utt_id, "hyps": []}
             for h in nb.hyps:

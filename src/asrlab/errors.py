@@ -23,3 +23,7 @@ class DataError(AsrLabError):
 
 class DivergenceError(AsrLabError):
     """Training produced NaN/Inf and was aborted."""
+
+
+class SkippedUtteranceWarning(UserWarning):
+    """An utterance was left out of a batch loss (e.g. a CTC label longer than its frames allow)."""

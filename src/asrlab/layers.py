@@ -256,36 +256,29 @@ class DecoderBlock:
         self.ln2 = LayerNorm(dim, dtype)
         self.ln3 = LayerNorm(dim, dtype)
 
-    def __call__(self, x: Tensor, memory: Tensor, causal_mask: np.ndarray,
-                 mem_mask: np.ndarray | None = None) -> Tensor:
-        h = self.ln1(x)
-        x = T.add(x, self.self_attn(h, h, h, causal_mask))
-        h = self.ln2(x)
-        x = T.add(x, self.cross_attn(h, memory, memory, mem_mask))
-        return T.add(x, self.ff(self.ln3(x)))
+    def __call__(self, x: Tensor, memory_kv: tuple[Tensor, Tensor], causal: np.ndarray | None = None,
+                 mem_mask: np.ndarray | None = None, past_kv: tuple[np.ndarray, np.ndarray] | None = None):
+        """Run the newest positions x [B, L, dim] through the block; returns the
+        output and the self-attention keys and values of all P+L positions.
 
-    def step(self, x: Tensor, past_kv: tuple[np.ndarray, np.ndarray], memory_kv: tuple[Tensor, Tensor],
-             mem_mask: np.ndarray | None = None) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
-        """Run one new position of n rows through the block.
-
-        x is [n, 1, dim]. past_kv holds the self-attention keys and values
-        of the earlier positions of each row, [n*h, L, head_dim] each.
-        memory_kv is ``cross_attn.project_kv`` of one utterance's memory
-        [1, Tenc, dim], which every row shares. Returns the block output
-        [n, 1, dim] and past_kv with the new position appended.
+        memory_kv is ``cross_attn.project_kv`` of the memory, [B*h, Tenc, head_dim]
+        each, or [h, Tenc, head_dim] of one utterance that all B rows share.
+        past_kv holds the keys and values of P earlier positions, [B*h, P, head_dim].
         """
-        n, _, dim = x.shape
         h = self.ln1(x)
         qh = self.self_attn.project_q(h)
-        k_new, v_new = self.self_attn.project_kv(h, h)
-        kv = (np.concatenate([past_kv[0], k_new.data], axis=1),
-              np.concatenate([past_kv[1], v_new.data], axis=1))
-        x = T.add(x, self.self_attn.attend(qh, Tensor(kv[0]), Tensor(kv[1])))
-        # the n rows attend to one memory, so they go in as n queries of a single batch entry
-        h = T.reshape(self.ln2(x), (1, n, dim))
-        ctx = self.cross_attn.attend(self.cross_attn.project_q(h), *memory_kv, mem_mask)
-        x = T.add(x, T.reshape(ctx, (n, 1, dim)))
-        return T.add(x, self.ff(self.ln3(x))), kv
+        kh, vh = self.self_attn.project_kv(h, h)
+        if past_kv is not None:
+            kh = Tensor(np.concatenate([past_kv[0], kh.data], axis=1))
+            vh = Tensor(np.concatenate([past_kv[1], vh.data], axis=1))
+        x = T.add(x, self.self_attn.attend(qh, kh, vh, causal))
+        h = self.ln2(x)
+        if memory_kv[0].shape[0] == qh.shape[0]:
+            x = T.add(x, self.cross_attn.attend(self.cross_attn.project_q(h), *memory_kv, mem_mask))
+        else:  # rows that share one memory go in as queries of a single batch entry
+            qm = self.cross_attn.project_q(T.reshape(h, (1, -1, x.shape[-1])))
+            x = T.add(x, T.reshape(self.cross_attn.attend(qm, *memory_kv, mem_mask), x.shape))
+        return T.add(x, self.ff(self.ln3(x))), (kh.data, vh.data)
 
     def parameters(self):
         return prefixed(self_attn=self.self_attn, cross_attn=self.cross_attn, ff=self.ff,

@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from .atomic import atomic_write
 from .decode import Hypothesis, NBestList
 from .errors import DataError
 
@@ -85,15 +86,13 @@ class NGramLm:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": LM_VERSION,
             "order": self.order,
             "total_unigrams": self.total_unigrams,
             "counts": {" ".join(h): dict(c) for h, c in self.counts.items()},
         }
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(payload, fh, sort_keys=True)
 
     @classmethod

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, SkippedUtteranceWarning
 from .tensor import Tensor
 
 NEG_INF = -np.inf
@@ -46,63 +46,43 @@ def _ctc_required_frames(label: np.ndarray) -> int:
     return len(label) + int(np.sum(label[1:] == label[:-1]))
 
 
+def _ctc_alpha(lp: np.ndarray, label: np.ndarray, blank: int):
+    """Forward recursion over one utterance's CTC lattice, lp [T, V+1]: returns
+    the blank-extended label ext [S], emissions emit [T, S] and log alpha [T, S]."""
+    ext = np.full(2 * len(label) + 1, blank, dtype=np.int64)
+    ext[1::2] = label
+    # skip transition s-2 -> s allowed between distinct non-blank symbols
+    allow_skip = np.zeros(len(ext), dtype=bool)
+    allow_skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+    emit = lp[:, ext]
+    alpha = np.full(emit.shape, NEG_INF)
+    alpha[0, :2] = emit[0, :2]
+    for t in range(1, len(lp)):
+        prev = alpha[t - 1]
+        cand = prev.copy()
+        cand[1:] = np.logaddexp(cand[1:], prev[:-1])
+        cand[2:] = np.where(allow_skip[2:], np.logaddexp(cand[2:], prev[:-2]), cand[2:])
+        alpha[t] = cand + emit[t]
+    return ext, emit, alpha
+
+
 def _ctc_forward_backward(lp: np.ndarray, label: np.ndarray, blank: int):
     """Return (log p(label|input), dloss/dlogp) for one utterance.
 
     lp is [T, V+1] log-probs for the real (unpadded) frames.
     """
-    t_len = lp.shape[0]
-    ext = np.empty(2 * len(label) + 1, dtype=np.int64)
-    ext[0::2] = blank
-    ext[1::2] = label
-    s_len = len(ext)
-
-    # skip transition s-2 -> s allowed between distinct non-blank symbols
-    allow_skip = np.zeros(s_len, dtype=bool)
-    if s_len > 2:
-        allow_skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-
-    emit = lp[:, ext]  # [T, S]
-
-    alpha = np.full((t_len, s_len), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    if s_len > 1:
-        alpha[0, 1] = emit[0, 1]
-    for t in range(1, t_len):
-        prev = alpha[t - 1]
-        cand = prev.copy()
-        cand[1:] = np.logaddexp(cand[1:], prev[:-1])
-        if s_len > 2:
-            skip = np.logaddexp(cand[2:], prev[:-2])
-            cand[2:] = np.where(allow_skip[2:], skip, cand[2:])
-        alpha[t] = cand + emit[t]
-
-    if s_len > 1:
-        log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
-    else:
-        log_p = alpha[-1, -1]
+    ext, emit, alpha = _ctc_alpha(lp, label, blank)
+    log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2]) if len(ext) > 1 else alpha[-1, -1]
     if not np.isfinite(log_p):
         return log_p, None
 
-    beta = np.full((t_len, s_len), NEG_INF)
-    beta[-1, -1] = emit[-1, -1]
-    if s_len > 1:
-        beta[-1, -2] = emit[-1, -2]
-    for t in range(t_len - 2, -1, -1):
-        nxt = beta[t + 1]
-        cand = nxt.copy()
-        cand[:-1] = np.logaddexp(cand[:-1], nxt[1:])
-        if s_len > 2:
-            skip = np.logaddexp(cand[:-2], nxt[2:])
-            cand[:-2] = np.where(allow_skip[2:], skip, cand[:-2])
-        beta[t] = cand + emit[t]
+    # beta is the forward recursion on the time- and label-reversed lattice, read back to front
+    beta = _ctc_alpha(lp[::-1], label[::-1], blank)[2][::-1, ::-1]
 
     # posterior of passing through position s at frame t
     occ = alpha + beta - emit - log_p
     grad = np.zeros_like(lp)
-    contrib = np.exp(occ)
-    for t in range(t_len):
-        np.add.at(grad[t], ext, contrib[t])
+    np.add.at(grad, (np.arange(lp.shape[0])[:, None], ext), np.exp(occ))
     return log_p, -grad
 
 
@@ -137,7 +117,8 @@ def ctc_loss(batch: CtcBatch, reduction: str = "utterance_mean"):
         if t_len < 1 or t_len > t_max:
             raise DataError(f"bad input length {t_len} for utterance {i}")
         if _ctc_required_frames(label) > t_len:
-            warnings.warn(f"utterance {i}: label needs more frames than available ({len(label)} labels, {t_len} frames); skipped")
+            warnings.warn(f"utterance {i}: label needs more frames than available "
+                          f"({len(label)} labels, {t_len} frames); skipped", SkippedUtteranceWarning)
             continue
         log_p, g = _ctc_forward_backward(lp[:t_len, i], label, blank)
         if g is None:

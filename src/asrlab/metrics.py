@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .decode import NBestList
 from .errors import DataError
 
@@ -141,9 +141,7 @@ def evaluate_manifest(manifest, nbests: list[NBestList], lm=None, weights=None) 
 # -- report files --------------------------------------------------------------------
 
 def write_report(path, report: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -174,9 +172,7 @@ def format_table(variants: dict[str, dict]) -> str:
 
 
 def write_csv(path, variants: dict[str, dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "test_wer", "rescored_wer", "oracle_wer"])
         for name, rep in variants.items():

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .atomic import atomic_write
 from .config import CtcConfig, LasConfig, model_config_from_dict
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .layers import (Dense, DecoderBlock, EncoderBlock, Embedding, LayerNorm, LstmLayer,
@@ -166,16 +167,20 @@ class LasModel(_ModelBase):
             h = block(h, pad)
         return self.enc_norm(h), pad
 
+    def _embed(self, ids: np.ndarray, start: int = 0) -> Tensor:
+        """Scaled embeddings of ids [B, L] plus the encodings of positions start..start+L-1."""
+        batch, length = ids.shape
+        y = T.mul(self.embed(ids), float(np.sqrt(self.cfg.dim)))
+        pe = np.broadcast_to(self._pe_slice(start + length)[None, start:], (batch, length, self.cfg.dim))
+        return T.add(y, Tensor(np.ascontiguousarray(pe)))
+
     def decode_logits(self, memory: Tensor, mem_mask: np.ndarray, prefix: np.ndarray) -> Tensor:
         """Teacher-forced decoder logits [B, L, V'] for prefix ids [B, L]."""
         prefix = np.asarray(prefix, dtype=np.int64)
-        batch, length = prefix.shape
-        y = T.mul(self.embed(prefix), float(np.sqrt(self.cfg.dim)))
-        pe = np.broadcast_to(self._pe_slice(length)[None], (batch, length, self.cfg.dim))
-        y = T.add(y, Tensor(np.ascontiguousarray(pe)))
-        causal = causal_mask(length)
+        y = self._embed(prefix)
+        causal = causal_mask(prefix.shape[1])
         for block in self.decoder:
-            y = block(y, memory, causal, mem_mask)
+            y, _ = block(y, block.cross_attn.project_kv(memory, memory), causal, mem_mask)
         return self.dense(self.dec_norm(y))
 
     def forward(self, feats: np.ndarray, lengths: np.ndarray | None, prefix: np.ndarray) -> Tensor:
@@ -221,11 +226,11 @@ class IncrementalDecoder:
         model, heads = self.model, self.model.cfg.heads
         rows = np.asarray(rows, dtype=np.int64)
         cache_rows = (rows[:, None] * heads + np.arange(heads)).ravel()
-        y = T.mul(model.embed(np.asarray(tokens, dtype=np.int64)[:, None]), float(np.sqrt(model.cfg.dim)))
-        y = T.add(y, Tensor(model._pe_slice(self.pos + 1)[self.pos]))
+        y = model._embed(np.asarray(tokens, dtype=np.int64)[:, None], self.pos)
         for i, block in enumerate(model.decoder):
             k, v = self.past[i]
-            y, self.past[i] = block.step(y, (k[cache_rows], v[cache_rows]), self.memory_kv[i], self.mem_mask)
+            y, self.past[i] = block(y, self.memory_kv[i], mem_mask=self.mem_mask,
+                                    past_kv=(k[cache_rows], v[cache_rows]))
         self.pos += 1
         return model.dense(model.dec_norm(y)).data[:, 0]
 
@@ -272,8 +277,6 @@ class Checkpoint:
 
 
 def save_checkpoint(path, model, step: int = 0, rng_state: dict | None = None) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "version": CKPT_VERSION,
         "model": asdict(model.cfg),
@@ -282,7 +285,7 @@ def save_checkpoint(path, model, step: int = 0, rng_state: dict | None = None) -
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
     tensors = model.named_tensors()
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<I", CKPT_VERSION))
         fh.write(struct.pack("<I", len(header_bytes)))

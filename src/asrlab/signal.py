@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DataError, ShapeError
 
 SAMPLE_RATE = 16000
@@ -184,7 +185,7 @@ class FeatureNormalizer:
 def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:
     samples = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
     pcm = np.round(samples * 32767.0).astype("<i2")
-    with _wave.open(str(path), "wb") as fh:
+    with atomic_write(path, "wb") as raw, _wave.open(raw, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(sample_rate)

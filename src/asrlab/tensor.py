@@ -16,6 +16,7 @@ import struct
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import NumericError, ShapeError, UsageError
 
 _ACTIVE_TAPES: list["Tape"] = []
@@ -363,16 +364,6 @@ def tsum(a: Tensor) -> Tensor:
     return _finish(out, (a,), backward)
 
 
-def tmean(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = Tensor(np.asarray(a.data.mean(), dtype=a.data.dtype))
-
-    def backward(g):
-        a._accumulate(np.full_like(a.data, g / n))
-
-    return _finish(out, (a,), backward)
-
-
 # -- shape surgery --------------------------------------------------------
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -496,7 +487,7 @@ def read_array(fh) -> np.ndarray:
 
 
 def save_array(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         write_array(fh, arr)
 
 

@@ -16,10 +16,25 @@ import json
 from collections import Counter
 from pathlib import Path
 
+from .atomic import atomic_write
 from .errors import DataError
 
 MARKER = "▁"
 MODEL_VERSION = 1
+
+
+def _apply_merge(symbols: list[str], pair: tuple[str, str]) -> list[str]:
+    """symbols with every occurrence of pair merged into one symbol, left to right."""
+    out = []
+    i = 0
+    while i < len(symbols):
+        if i < len(symbols) - 1 and (symbols[i], symbols[i + 1]) == pair:
+            out.append(pair[0] + pair[1])
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return out
 
 
 class SubwordModel:
@@ -53,18 +68,7 @@ class SubwordModel:
                     best_pos = i
             if best_rank is None:
                 break
-            pair = (symbols[best_pos], symbols[best_pos + 1])
-            merged = pair[0] + pair[1]
-            out = []
-            i = 0
-            while i < len(symbols):
-                if i < len(symbols) - 1 and (symbols[i], symbols[i + 1]) == pair:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(symbols[i])
-                    i += 1
-            symbols = out
+            symbols = _apply_merge(symbols, (symbols[best_pos], symbols[best_pos + 1]))
         return symbols
 
     def _encode_word(self, word: str, marked: bool) -> list[int]:
@@ -98,15 +102,13 @@ class SubwordModel:
     # -- persistence -----------------------------------------------------
 
     def save(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": MODEL_VERSION,
             "charset": self.charset,
             "merges": [list(m) for m in self.merges],
             "vocab": self.vocab,
         }
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(payload, fh, ensure_ascii=False)
 
     @classmethod
@@ -170,21 +172,9 @@ def train_bpe(corpus, vocab_size: int, charset: str | None = None) -> SubwordMod
         if top < 2:
             break
         best = min(p for p, c in pairs.items() if c == top)
-        merged = best[0] + best[1]
         for word, symbols in seqs.items():
-            if len(symbols) < 2:
-                continue
-            out = []
-            i = 0
-            while i < len(symbols):
-                if i < len(symbols) - 1 and (symbols[i], symbols[i + 1]) == best:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(symbols[i])
-                    i += 1
-            seqs[word] = out
+            seqs[word] = _apply_merge(symbols, best)
         merges.append(best)
-        vocab.append(merged)
+        vocab.append(best[0] + best[1])
 
     return SubwordModel(charset, merges, vocab)

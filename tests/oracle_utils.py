@@ -35,6 +35,65 @@ def exhaustive_ctc_marginals(lp, blank):
     return out
 
 
+def reference_ctc_forward_backward(lp, label, blank):
+    """CTC forward-backward with the beta recursion written out as its own
+    loop; `losses._ctc_forward_backward` must return the same loss and
+    gradient bit for bit. lp is [T, V+1] log-probs of the real frames."""
+    t_len = lp.shape[0]
+    ext = np.empty(2 * len(label) + 1, dtype=np.int64)
+    ext[0::2] = blank
+    ext[1::2] = label
+    s_len = len(ext)
+
+    # skip transition s-2 -> s allowed between distinct non-blank symbols
+    allow_skip = np.zeros(s_len, dtype=bool)
+    if s_len > 2:
+        allow_skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+
+    emit = lp[:, ext]  # [T, S]
+
+    alpha = np.full((t_len, s_len), -np.inf)
+    alpha[0, 0] = emit[0, 0]
+    if s_len > 1:
+        alpha[0, 1] = emit[0, 1]
+    for t in range(1, t_len):
+        prev = alpha[t - 1]
+        cand = prev.copy()
+        cand[1:] = np.logaddexp(cand[1:], prev[:-1])
+        if s_len > 2:
+            skip = np.logaddexp(cand[2:], prev[:-2])
+            cand[2:] = np.where(allow_skip[2:], skip, cand[2:])
+        alpha[t] = cand + emit[t]
+
+    if s_len > 1:
+        log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    else:
+        log_p = alpha[-1, -1]
+    if not np.isfinite(log_p):
+        return log_p, None
+
+    beta = np.full((t_len, s_len), -np.inf)
+    beta[-1, -1] = emit[-1, -1]
+    if s_len > 1:
+        beta[-1, -2] = emit[-1, -2]
+    for t in range(t_len - 2, -1, -1):
+        nxt = beta[t + 1]
+        cand = nxt.copy()
+        cand[:-1] = np.logaddexp(cand[:-1], nxt[1:])
+        if s_len > 2:
+            skip = np.logaddexp(cand[:-2], nxt[2:])
+            cand[:-2] = np.where(allow_skip[2:], skip, cand[:-2])
+        beta[t] = cand + emit[t]
+
+    # posterior of passing through position s at frame t
+    occ = alpha + beta - emit - log_p
+    grad = np.zeros_like(lp)
+    contrib = np.exp(occ)
+    for t in range(t_len):
+        np.add.at(grad[t], ext, contrib[t])
+    return log_p, -grad
+
+
 def reference_prefix_beam(log_probs, tok, beam=10):
     """CTC prefix beam search as a dict per frame with one scalar logaddexp
     per candidate; `decode.ctc_prefix_beam` must return the same n-best."""

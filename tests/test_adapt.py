@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from asrlab import models as M
 from asrlab import ttssim
 from asrlab.data import Manifest
 from asrlab.errors import DataError, UsageError
+from asrlab.losses import ctc_loss
 from asrlab.tensor import Tensor
 from asrlab.tokenizer import train_bpe
 
@@ -83,7 +86,7 @@ def test_json_train_config_bad_fields_raise_data_error(tmp_path, text):
 
 def test_adam_zero_grads_no_update():
     p = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
-    state = A.AdamState(["p"])
+    state = A.AdamState()
     before = p.data.copy()
     A.adam_step({"p": p}, state, C.TrainConfig(lr=0.1))
     assert np.array_equal(p.data, before)
@@ -94,8 +97,8 @@ def test_adam_zero_grads_no_update():
 def test_adam_first_step_is_minus_lr():
     p = Tensor(np.array([0.0], dtype=np.float64), requires_grad=True)
     p.grad = np.array([1.0])
-    state = A.AdamState(["p"])
-    A.adam_step({"p": p}, state, C.TrainConfig(lr=0.01, grad_clip=100.0))
+    state = A.AdamState()
+    assert A.adam_step({"p": p}, state, C.TrainConfig(lr=0.01, grad_clip=100.0)) == 1.0
     # bias-corrected m/sqrt(v) is 1 at step 1, so the move is ~ -lr
     assert np.isclose(p.data[0], -0.01, rtol=1e-6)
 
@@ -103,8 +106,9 @@ def test_adam_first_step_is_minus_lr():
 def test_adam_global_norm_clip():
     p = Tensor(np.zeros(4, dtype=np.float64), requires_grad=True)
     p.grad = np.full(4, 5.0)  # norm 10
-    state = A.AdamState(["p"])
-    A.adam_step({"p": p}, state, C.TrainConfig(lr=1.0, beta1=0.0, beta2=0.0, eps=0.0, grad_clip=1.0))
+    state = A.AdamState()
+    norm = A.adam_step({"p": p}, state, C.TrainConfig(lr=1.0, beta1=0.0, beta2=0.0, eps=0.0, grad_clip=1.0))
+    assert norm == 10.0  # reported before clipping
     # effective grad scaled by 0.1 -> m = g, v = g^2, update = -lr * sign(g)
     assert np.allclose(state.m["p"], 0.5)
 
@@ -133,6 +137,43 @@ def test_pretrain_loss_decreases(tmp_path):
     per_epoch = A.epoch_mean_losses(log, steps_per_epoch=3)
     assert per_epoch[-1] < per_epoch[0]
     assert (tmp_path / "log.jsonl").exists()
+
+
+class _Items:
+    """A dataset of given (feats, ids, text, id) items."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def __len__(self):
+        return len(self.items)
+
+
+@pytest.mark.parametrize("grad_clip", [1e-6, 1e6])
+def test_step_log_reports_grad_norm_clip_and_ctc_skips(grad_clip, monkeypatch):
+    rng = np.random.default_rng(0)
+    items = [(rng.normal(size=(t, 6)).astype(np.float32), ids, "", str(i))
+             for i, (t, ids) in enumerate([(8, [0, 1]), (3, [0, 1, 2, 3, 4]), (9, [2])])]
+    model = M.CtcModel(C.CtcConfig(feat_dim=6, hidden=4, layers=1, vocab=5), seed=0)
+    cfg = _tiny_cfg(epochs=2, grad_clip=grad_clip)
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        log, _ = A.train_model(model, _Items(items), cfg, list(model.parameters()))
+    assert escaped == []  # the inadmissible utterance is counted, not warned about
+    assert [row["ctc_skipped"] for row in log] == [1, 1]
+    for row in log:
+        assert row["grad_norm"] > 0.0
+        assert row["clipped"] is (grad_clip < 1.0)
+
+    # any other warning raised inside the loss still reaches the caller
+    def noisy_loss(*args, **kwargs):
+        warnings.warn("lattice underflow", RuntimeWarning)
+        return ctc_loss(*args, **kwargs)
+
+    monkeypatch.setattr(A, "ctc_loss", noisy_loss)
+    with pytest.warns(RuntimeWarning, match="lattice underflow"):
+        log, _ = A.train_model(model, _Items(items), cfg, list(model.parameters()))
+    assert [row["ctc_skipped"] for row in log] == [1, 1]
 
 
 def test_pretrain_deterministic_checkpoints(tmp_path):

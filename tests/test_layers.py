@@ -182,14 +182,15 @@ def test_decoder_block_gradients_and_causality():
     mem = Tensor(rng.normal(size=(1, 4, 4)), dtype=np.float64)
     params = list(block.parameters().values())
     err = T.gradient_check(
-        lambda: T.tsum(T.mul(block(x, mem, L.causal_mask(3)), 1.0)), params)
+        lambda: T.tsum(T.mul(block(x, block.cross_attn.project_kv(mem, mem), L.causal_mask(3))[0], 1.0)), params)
     assert err <= 1e-3
 
     # changing a future input must not affect earlier positions
-    out1 = block(x, mem, L.causal_mask(3)).data.copy()
+    mem_kv = block.cross_attn.project_kv(mem, mem)
+    out1 = block(x, mem_kv, L.causal_mask(3))[0].data.copy()
     x2_data = x.data.copy()
     x2_data[0, 2] += 5.0
-    out2 = block(Tensor(x2_data, dtype=np.float64), mem, L.causal_mask(3)).data
+    out2 = block(Tensor(x2_data, dtype=np.float64), mem_kv, L.causal_mask(3))[0].data
     assert np.allclose(out1[0, :2], out2[0, :2], atol=1e-12)
     assert not np.allclose(out1[0, 2], out2[0, 2])
 

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -8,18 +6,7 @@ from asrlab import tensor as T
 from asrlab.errors import DataError
 from asrlab.losses import CtcBatch, cross_entropy, ctc_loss
 from asrlab.tensor import Tape, Tensor
-
-
-def brute_force_ctc_logp(lp, label, blank):
-    """Exhaustive sum over all alignments that collapse to the label."""
-    t_len, width = lp.shape
-    label = list(label)
-    total = -np.inf
-    for path in itertools.product(range(width), repeat=t_len):
-        collapsed = [k for k, _ in itertools.groupby(path) if k != blank]
-        if collapsed == label:
-            total = np.logaddexp(total, sum(lp[t, path[t]] for t in range(t_len)))
-    return total
+from oracle_utils import brute_force_ctc_logp, reference_ctc_forward_backward
 
 
 def uniform_logprobs(t_len, width, dtype=np.float64):
@@ -58,6 +45,31 @@ def test_ctc_matches_brute_force_on_random_instances():
         expected = -brute_force_ctc_logp(lp[:, 0], label, vocab)
         assert np.isclose(loss.item(), expected, rtol=1e-6, atol=1e-9), (t_len, vocab, label)
         checked += 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ctc_forward_backward_matches_reference_bit_for_bit(dtype):
+    rng = np.random.default_rng(5)
+    finite = 0
+    for _ in range(400):
+        t_len = int(rng.integers(1, 13))
+        width = int(rng.integers(2, 7))
+        label = []
+        for _ in range(int(rng.integers(0, t_len + 1))):
+            repeat = label and rng.random() < 0.3
+            label.append(label[-1] if repeat else int(rng.integers(0, width - 1)))
+        label = np.asarray(label, dtype=np.int64)
+        lp = T.log_softmax_np(rng.normal(scale=2.0, size=(t_len, width)), axis=-1).astype(dtype)
+        log_p, grad = LS._ctc_forward_backward(lp, label, width - 1)
+        ref_p, ref_grad = reference_ctc_forward_backward(lp, label, width - 1)
+        assert np.array_equal(log_p, ref_p), (t_len, width, label)
+        if ref_grad is None:
+            assert grad is None
+            continue
+        assert grad.dtype == ref_grad.dtype == dtype
+        assert np.array_equal(grad, ref_grad), (t_len, width, label)
+        finite += 1
+    assert finite > 200
 
 
 def test_ctc_batch_mean_and_lengths():
