@@ -20,7 +20,7 @@ from .atomic import atomic_write
 from .config import TrainConfig
 from .data import Manifest
 from .errors import DataError, DivergenceError, SkippedUtteranceWarning, UsageError
-from .losses import CtcBatch, cross_entropy, ctc_loss
+from .losses import cross_entropy, ctc_loss
 from .models import Checkpoint, CtcModel, LasModel, load_checkpoint, save_checkpoint
 from .signal import FeatureNormalizer, spec_augment
 from .tensor import Tape
@@ -81,28 +81,22 @@ class AdamState:
         return self.m[name], self.v[name]
 
 
-def adam_step(params: dict, state: AdamState, cfg: TrainConfig) -> float:
-    """One Adam update over {name: Tensor} with cfg's lr, betas and eps;
+def adam_step(params: dict, grads: list, state: AdamState, cfg: TrainConfig) -> float:
+    """One Adam update over {name: Tensor} from this step's gradients (one
+    array per parameter, in params order) with cfg's lr, betas and eps;
     grads are clipped to global norm cfg.grad_clip. Returns the global
     grad norm before clipping."""
     lr, beta1, beta2, eps = cfg.lr, cfg.beta1, cfg.beta2, cfg.eps
-    grads = {}
-    sq_sum = 0.0
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        grads[name] = g
-        sq_sum += float(np.sum(g.astype(np.float64) ** 2))
-    norm = np.sqrt(sq_sum)
+    norm = np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads))
     if norm > cfg.grad_clip:
         scale = cfg.grad_clip / norm
-        grads = {name: g * scale for name, g in grads.items()}
+        grads = [g * scale for g in grads]
 
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    for name, p in params.items():
-        g = grads[name]
+    for (name, p), g in zip(params.items(), grads):
         m, v = state.slot(name, p.data.shape, p.data.dtype)
         m *= beta1
         m += (1.0 - beta1) * g
@@ -210,7 +204,7 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
                     lp = model.forward(padded)
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
-                        loss, _ = ctc_loss(CtcBatch(lp, labels, lengths), reduction="token_mean")
+                        loss = ctc_loss(lp, labels, lengths)
                     for w in caught:
                         if issubclass(w.category, SkippedUtteranceWarning):
                             skipped += 1
@@ -223,8 +217,8 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
                     raise DivergenceError(f"non-finite loss at step {step}")
-                tape.backward(loss)
-            grad_norm = adam_step(params, state, cfg)
+                grads = tape.backward(loss, params.values())
+            grad_norm = adam_step(params, grads, state, cfg)
             log.append({"step": step, "loss": round(loss_val, 6), "lr": cfg.lr,
                         "grad_norm": grad_norm, "clipped": grad_norm > cfg.grad_clip,
                         "ctc_skipped": skipped, "wall_ms": round(1000 * (time.monotonic() - t0), 1)})

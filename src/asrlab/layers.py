@@ -115,15 +115,17 @@ class LayerNorm:
         gamma, beta = self.gamma, self.beta
 
         def backward(g):
-            if beta.requires_grad:
-                beta._accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
-            if gamma.requires_grad:
-                gamma._accumulate((g * xhat).reshape(-1, g.shape[-1]).sum(axis=0))
+            dx = dgamma = dbeta = None
             if x.requires_grad:
                 dxhat = g * gamma.data
                 m1 = dxhat.mean(axis=-1, keepdims=True)
                 m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                x._accumulate(inv * (dxhat - m1 - xhat * m2))
+                dx = inv * (dxhat - m1 - xhat * m2)
+            if gamma.requires_grad:
+                dgamma = (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0)
+            if beta.requires_grad:
+                dbeta = g.reshape(-1, g.shape[-1]).sum(axis=0)
+            return dx, dgamma, dbeta
 
         return T._finish(out, (x, gamma, beta), backward)
 

@@ -8,7 +8,6 @@ log space with log-sum-exp; there is no probability-space fallback.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,26 +16,6 @@ from .errors import DataError, NumericError, SkippedUtteranceWarning
 from .tensor import Tensor
 
 NEG_INF = -np.inf
-
-
-@dataclass
-class CtcBatch:
-    """Log-probs [T,B,V+1] plus per-utterance labels and frame counts.
-
-    The blank id is the last vocabulary index (V); labels must be < V.
-    """
-
-    log_probs: Tensor
-    labels: list = field(default_factory=list)
-    input_lengths: np.ndarray | None = None
-
-    def __post_init__(self):
-        t, b, _ = self.log_probs.shape
-        if self.input_lengths is None:
-            self.input_lengths = np.full(b, t, dtype=np.int64)
-        self.input_lengths = np.asarray(self.input_lengths, dtype=np.int64)
-        if len(self.labels) != b or len(self.input_lengths) != b:
-            raise DataError(f"batch size mismatch: {b} log-prob columns, {len(self.labels)} labels")
 
 
 def _ctc_required_frames(label: np.ndarray) -> int:
@@ -86,34 +65,35 @@ def _ctc_forward_backward(lp: np.ndarray, label: np.ndarray, blank: int):
     return log_p, -grad
 
 
-def ctc_loss(batch: CtcBatch, reduction: str = "utterance_mean"):
-    """Negative log-likelihood over the batch, with analytic gradient.
+def ctc_loss(log_probs: Tensor, labels, input_lengths=None) -> Tensor:
+    """Token-mean negative log-likelihood over the batch, with analytic gradient.
 
-    reduction "utterance_mean" averages per-utterance -log p over the
-    batch; "token_mean" first divides each utterance by its label count
-    (plus one, so empty labels stay finite), which is the better-behaved
-    training objective. Returns (loss, grad) where grad is
-    d(loss)/d(log_probs) for the whole padded tensor; the same gradient
-    is installed on the tape. Utterances whose label cannot fit in their
-    input length are skipped with a warning and excluded from the mean.
+    log_probs is [T,B,V+1] with the blank at the last index V; labels holds
+    one id sequence (ids < V) per utterance and input_lengths its frame count
+    (default T). Each utterance's -log p is divided by its label count plus
+    one (so empty labels stay finite), then the batch is averaged.
+    Utterances whose label cannot fit in their input length are skipped with
+    a warning and excluded from the mean.
     """
-    if reduction not in ("utterance_mean", "token_mean"):
-        raise DataError(f"unknown reduction {reduction!r}")
-    lp_tensor = batch.log_probs
-    lp = lp_tensor.data
+    lp = log_probs.data
+    t_max, b, width = lp.shape
+    if input_lengths is None:
+        input_lengths = np.full(b, t_max, dtype=np.int64)
+    input_lengths = np.asarray(input_lengths, dtype=np.int64)
+    if len(labels) != b or len(input_lengths) != b:
+        raise DataError(f"batch size mismatch: {b} log-prob columns, {len(labels)} labels")
     if not np.all(np.isfinite(lp)):
         raise NumericError("non-finite log-probs fed to ctc_loss")
-    t_max, b, width = lp.shape
     blank = width - 1
 
     total = 0.0
     grad = np.zeros_like(lp)
     used = 0
     for i in range(b):
-        label = np.asarray(batch.labels[i], dtype=np.int64)
+        label = np.asarray(labels[i], dtype=np.int64)
         if label.size and (label.min() < 0 or label.max() >= blank):
             raise DataError(f"label ids out of range [0,{blank}) in utterance {i}")
-        t_len = int(batch.input_lengths[i])
+        t_len = int(input_lengths[i])
         if t_len < 1 or t_len > t_max:
             raise DataError(f"bad input length {t_len} for utterance {i}")
         if _ctc_required_frames(label) > t_len:
@@ -123,7 +103,7 @@ def ctc_loss(batch: CtcBatch, reduction: str = "utterance_mean"):
         log_p, g = _ctc_forward_backward(lp[:t_len, i], label, blank)
         if g is None:
             raise NumericError(f"CTC underflow for utterance {i}")
-        scale = 1.0 if reduction == "utterance_mean" else 1.0 / (len(label) + 1)
+        scale = 1.0 / (len(label) + 1)
         total += -log_p * scale
         grad[:t_len, i] = g * scale
         used += 1
@@ -131,14 +111,12 @@ def ctc_loss(batch: CtcBatch, reduction: str = "utterance_mean"):
     if used == 0:
         raise DataError("all utterances in the batch were inadmissible for CTC")
     grad /= used
-    loss_val = np.asarray(total / used, dtype=lp.dtype)
-    out = Tensor(loss_val)
+    out = Tensor(np.asarray(total / used, dtype=lp.dtype))
 
     def backward(g_out):
-        lp_tensor._accumulate(g_out * grad)
+        return (g_out * grad,)
 
-    T._finish(out, (lp_tensor,), backward)
-    return out, grad
+    return T._finish(out, (log_probs,), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None,
@@ -169,12 +147,10 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None =
     out = Tensor(loss_val)
 
     def backward(g_out):
-        if not logits.requires_grad:
-            return
         probs = np.exp(logp)
         q = np.full_like(probs, smoothing / vocab)
         np.put_along_axis(q, targets[..., None], (1.0 - smoothing) + smoothing / vocab, axis=-1)
         dlogits = (probs - q) * mask[..., None] / n_tok
-        logits._accumulate(g_out * dlogits)
+        return (g_out * dlogits,)
 
     return T._finish(out, (logits,), backward)

@@ -70,7 +70,6 @@ class _ModelBase:
             raise UsageError(f"unknown parameter names: {sorted(unknown)}")
         for name, p in params.items():
             p.requires_grad = name in names
-            p.grad = None
 
 
 class CtcModel(_ModelBase):

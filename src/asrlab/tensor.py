@@ -1,9 +1,11 @@
 """Dense tensors with a reverse-mode gradient tape.
 
 Values live in numpy arrays (float32 for training, float64 for gradient
-checks). Differentiable ops record themselves on the currently active
-Tape; calling ``Tape.backward`` on a scalar loss replays the record in
-reverse and accumulates gradients into every ``requires_grad`` leaf.
+checks). Differentiable ops record themselves, with their parents, on the
+currently active Tape. ``Tape.backward(loss, wrt)`` replays the record in
+reverse and returns the gradient of a scalar loss with respect to each
+tensor in ``wrt``; no tensor holds a gradient, so nothing carries over
+from one backward pass to the next.
 
 Broadcasting is deliberately restricted to scalars and trailing-dim row
 vectors so that every backward rule stays auditable. Anything fancier
@@ -31,7 +33,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._nodes = []  # (out_tensor, backward_fn)
+        self._nodes = []  # (out_tensor, parents, backward_fn)
 
     def __enter__(self):
         _ACTIVE_TAPES.append(self)
@@ -41,24 +43,34 @@ class Tape:
         _ACTIVE_TAPES.pop()
         return False
 
-    def record(self, out: "Tensor", backward_fn) -> None:
+    def record(self, out: "Tensor", parents, backward_fn) -> None:
+        """backward_fn maps the gradient of out to one gradient per parent,
+        in order, or None for a parent it skips."""
         out._tape = self
-        out._leaf = False
-        self._nodes.append((out, backward_fn))
+        self._nodes.append((out, parents, backward_fn))
 
-    def backward(self, loss: "Tensor") -> None:
-        """Populate grads of all requires_grad leaves reachable from loss."""
+    def backward(self, loss: "Tensor", wrt) -> list:
+        """Gradients of a scalar loss with respect to each tensor in wrt, in
+        order; zeros for a tensor the loss does not reach or that does not
+        require grad."""
         if loss._tape is not self:
             raise UsageError("backward target was not produced on this tape")
         if loss.data.size != 1:
             raise UsageError("backward requires a scalar loss")
-        loss.grad = np.ones_like(loss.data)
-        for out, backward_fn in reversed(self._nodes):
-            if out.grad is None:
+        grads = {id(loss): np.ones_like(loss.data)}  # keyed by id: the tape keeps every tensor alive
+        for out, parents, backward_fn in reversed(self._nodes):
+            g = grads.pop(id(out), None)
+            if g is None:
                 continue
-            backward_fn(out.grad)
-            if not out._leaf:
-                out.grad = None  # free intermediate grads
+            for p, gp in zip(parents, backward_fn(g), strict=True):
+                if gp is None or not p.requires_grad:
+                    continue
+                acc = grads.get(id(p))
+                if acc is None:
+                    grads[id(p)] = gp.astype(p.data.dtype, copy=True)
+                else:
+                    acc += gp
+        return [grads[id(p)] if id(p) in grads else np.zeros_like(p.data) for p in wrt]
 
     def __len__(self):
         return len(self._nodes)
@@ -71,7 +83,7 @@ def active_tape():
 class Tensor:
     """A dense n-d float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_leaf", "_tape")
+    __slots__ = ("data", "requires_grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else None)
@@ -79,8 +91,6 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad = None
-        self._leaf = True
         self._tape = None
 
     # -- introspection -------------------------------------------------
@@ -103,39 +113,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar ------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    # -- gradient plumbing ---------------------------------------------
-    def _accumulate(self, g: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
-        else:
-            self.grad += g
 
 
 def _as_tensor(x, like: Tensor) -> Tensor:
@@ -149,7 +128,7 @@ def _finish(out: Tensor, parents, backward_fn) -> Tensor:
     tape = active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        tape.record(out, backward_fn)
+        tape.record(out, parents, backward_fn)
     return out
 
 
@@ -184,8 +163,7 @@ def add(a: Tensor, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _finish(out, (a, b), backward)
 
@@ -197,8 +175,7 @@ def sub(a: Tensor, b) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(-_unbroadcast(g, b.shape))
+        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
 
     return _finish(out, (a, b), backward)
 
@@ -210,8 +187,7 @@ def mul(a: Tensor, b) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _finish(out, (a, b), backward)
 
@@ -220,7 +196,7 @@ def neg(a: Tensor) -> Tensor:
     out = Tensor(-a.data)
 
     def backward(g):
-        a._accumulate(-g)
+        return (-g,)
 
     return _finish(out, (a,), backward)
 
@@ -233,8 +209,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def backward(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        return g @ b.data.T, a.data.T @ g
 
     return _finish(out, (a, b), backward)
 
@@ -248,8 +223,7 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def backward(g):
-        a._accumulate(g @ b.data.transpose(0, 2, 1))
-        b._accumulate(a.data.transpose(0, 2, 1) @ g)
+        return g @ b.data.transpose(0, 2, 1), a.data.transpose(0, 2, 1) @ g
 
     return _finish(out, (a, b), backward)
 
@@ -261,7 +235,7 @@ def tanh(a: Tensor) -> Tensor:
     out = Tensor(y)
 
     def backward(g):
-        a._accumulate(g * (1.0 - y * y))
+        return (g * (1.0 - y * y),)
 
     return _finish(out, (a,), backward)
 
@@ -276,7 +250,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = Tensor(y)
 
     def backward(g):
-        a._accumulate(g * y * (1.0 - y))
+        return (g * y * (1.0 - y),)
 
     return _finish(out, (a,), backward)
 
@@ -289,7 +263,7 @@ def exp(a: Tensor) -> Tensor:
     out = Tensor(y)
 
     def backward(g):
-        a._accumulate(g * y)
+        return (g * y,)
 
     return _finish(out, (a,), backward)
 
@@ -301,7 +275,7 @@ def log(a: Tensor) -> Tensor:
     out = Tensor(y)
 
     def backward(g):
-        a._accumulate(g / a.data)
+        return (g / a.data,)
 
     return _finish(out, (a,), backward)
 
@@ -311,7 +285,7 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(y)
 
     def backward(g):
-        a._accumulate(g * (a.data > 0))
+        return (g * (a.data > 0),)
 
     return _finish(out, (a,), backward)
 
@@ -324,7 +298,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         dot = np.sum(g * y, axis=axis, keepdims=True)
-        a._accumulate((g - dot) * y)
+        return ((g - dot) * y,)
 
     return _finish(out, (a,), backward)
 
@@ -335,7 +309,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         s = np.exp(y)
-        a._accumulate(g - s * np.sum(g, axis=axis, keepdims=True))
+        return (g - s * np.sum(g, axis=axis, keepdims=True),)
 
     return _finish(out, (a,), backward)
 
@@ -353,13 +327,13 @@ def log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
 
 
-# -- reductions ----------------------------------------------------------
+# -- sums ----------------------------------------------------------------
 
 def tsum(a: Tensor) -> Tensor:
     out = Tensor(np.asarray(a.data.sum(), dtype=a.data.dtype))
 
     def backward(g):
-        a._accumulate(np.full_like(a.data, g))
+        return (np.full_like(a.data, g),)
 
     return _finish(out, (a,), backward)
 
@@ -370,7 +344,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
     def backward(g):
-        a._accumulate(g.reshape(a.shape))
+        return (g.reshape(a.shape),)
 
     return _finish(out, (a,), backward)
 
@@ -381,7 +355,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     inv = tuple(np.argsort(axes))
 
     def backward(g):
-        a._accumulate(g.transpose(inv))
+        return (g.transpose(inv),)
 
     return _finish(out, (a,), backward)
 
@@ -392,7 +366,7 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[..., start:stop] = g
-        a._accumulate(full)
+        return (full,)
 
     return _finish(out, (a,), backward)
 
@@ -403,8 +377,7 @@ def stack0(tensors) -> Tensor:
     out = Tensor(np.stack([t.data for t in tensors], axis=0))
 
     def backward(g):
-        for i, t in enumerate(tensors):
-            t._accumulate(g[i])
+        return list(g)
 
     return _finish(out, tuple(tensors), backward)
 
@@ -416,10 +389,9 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     out = Tensor(table.data[ids])
 
     def backward(g):
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, ids, g)
-            table._accumulate(full)
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids, g)
+        return (full,)
 
     return _finish(out, (table,), backward)
 
@@ -436,11 +408,8 @@ def gradient_check(loss_fn, params, h: float = 1e-5):
     for p in params:
         if p.data.dtype != np.float64:
             raise UsageError("gradient_check requires float64 parameters")
-        p.zero_grad()
     with Tape() as tape:
-        loss = loss_fn()
-        tape.backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+        analytic = tape.backward(loss_fn(), params)
 
     worst = 0.0
     for p, an in zip(params, analytic):

@@ -3,8 +3,8 @@ import pytest
 
 from asrlab import losses as LS
 from asrlab import tensor as T
-from asrlab.errors import DataError
-from asrlab.losses import CtcBatch, cross_entropy, ctc_loss
+from asrlab.errors import DataError, NumericError
+from asrlab.losses import cross_entropy, ctc_loss
 from asrlab.tensor import Tape, Tensor
 from oracle_utils import brute_force_ctc_logp, reference_ctc_forward_backward
 
@@ -16,16 +16,16 @@ def uniform_logprobs(t_len, width, dtype=np.float64):
 def test_ctc_two_frame_uniform_hand_value():
     # T=2, V=1: alignments aa, a-, -a collapse to "a"; each path has p=0.25
     lp = Tensor(uniform_logprobs(2, 2))
-    loss, _ = ctc_loss(CtcBatch(lp, [[0]]))
-    assert np.isclose(loss.item(), -np.log(0.75), atol=1e-12)
+    loss = ctc_loss(lp, [[0]])
+    assert np.isclose(loss.item(), -np.log(0.75) / 2, atol=1e-12)  # token mean: / (|l| + 1)
 
 
 def test_ctc_empty_label_is_all_blank_path():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(3, 1, 4))
     lp = Tensor(T.log_softmax_np(logits, axis=-1))
-    loss, _ = ctc_loss(CtcBatch(lp, [[]]))
-    expected = -lp.data[:, 0, 3].sum()
+    loss = ctc_loss(lp, [[]])
+    expected = -lp.data[:, 0, 3].sum()  # token mean divides by |l| + 1 = 1
     assert np.isclose(loss.item(), expected, atol=1e-12)
 
 
@@ -41,8 +41,8 @@ def test_ctc_matches_brute_force_on_random_instances():
             continue
         logits = rng.normal(scale=2.0, size=(t_len, 1, vocab + 1))
         lp = T.log_softmax_np(logits, axis=-1)
-        loss, _ = ctc_loss(CtcBatch(Tensor(lp), [label]))
-        expected = -brute_force_ctc_logp(lp[:, 0], label, vocab)
+        loss = ctc_loss(Tensor(lp), [label])
+        expected = -brute_force_ctc_logp(lp[:, 0], label, vocab) / (len(label) + 1)
         assert np.isclose(loss.item(), expected, rtol=1e-6, atol=1e-9), (t_len, vocab, label)
         checked += 1
 
@@ -75,9 +75,9 @@ def test_ctc_forward_backward_matches_reference_bit_for_bit(dtype):
 def test_ctc_batch_mean_and_lengths():
     rng = np.random.default_rng(2)
     lp = T.log_softmax_np(rng.normal(size=(5, 2, 3)), axis=-1)
-    single0 = ctc_loss(CtcBatch(Tensor(lp[:4, :1]), [[0]], [4]))[0].item()
-    single1 = ctc_loss(CtcBatch(Tensor(lp[:, 1:]), [[1, 0]], [5]))[0].item()
-    batched = ctc_loss(CtcBatch(Tensor(lp), [[0], [1, 0]], [4, 5]))[0].item()
+    single0 = ctc_loss(Tensor(lp[:4, :1]), [[0]], [4]).item()
+    single1 = ctc_loss(Tensor(lp[:, 1:]), [[1, 0]], [5]).item()
+    batched = ctc_loss(Tensor(lp), [[0], [1, 0]], [4, 5]).item()
     assert np.isclose(batched, 0.5 * (single0 + single1), atol=1e-12)
 
 
@@ -87,8 +87,7 @@ def test_ctc_gradient_matches_finite_differences():
 
     def loss():
         lp = T.log_softmax(x, axis=-1)
-        out, _ = ctc_loss(CtcBatch(lp, [[0, 1], [2]], [4, 3]))
-        return out
+        return ctc_loss(lp, [[0, 1], [2]], [4, 3])
 
     assert T.gradient_check(loss, [x]) <= 1e-3
 
@@ -98,28 +97,47 @@ def test_ctc_analytic_gradient_returned():
     lp_data = T.log_softmax_np(rng.normal(size=(3, 1, 3)), axis=-1)
     lp = Tensor(lp_data, requires_grad=True, dtype=np.float64)
     with Tape() as tape:
-        loss, grad = ctc_loss(CtcBatch(lp, [[0]]))
-        tape.backward(loss)
-    assert np.allclose(lp.grad, grad)
-    # occupancy rows of -grad sum to one over the vocabulary
-    assert np.allclose(-grad.sum(axis=-1), 1.0, atol=1e-9)
+        (grad,) = tape.backward(ctc_loss(lp, [[0]]), [lp])
+    _, ref_grad = reference_ctc_forward_backward(lp_data[:, 0], np.array([0]), 2)
+    assert np.allclose(grad[:, 0], ref_grad / 2)  # token mean: / (|l| + 1)
+    # occupancy rows of -grad sum to one over the vocabulary, before the token mean
+    assert np.allclose(-grad.sum(axis=-1) * 2, 1.0, atol=1e-9)
 
 
 def test_ctc_skips_inadmissible_utterance_with_warning():
     lp = Tensor(uniform_logprobs(2, 3))
     lp2 = Tensor(np.repeat(uniform_logprobs(2, 3), 2, axis=1))
     with pytest.warns(UserWarning):
-        loss, _ = ctc_loss(CtcBatch(lp2, [[0, 0], [1]], [2, 2]))
-    only_valid, _ = ctc_loss(CtcBatch(lp, [[1]]))
+        loss = ctc_loss(lp2, [[0, 0], [1]], [2, 2])
+    only_valid = ctc_loss(lp, [[1]])
     assert np.isclose(loss.item(), only_valid.item())
     with pytest.warns(UserWarning), pytest.raises(DataError):
-        ctc_loss(CtcBatch(lp, [[0, 0]], [2]))
+        ctc_loss(lp, [[0, 0]], [2])
 
 
 def test_ctc_label_out_of_range():
     lp = Tensor(uniform_logprobs(2, 3))
     with pytest.raises(DataError):
-        ctc_loss(CtcBatch(lp, [[2]]))  # 2 is the blank id
+        ctc_loss(lp, [[2]])  # 2 is the blank id
+
+
+@pytest.mark.parametrize("labels,lengths", [
+    ([[0]], None),
+    ([[0], [1]], [2]),
+    ([[0], [1]], [0, 2]),
+    ([[0], [1]], [2, 3]),
+], ids=["too-few-labels", "too-few-lengths", "zero-length", "length-past-end"])
+def test_ctc_rejects_bad_batch(labels, lengths):
+    lp = Tensor(np.repeat(uniform_logprobs(2, 3), 2, axis=1))
+    with pytest.raises(DataError):
+        ctc_loss(lp, labels, lengths)
+
+
+def test_ctc_rejects_non_finite_log_probs():
+    lp = uniform_logprobs(2, 3)
+    lp[1, 0, 0] = np.nan
+    with pytest.raises(NumericError):
+        ctc_loss(Tensor(lp), [[0]])
 
 
 def test_ctc_loss_nonnegative_and_decreases_when_overfitting():
@@ -128,13 +146,11 @@ def test_ctc_loss_nonnegative_and_decreases_when_overfitting():
     label = [[0, 2, 1]]
     losses = []
     for _ in range(50):
-        logits.zero_grad()
         with Tape() as tape:
-            lp = T.log_softmax(logits, axis=-1)
-            loss, _ = ctc_loss(CtcBatch(lp, label))
-            tape.backward(loss)
+            loss = ctc_loss(T.log_softmax(logits, axis=-1), label)
+            (grad,) = tape.backward(loss, [logits])
         losses.append(loss.item())
-        logits.data -= 2.0 * logits.grad
+        logits.data -= 2.0 * grad
     assert all(v >= 0 for v in losses)
     assert losses[-1] < losses[0]
     increases = sum(1 for a, b in zip(losses, losses[1:]) if b > a + 1e-9)
