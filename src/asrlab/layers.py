@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, sigmoid_np
 
 NEG_FILL = -1e9  # pre-softmax fill for masked attention positions
 
@@ -61,7 +61,12 @@ class Dense:
 
 
 class LstmLayer:
-    """Single LSTM layer; gate order i, f, g, o in the fused weight."""
+    """Single LSTM layer; gate order i, f, g, o in the fused weight.
+
+    ``forward`` records the whole recurrence as one tape node whose
+    backward is backpropagation through time over the saved gate
+    activations and cell states.
+    """
 
     def __init__(self, d_in: int, hidden: int, rng: np.random.Generator, dtype=np.float32):
         self.d_in = d_in
@@ -72,27 +77,57 @@ class LstmLayer:
         b[hidden:2 * hidden] = 1.0  # forget gate bias
         self.b = Tensor(b, requires_grad=True)
 
-    def forward(self, xs: list[Tensor]) -> list[Tensor]:
-        """Run the recurrence over a list of [B, d_in] steps."""
+    def forward(self, x: Tensor) -> Tensor:
+        """Run the recurrence over x [T, B, d_in] from zero state; returns
+        every frame's hidden state, [T, B, hidden]."""
         H = self.hidden
-        batch = xs[0].shape[0]
-        dtype = xs[0].dtype
-        h = Tensor(np.zeros((batch, H), dtype=dtype))
-        c = Tensor(np.zeros((batch, H), dtype=dtype))
-        out = []
-        for x_t in xs:
-            gates = T.add(T.add(T.matmul(x_t, self.w), T.matmul(h, self.u)), self.b)
-            i = T.sigmoid(T.slice_last(gates, 0, H))
-            f = T.sigmoid(T.slice_last(gates, H, 2 * H))
-            g = T.tanh(T.slice_last(gates, 2 * H, 3 * H))
-            o = T.sigmoid(T.slice_last(gates, 3 * H, 4 * H))
-            c = T.add(T.mul(f, c), T.mul(i, g))
-            h = T.mul(o, T.tanh(c))
-            out.append(h)
-        return out
+        w, u, b = self.w, self.u, self.b
+        zero = np.zeros((x.shape[1], H), dtype=x.dtype)
+        hs, cs, acts = [zero], [zero], []  # hs[t], cs[t]: the state frame t starts from
+        for x_t in x.data:
+            z = x_t @ w.data + hs[-1] @ u.data + b.data
+            i, f, o = (sigmoid_np(z[:, k * H:(k + 1) * H]) for k in (0, 1, 3))
+            g = np.tanh(z[:, 2 * H:3 * H])
+            cs.append(f * cs[-1] + i * g)
+            tc = np.tanh(cs[-1])
+            hs.append(o * tc)
+            acts.append((i, f, g, o, tc))
+        out = Tensor(np.stack(hs[1:]))
+
+        def backward(dout):
+            dx = np.empty_like(x.data) if x.requires_grad else None
+            dw = du = db = dz = dc_next = None
+            for t in reversed(range(len(acts))):
+                i, f, g, o, tc = acts[t]
+                dh = dout[t] if dz is None else dout[t] + dz @ u.data.T
+                dc = dh * o * (1.0 - tc * tc)
+                if dc_next is not None:
+                    dc = dc_next + dc
+                dc_next = dc * f
+                dz = np.concatenate([dc * g * i * (1.0 - i), dc * cs[t] * f * (1.0 - f),
+                                     dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
+                if dx is not None:
+                    dx[t] = dz @ w.data.T
+                if w.requires_grad:
+                    dw = _accumulate(dw, x.data[t].T @ dz)
+                if u.requires_grad:
+                    du = _accumulate(du, hs[t].T @ dz)
+                if b.requires_grad:
+                    db = _accumulate(db, dz.sum(axis=0))
+            return dx, dw, du, db
+
+        return T._finish(out, (x, w, u, b), backward)
 
     def parameters(self):
         return {"w": self.w, "u": self.u, "b": self.b}
+
+
+def _accumulate(total, term):
+    """total += term, or term itself when there is no total yet."""
+    if total is None:
+        return term
+    total += term
+    return total
 
 
 class LayerNorm:

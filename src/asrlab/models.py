@@ -101,12 +101,10 @@ class CtcModel(_ModelBase):
     def forward(self, feats: np.ndarray) -> Tensor:
         """Padded features [T,B,D] -> log-probs Tensor [T,B,V+1]."""
         t_len, batch, _ = feats.shape
-        x = self.normalize(feats)
-        xs = [Tensor(np.ascontiguousarray(x[t])) for t in range(t_len)]
+        x = Tensor(self.normalize(feats))
         for layer in self.lstms:
-            xs = layer.forward(xs)
-        h = T.reshape(T.stack0(xs), (t_len * batch, self.cfg.hidden))
-        logits = self.dense(h)
+            x = layer.forward(x)
+        logits = self.dense(T.reshape(x, (t_len * batch, self.cfg.hidden)))
         lp = T.log_softmax(logits, axis=-1)
         return T.reshape(lp, (t_len, batch, self.cfg.output_dim))
 

@@ -7,9 +7,14 @@ reverse and returns the gradient of a scalar loss with respect to each
 tensor in ``wrt``; no tensor holds a gradient, so nothing carries over
 from one backward pass to the next.
 
+The tape is the only graph state: it holds each recorded output with its
+parents and backward rule, and a tensor knows nothing of the tape it was
+recorded on, so a step's activations are freed as soon as its tape and
+outputs go out of scope.
+
 Broadcasting is deliberately restricted to scalars and trailing-dim row
 vectors so that every backward rule stays auditable. Anything fancier
-(attention masks, stacked frames) is materialized to full shape first.
+(attention masks) is materialized to full shape first.
 """
 
 from __future__ import annotations
@@ -46,15 +51,12 @@ class Tape:
     def record(self, out: "Tensor", parents, backward_fn) -> None:
         """backward_fn maps the gradient of out to one gradient per parent,
         in order, or None for a parent it skips."""
-        out._tape = self
         self._nodes.append((out, parents, backward_fn))
 
     def backward(self, loss: "Tensor", wrt) -> list:
         """Gradients of a scalar loss with respect to each tensor in wrt, in
         order; zeros for a tensor the loss does not reach or that does not
         require grad."""
-        if loss._tape is not self:
-            raise UsageError("backward target was not produced on this tape")
         if loss.data.size != 1:
             raise UsageError("backward requires a scalar loss")
         grads = {id(loss): np.ones_like(loss.data)}  # keyed by id: the tape keeps every tensor alive
@@ -70,6 +72,8 @@ class Tape:
                     grads[id(p)] = gp.astype(p.data.dtype, copy=True)
                 else:
                     acc += gp
+        if id(loss) in grads:  # the sweep never reached loss
+            raise UsageError("backward target was not produced on this tape")
         return [grads[id(p)] if id(p) in grads else np.zeros_like(p.data) for p in wrt]
 
     def __len__(self):
@@ -83,7 +87,7 @@ def active_tape():
 class Tensor:
     """A dense n-d float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "_tape")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else None)
@@ -91,7 +95,6 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = requires_grad
-        self._tape = None
 
     # -- introspection -------------------------------------------------
     @property
@@ -168,18 +171,6 @@ def add(a: Tensor, b) -> Tensor:
     return _finish(out, (a, b), backward)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = _as_tensor(b, a)
-    _check_broadcast(a, b, "sub")
-    out = Tensor(a.data - b.data)
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
-
-    return _finish(out, (a, b), backward)
-
-
 def mul(a: Tensor, b) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = _as_tensor(b, a)
@@ -190,15 +181,6 @@ def mul(a: Tensor, b) -> Tensor:
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _finish(out, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-
-    def backward(g):
-        return (-g,)
-
-    return _finish(out, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -229,56 +211,6 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 
 
 # -- elementwise nonlinearities -----------------------------------------
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = Tensor(y)
-
-    def backward(g):
-        return (g * (1.0 - y * y),)
-
-    return _finish(out, (a,), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    out = Tensor(y)
-
-    def backward(g):
-        return (g * y * (1.0 - y),)
-
-    return _finish(out, (a,), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        y = np.exp(a.data)
-    if not np.all(np.isfinite(y)):
-        raise NumericError("exp overflow")
-    out = Tensor(y)
-
-    def backward(g):
-        return (g * y,)
-
-    return _finish(out, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise NumericError("log of non-positive value")
-    y = np.log(a.data)
-    out = Tensor(y)
-
-    def backward(g):
-        return (g / a.data,)
-
-    return _finish(out, (a,), backward)
-
 
 def relu(a: Tensor) -> Tensor:
     y = np.maximum(a.data, 0.0)
@@ -327,6 +259,17 @@ def log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
 
 
+def sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """Logistic function on a raw array; exp only ever sees a non-positive
+    argument, so it cannot overflow."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
 # -- sums ----------------------------------------------------------------
 
 def tsum(a: Tensor) -> Tensor:
@@ -358,28 +301,6 @@ def transpose(a: Tensor, axes) -> Tensor:
         return (g.transpose(inv),)
 
     return _finish(out, (a,), backward)
-
-
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.data[..., start:stop])
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
-        return (full,)
-
-    return _finish(out, (a,), backward)
-
-
-def stack0(tensors) -> Tensor:
-    """Stack same-shaped tensors along a new leading axis."""
-    tensors = list(tensors)
-    out = Tensor(np.stack([t.data for t in tensors], axis=0))
-
-    def backward(g):
-        return list(g)
-
-    return _finish(out, tuple(tensors), backward)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

@@ -4,8 +4,9 @@ import itertools
 
 import numpy as np
 
+from asrlab import tensor as T
 from asrlab.decode import Hypothesis, dedup_by_text
-from asrlab.tensor import Tensor, log_softmax_np
+from asrlab.tensor import Tensor, log_softmax_np, sigmoid_np
 
 
 def collapse(path, blank):
@@ -92,6 +93,57 @@ def reference_ctc_forward_backward(lp, label, blank):
     for t in range(t_len):
         np.add.at(grad[t], ext, contrib[t])
     return log_p, -grad
+
+
+def _frame(x, t):
+    """x[t] of a [T, ...] tensor."""
+    def backward(g):
+        full = np.zeros_like(x.data)
+        full[t] = g
+        return (full,)
+    return T._finish(Tensor(x.data[t]), (x,), backward)
+
+
+def _slice_last(a, start, stop):
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[..., start:stop] = g
+        return (full,)
+    return T._finish(Tensor(a.data[..., start:stop]), (a,), backward)
+
+
+def _sigmoid(a):
+    y = sigmoid_np(a.data)
+    return T._finish(Tensor(y), (a,), lambda g: (g * y * (1.0 - y),))
+
+
+def _tanh(a):
+    y = np.tanh(a.data)
+    return T._finish(Tensor(y), (a,), lambda g: (g * (1.0 - y * y),))
+
+
+def _stack0(tensors):
+    return T._finish(Tensor(np.stack([t.data for t in tensors])), tuple(tensors), list)
+
+
+def reference_lstm_forward(layer, x):
+    """The LSTM recurrence of `layer` over x [T, B, d_in] spelled out as 17
+    generic tape ops per frame; `LstmLayer.forward` must return the same
+    output and gradients bit for bit."""
+    H = layer.hidden
+    h = Tensor(np.zeros((x.shape[1], H), dtype=x.dtype))
+    c = Tensor(np.zeros((x.shape[1], H), dtype=x.dtype))
+    out = []
+    for t in range(x.shape[0]):
+        gates = T.add(T.add(T.matmul(_frame(x, t), layer.w), T.matmul(h, layer.u)), layer.b)
+        i = _sigmoid(_slice_last(gates, 0, H))
+        f = _sigmoid(_slice_last(gates, H, 2 * H))
+        g = _tanh(_slice_last(gates, 2 * H, 3 * H))
+        o = _sigmoid(_slice_last(gates, 3 * H, 4 * H))
+        c = T.add(T.mul(f, c), T.mul(i, g))
+        h = T.mul(o, _tanh(c))
+        out.append(h)
+    return _stack0(out)
 
 
 def reference_prefix_beam(log_probs, tok, beam=10):

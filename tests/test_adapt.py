@@ -6,6 +6,7 @@ import pytest
 from asrlab import adapt as A
 from asrlab import config as C
 from asrlab import decode as D
+from asrlab import layers as L
 from asrlab import models as M
 from asrlab import ttssim
 from asrlab.data import Manifest
@@ -13,6 +14,7 @@ from asrlab.errors import DataError, UsageError
 from asrlab.losses import ctc_loss
 from asrlab.tensor import Tensor
 from asrlab.tokenizer import train_bpe
+from oracle_utils import reference_lstm_forward
 
 
 # -- freeze policies -----------------------------------------------------------
@@ -242,6 +244,21 @@ def test_dense_top1_finetune_changes_dense_plus_top_lstm(tmp_path):
     after = M.load_checkpoint(tmp_path / "ft.ckpt").tensors
     changed = {n for n in before if not np.array_equal(before[n], after[n])}
     assert changed == {"dense.w", "dense.b", "lstm.1.w", "lstm.1.u", "lstm.1.b"}
+
+
+def test_fused_lstm_writes_the_checkpoints_of_the_per_frame_tape(tmp_path, monkeypatch):
+    man, tok = _tiny_setup(tmp_path, n=16)
+
+    def checkpoints(tag):
+        pre, ft = tmp_path / f"{tag}-pre.ckpt", tmp_path / f"{tag}-ft.ckpt"
+        model = M.CtcModel(C.CtcConfig(feat_dim=60, hidden=16, layers=2, vocab=tok.size), seed=2)
+        A.pretrain(model, man, tok, _tiny_cfg(spec_augment=True), pre)
+        A.finetune(pre, man, tok, A.FreezePolicy.parse("dense-top1"), _tiny_cfg(lr=1e-3), ft)
+        return pre.read_bytes(), ft.read_bytes()
+
+    fused = checkpoints("fused")
+    monkeypatch.setattr(L.LstmLayer, "forward", reference_lstm_forward)
+    assert checkpoints("per-frame") == fused
 
 
 def test_finetune_lr_zero_is_identity(tmp_path):

@@ -4,7 +4,8 @@ import pytest
 from asrlab import layers as L
 from asrlab import tensor as T
 from asrlab.errors import ShapeError
-from asrlab.tensor import Tensor
+from asrlab.tensor import Tape, Tensor
+from oracle_utils import reference_lstm_forward
 
 
 def make_lstm(d_in, hidden, seed=0, dtype=np.float64):
@@ -15,11 +16,9 @@ def test_lstm_zero_weights_zero_input_gives_zero_output():
     layer = make_lstm(2, 3)
     for p in layer.parameters().values():
         p.data[:] = 0.0
-    xs = [Tensor(np.zeros((1, 2))) for _ in range(4)]
-    out = layer.forward(xs)
+    out = layer.forward(Tensor(np.zeros((4, 1, 2))))
     # all gates at 0.5/0 -> c stays 0 -> h = o*tanh(0) = 0
-    for h in out:
-        assert np.allclose(h.data, 0.0)
+    assert np.allclose(out.data, 0.0)
 
 
 def test_lstm_matches_hand_rolled_recurrence():
@@ -32,7 +31,7 @@ def test_lstm_matches_hand_rolled_recurrence():
     layer.b.data[:] = np.array([bi, bf, bg, bo])
 
     x_seq = [0.7, -1.2]
-    out = layer.forward([Tensor(np.array([[v]])) for v in x_seq])
+    out = layer.forward(Tensor(np.array(x_seq).reshape(2, 1, 1)))
 
     def sig(z):
         return 1.0 / (1.0 + np.exp(-z))
@@ -48,28 +47,55 @@ def test_lstm_matches_hand_rolled_recurrence():
         h = o * np.tanh(c)
         expected.append(h)
 
-    got = [float(t.data[0, 0]) for t in out]
+    got = out.data[:, 0, 0]
     assert np.allclose(got, expected, atol=1e-6)
 
 
 def test_lstm_gradients_match_finite_differences():
     layer = make_lstm(2, 3, seed=1)
-    xs_data = np.random.default_rng(2).normal(size=(4, 2, 2))
+    x = Tensor(np.random.default_rng(2).normal(size=(4, 2, 2)), requires_grad=True)
 
     def loss():
-        xs = [Tensor(xs_data[t]) for t in range(4)]
-        return T.tsum(T.stack0(layer.forward(xs)))
+        return T.tsum(layer.forward(x))
 
-    params = list(layer.parameters().values())
+    params = [x] + list(layer.parameters().values())
     assert T.gradient_check(loss, params) <= 1e-3
 
 
 def test_lstm_forward_shape():
     layer = L.LstmLayer(3, 5, np.random.default_rng(3))
     x = np.random.default_rng(4).normal(size=(6, 2, 3)).astype(np.float32)
-    out = layer.forward([Tensor(x[t]) for t in range(6)])
-    assert [h.shape for h in out] == [(2, 5)] * 6
-    assert T.stack0(out).dtype == np.float32
+    out = layer.forward(Tensor(x))
+    assert out.shape == (6, 2, 5)
+    assert out.dtype == np.float32
+
+
+def _lstm_output_and_grads(forward, layer, x_data, x_grad, out_weight):
+    x = Tensor(x_data, requires_grad=x_grad)
+    with Tape() as tape:
+        out = forward(layer, x)
+        loss = T.tsum(T.mul(out, Tensor(out_weight)))
+        return [out.data] + tape.backward(loss, [x, layer.w, layer.u, layer.b])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_layer_matches_per_frame_tape_bit_for_bit(dtype):
+    rng = np.random.default_rng(11)
+    for case in range(160):
+        t_len, batch = (1, 1) if case < 8 else (rng.integers(1, 9), rng.integers(1, 5))
+        d_in, hidden = rng.integers(1, 6), rng.integers(1, 6)
+        layer = L.LstmLayer(d_in, hidden, rng, dtype=dtype)
+        if case % 3 == 0:  # pre-activations in the tens: many gates round to exactly 1.0
+            for p in layer.parameters().values():
+                p.data *= 30.0
+        x_data = rng.normal(size=(t_len, batch, d_in)).astype(dtype)
+        out_weight = rng.normal(size=(t_len, batch, hidden)).astype(dtype)
+        out_weight[rng.random(t_len) < 0.3] = 0.0  # frames the loss ignores, like padding
+        x_grad = case % 4 != 1
+        fused = _lstm_output_and_grads(L.LstmLayer.forward, layer, x_data, x_grad, out_weight)
+        per_frame = _lstm_output_and_grads(reference_lstm_forward, layer, x_data, x_grad, out_weight)
+        for name, a, b in zip(("out", "x", "w", "u", "b"), fused, per_frame):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (case, name)
 
 
 def test_dense_forward_and_gradient():

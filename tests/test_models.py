@@ -7,6 +7,8 @@ import pytest
 from asrlab import config as C
 from asrlab import models as M
 from asrlab.errors import DataError, ShapeError
+from asrlab.losses import ctc_loss
+from asrlab.tensor import Tape
 
 
 def small_ctc(seed=0):
@@ -46,6 +48,19 @@ def test_ctc_forward_deterministic():
     a = model.forward(feats).data
     b = model.forward(feats).data
     assert np.array_equal(a, b)
+
+
+def test_ctc_step_tape_size_does_not_grow_with_frames():
+    # each LSTM layer is one tape node, not a handful of nodes per frame
+    model = M.CtcModel(C.ctc_desk(), seed=0)
+    rng = np.random.default_rng(4)
+    sizes = []
+    for t_len in (20, 70):
+        feats = rng.normal(size=(t_len, 16, model.cfg.feat_dim)).astype(np.float32)
+        with Tape() as tape:
+            ctc_loss(model.forward(feats), [[1, 2, 3]] * 16)
+        sizes.append(len(tape))
+    assert sizes[0] == sizes[1]
 
 
 def test_las_forward_shapes_and_bos_check():

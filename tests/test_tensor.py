@@ -1,4 +1,6 @@
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -33,21 +35,10 @@ def test_matmul_gradient_matches_finite_difference():
     assert err <= 1e-4
 
 
-def test_elementwise_values():
-    assert T.tanh(Tensor([0.0])).data[0] == 0.0
-    assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
-
-
-def test_tanh_gradient_finite_difference():
-    x = Tensor([0.3], requires_grad=True, dtype=np.float64)
-    err = T.gradient_check(lambda: T.tsum(T.tanh(x)), [x])
-    assert err <= 1e-4
-
-
 def test_elementwise_gradients():
     rng = np.random.default_rng(1)
     x = Tensor(rng.uniform(0.1, 2.0, size=(3, 3)), requires_grad=True, dtype=np.float64)
-    for op in (T.tanh, T.sigmoid, T.exp, T.log, T.relu):
+    for op in (T.relu, T.softmax, T.log_softmax):
         err = T.gradient_check(lambda op=op: T.tsum(op(x)), [x])
         assert err <= 1e-4, op.__name__
 
@@ -66,13 +57,6 @@ def test_broadcast_add_mul_row_and_scalar():
 
     with pytest.raises(ShapeError):
         T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
-
-
-def test_log_exp_domain_errors():
-    with pytest.raises(NumericError):
-        T.log(Tensor([-1.0]))
-    with pytest.raises(NumericError):
-        T.exp(Tensor([1e4]))
 
 
 def test_softmax_symmetry_and_stability():
@@ -151,8 +135,8 @@ def test_backward_carries_nothing_over():
 
 def _mlp_loss(params, x):
     w1, b1, w2, b2, w3, b3 = params
-    h = T.tanh(T.add(T.matmul(x, w1), b1))
-    h = T.sigmoid(T.add(T.matmul(h, w2), b2))
+    h = T.softmax(T.add(T.matmul(x, w1), b1))
+    h = T.log_softmax(T.add(T.matmul(h, w2), b2))
     out = T.add(T.matmul(h, w3), b3)
     return T.tsum(T.mul(out, out))
 
@@ -179,7 +163,7 @@ def test_backward_is_deterministic():
 
     def run():
         with Tape() as tape:
-            h = T.tanh(T.matmul(x, w))
+            h = T.log_softmax(T.softmax(T.matmul(x, w)))
             (grad,) = tape.backward(T.tsum(T.mul(h, h)), [w])
         return grad
 
@@ -200,22 +184,12 @@ def test_shape_ops_gradients():
 
     assert T.gradient_check(f, [x]) <= 1e-4
 
-    def g():
-        parts = [T.slice_last(x, 0, 2), T.slice_last(x, 2, 4)]
-        return T.add(T.tsum(T.mul(T.mul(parts[0], parts[0]), 1.0)), T.tsum(parts[1]))
 
-    assert T.gradient_check(g, [x]) <= 1e-4
-
-
-def test_stack0_and_bmm_gradients():
+def test_bmm_gradients():
     rng = np.random.default_rng(8)
     a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True, dtype=np.float64)
     b = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True, dtype=np.float64)
     err = T.gradient_check(lambda: T.tsum(T.bmm(a, b)), [a, b])
-    assert err <= 1e-4
-
-    xs = [Tensor(rng.normal(size=(2, 2)), requires_grad=True, dtype=np.float64) for _ in range(3)]
-    err = T.gradient_check(lambda: T.tsum(T.mul(T.stack0(xs), T.stack0(xs))), xs)
     assert err <= 1e-4
 
 
@@ -249,4 +223,19 @@ def test_ndt_round_trip_and_truncation():
 def test_inference_without_tape_records_nothing():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     out = T.matmul(Tensor(np.ones((2, 2))), w)
-    assert out._tape is None  # nothing recorded outside a tape
+    assert not out.requires_grad  # nothing recorded outside a tape
+
+
+def test_step_activations_are_freed_without_the_cycle_collector():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            h = T.relu(T.matmul(Tensor(np.ones((2, 2))), w))
+            activation = weakref.ref(h.data)
+            out = T.tsum(h)
+            tape.backward(out, [w])
+        del h, out, tape
+        assert activation() is None
+    finally:
+        gc.enable()
