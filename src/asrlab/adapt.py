@@ -174,7 +174,9 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
                 log_path=None) -> tuple[list[dict], dict]:
     """Adam-train the selected parameters; returns (step log, final rng state).
     A step row holds the loss, the grad norm before clipping, whether the clip
-    fired, the utterances CTC skipped as inadmissible and the wall time."""
+    fired, the utterances CTC skipped as inadmissible, the wall time and its
+    split into forward, loss, backward and optimizer time, and the real
+    (unpadded) frames trained on per second of wall time."""
     model.set_trainable(trainable)
     params = {n: p for n, p in model.parameters().items() if n in set(trainable)}
     state = AdamState()
@@ -197,11 +199,12 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
                 labels.append(ids)
             padded, lengths = _collate(feats_list)
 
-            t0 = time.monotonic()
+            marks = [time.perf_counter()]  # step start, then the end of forward, loss, backward and optimizer
             skipped = 0
             with Tape() as tape:
                 if is_ctc:
                     lp = model.forward(padded)
+                    marks.append(time.perf_counter())
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
                         loss = ctc_loss(lp, labels, lengths)
@@ -213,15 +216,24 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
                 else:
                     prefix, target, mask = _las_targets(labels, model.bos_id, model.eos_id)
                     logits = model.forward(padded, lengths, prefix)
+                    marks.append(time.perf_counter())
                     loss = cross_entropy(logits, target, mask, smoothing=cfg.label_smoothing)
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
                     raise DivergenceError(f"non-finite loss at step {step}")
+                marks.append(time.perf_counter())
                 grads = tape.backward(loss, params.values())
+                marks.append(time.perf_counter())
             grad_norm = adam_step(params, grads, state, cfg)
-            log.append({"step": step, "loss": round(loss_val, 6), "lr": cfg.lr,
-                        "grad_norm": grad_norm, "clipped": grad_norm > cfg.grad_clip,
-                        "ctc_skipped": skipped, "wall_ms": round(1000 * (time.monotonic() - t0), 1)})
+            marks.append(time.perf_counter())
+            # parts are differences of rounded offsets, so they add up to wall_ms
+            ms = [round(1000 * (m - marks[0]), 1) for m in marks]
+            row = {"step": step, "loss": round(loss_val, 6), "lr": cfg.lr,
+                   "grad_norm": grad_norm, "clipped": grad_norm > cfg.grad_clip, "ctc_skipped": skipped,
+                   "wall_ms": ms[-1], "frames_per_s": round(int(lengths.sum()) / (marks[-1] - marks[0]), 1)}
+            for part, start, end in zip(("forward_ms", "loss_ms", "backward_ms", "optimizer_ms"), ms, ms[1:]):
+                row[part] = round(end - start, 1)
+            log.append(row)
             step += 1
 
     if log_path is not None:

@@ -65,7 +65,9 @@ class LstmLayer:
 
     ``forward`` records the whole recurrence as one tape node whose
     backward is backpropagation through time over the saved gate
-    activations and cell states.
+    activations and cell states. Each frame takes the sigmoid
+    (``tensor.sigmoid_np``, branch-free) twice, once over the contiguous
+    i|f slice of the gate pre-activations and once over o, and tanh over g.
     """
 
     def __init__(self, d_in: int, hidden: int, rng: np.random.Generator, dtype=np.float32):
@@ -86,7 +88,8 @@ class LstmLayer:
         hs, cs, acts = [zero], [zero], []  # hs[t], cs[t]: the state frame t starts from
         for x_t in x.data:
             z = x_t @ w.data + hs[-1] @ u.data + b.data
-            i, f, o = (sigmoid_np(z[:, k * H:(k + 1) * H]) for k in (0, 1, 3))
+            i_f = sigmoid_np(z[:, :2 * H])
+            i, f, o = i_f[:, :H], i_f[:, H:], sigmoid_np(z[:, 3 * H:])
             g = np.tanh(z[:, 2 * H:3 * H])
             cs.append(f * cs[-1] + i * g)
             tc = np.tanh(cs[-1])

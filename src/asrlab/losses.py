@@ -1,8 +1,17 @@
 """Sequence losses: CTC (forward-backward) and label-smoothed cross-entropy.
 
 Both install analytic gradients as custom tape nodes, so the tape never
-differentiates through the dynamic programs. All CTC recursions run in
+differentiates through the dynamic programs. The CTC recursion runs in
 log space with log-sum-exp; there is no probability-space fallback.
+
+``ctc_loss`` runs one lattice recursion per batch (Graves et al., ICML
+2006). The blank-extended labels of the admissible utterances are padded
+on the right to a common length with -inf emissions, so a padded position
+never feeds a real one, and no frame past an utterance's length is read
+back. Beta is the same forward recursion on each utterance's time- and
+label-reversed lattice (time reversed over its own frames), read back to
+front; the forward and reversed lattices are stacked as [T, 2n, S] and
+share one frame loop.
 """
 
 from __future__ import annotations
@@ -25,44 +34,20 @@ def _ctc_required_frames(label: np.ndarray) -> int:
     return len(label) + int(np.sum(label[1:] == label[:-1]))
 
 
-def _ctc_alpha(lp: np.ndarray, label: np.ndarray, blank: int):
-    """Forward recursion over one utterance's CTC lattice, lp [T, V+1]: returns
-    the blank-extended label ext [S], emissions emit [T, S] and log alpha [T, S]."""
-    ext = np.full(2 * len(label) + 1, blank, dtype=np.int64)
-    ext[1::2] = label
-    # skip transition s-2 -> s allowed between distinct non-blank symbols
-    allow_skip = np.zeros(len(ext), dtype=bool)
-    allow_skip[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-    emit = lp[:, ext]
+def _lattice_alpha(emit: np.ndarray, allow_skip: np.ndarray) -> np.ndarray:
+    """Forward recursion over a batch of CTC lattices: log alpha [T, m, S] from
+    emissions emit [T, m, S] and allow_skip [m, S], True where a position may
+    also be entered from two positions back (only ever a label position, odd s)."""
     alpha = np.full(emit.shape, NEG_INF)
-    alpha[0, :2] = emit[0, :2]
-    for t in range(1, len(lp)):
+    alpha[0, :, :2] = emit[0, :, :2]
+    skip = allow_skip[:, 3::2]
+    for t in range(1, len(emit)):
         prev = alpha[t - 1]
         cand = prev.copy()
-        cand[1:] = np.logaddexp(cand[1:], prev[:-1])
-        cand[2:] = np.where(allow_skip[2:], np.logaddexp(cand[2:], prev[:-2]), cand[2:])
+        cand[:, 1:] = np.logaddexp(cand[:, 1:], prev[:, :-1])
+        cand[:, 3::2] = np.where(skip, np.logaddexp(cand[:, 3::2], prev[:, 1:-2:2]), cand[:, 3::2])
         alpha[t] = cand + emit[t]
-    return ext, emit, alpha
-
-
-def _ctc_forward_backward(lp: np.ndarray, label: np.ndarray, blank: int):
-    """Return (log p(label|input), dloss/dlogp) for one utterance.
-
-    lp is [T, V+1] log-probs for the real (unpadded) frames.
-    """
-    ext, emit, alpha = _ctc_alpha(lp, label, blank)
-    log_p = np.logaddexp(alpha[-1, -1], alpha[-1, -2]) if len(ext) > 1 else alpha[-1, -1]
-    if not np.isfinite(log_p):
-        return log_p, None
-
-    # beta is the forward recursion on the time- and label-reversed lattice, read back to front
-    beta = _ctc_alpha(lp[::-1], label[::-1], blank)[2][::-1, ::-1]
-
-    # posterior of passing through position s at frame t
-    occ = alpha + beta - emit - log_p
-    grad = np.zeros_like(lp)
-    np.add.at(grad, (np.arange(lp.shape[0])[:, None], ext), np.exp(occ))
-    return log_p, -grad
+    return alpha
 
 
 def ctc_loss(log_probs: Tensor, labels, input_lengths=None) -> Tensor:
@@ -86,9 +71,7 @@ def ctc_loss(log_probs: Tensor, labels, input_lengths=None) -> Tensor:
         raise NumericError("non-finite log-probs fed to ctc_loss")
     blank = width - 1
 
-    total = 0.0
-    grad = np.zeros_like(lp)
-    used = 0
+    cols, kept, t_lens = [], [], []
     for i in range(b):
         label = np.asarray(labels[i], dtype=np.int64)
         if label.size and (label.min() < 0 or label.max() >= blank):
@@ -100,18 +83,62 @@ def ctc_loss(log_probs: Tensor, labels, input_lengths=None) -> Tensor:
             warnings.warn(f"utterance {i}: label needs more frames than available "
                           f"({len(label)} labels, {t_len} frames); skipped", SkippedUtteranceWarning)
             continue
-        log_p, g = _ctc_forward_backward(lp[:t_len, i], label, blank)
-        if g is None:
-            raise NumericError(f"CTC underflow for utterance {i}")
-        scale = 1.0 / (len(label) + 1)
-        total += -log_p * scale
-        grad[:t_len, i] = g * scale
-        used += 1
-
-    if used == 0:
+        cols.append(i)
+        kept.append(label)
+        t_lens.append(t_len)
+    if not kept:
         raise DataError("all utterances in the batch were inadmissible for CTC")
-    grad /= used
-    out = Tensor(np.asarray(total / used, dtype=lp.dtype))
+
+    n = len(kept)
+    cols, t_lens = np.array(cols), np.array(t_lens)  # batch column and frame count of each lattice
+    s_lens = np.array([2 * len(label) + 1 for label in kept])
+    token_mean = [1.0 / (len(label) + 1) for label in kept]
+    # blank-extended labels, forward in rows :n and label-reversed in rows n:, blank-padded on the right
+    ext = np.full((2 * n, int(s_lens.max())), blank, dtype=np.int64)
+    for k, label in enumerate(kept):
+        ext[k, 1:2 * len(label):2] = label
+        ext[n + k, 1:2 * len(label):2] = label[::-1]
+    # skip transition s-2 -> s allowed between distinct non-blank symbols
+    allow_skip = np.zeros(ext.shape, dtype=bool)
+    allow_skip[:, 2:] = (ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])
+    # frame t of a reversed lattice is frame t_len-1-t; frames past t_len are never read
+    frames, positions = np.arange(t_max)[:, None], np.arange(ext.shape[1])
+    rev_frames = np.maximum(t_lens - 1 - frames, 0)
+    time_idx = np.concatenate([np.broadcast_to(frames, (t_max, n)), rev_frames], axis=1)
+    emit = lp[time_idx[:, :, None], np.tile(cols, 2)[None, :, None], ext[None]]
+    emit[:, positions >= np.tile(s_lens, 2)[:, None]] = NEG_INF
+    alpha = _lattice_alpha(emit, allow_skip)
+
+    rows = np.arange(n)
+    final = alpha[t_lens - 1, rows]  # [n, S] at each utterance's last frame
+    last = final[rows, s_lens - 1]
+    log_p = np.where(s_lens > 1, np.logaddexp(last, final[rows, np.maximum(s_lens - 2, 0)]), last)
+    if not np.all(np.isfinite(log_p)):
+        raise NumericError(f"CTC underflow for utterance {cols[~np.isfinite(log_p)][0]}")
+
+    # posterior of passing through position s at frame t; beta reads the reversed lattice back to front
+    beta = alpha[rev_frames[:, :, None], n + rows[:, None], np.maximum(s_lens[:, None] - 1 - positions, 0)]
+    real = (frames[:, :, None] < t_lens[:, None]) & (positions < s_lens[:, None])
+    occ = np.full(beta.shape, NEG_INF)  # padding stays -inf; computing it would give -inf - -inf
+    np.add(alpha[:, :n], beta, out=occ, where=real)
+    np.subtract(occ, emit[:, :n], out=occ, where=real)
+    np.subtract(occ, log_p[:, None], out=occ, where=real)
+    contrib = np.exp(occ)
+    grad = np.zeros_like(lp)
+    for s in positions:  # each cell adds its terms in position order, whatever the batch
+        grad[:, cols, ext[:n, s]] += contrib[:, :, s]
+
+    scale = np.zeros(b, dtype=lp.dtype)
+    scale[cols] = token_mean
+    grad *= -scale[:, None]  # the same bits as negating first
+    lengths = np.zeros(b, dtype=np.int64)
+    lengths[cols] = t_lens
+    grad[frames >= lengths] = 0.0  # +0.0 past each length and for skipped utterances
+    grad /= n
+    total = 0.0
+    for k in range(n):
+        total += -log_p[k] * token_mean[k]
+    out = Tensor(np.asarray(total / n, dtype=lp.dtype))
 
     def backward(g_out):
         return (g_out * grad,)

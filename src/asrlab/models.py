@@ -240,6 +240,50 @@ def build_model(cfg, seed: int = 0):
     raise UsageError(f"unknown config type {type(cfg)!r}")
 
 
+def tensor_shapes(cfg) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor of the model a config builds, in
+    ``named_tensors`` order, without building the model."""
+    shapes = {}
+
+    def dense(name, d_in, d_out):
+        shapes.update({f"{name}.w": (d_in, d_out), f"{name}.b": (d_out,)})
+
+    def norm(name, dim):
+        shapes.update({f"{name}.gamma": (dim,), f"{name}.beta": (dim,)})
+
+    if isinstance(cfg, CtcConfig):
+        for i in range(cfg.layers):
+            d_in = cfg.feat_dim if i == 0 else cfg.hidden
+            shapes.update({f"lstm.{i}.w": (d_in, 4 * cfg.hidden), f"lstm.{i}.u": (cfg.hidden, 4 * cfg.hidden),
+                           f"lstm.{i}.b": (4 * cfg.hidden,)})
+        dense("dense", cfg.hidden, cfg.output_dim)
+    elif isinstance(cfg, LasConfig):
+        dim = cfg.dim
+
+        def block(name, attns, norms):
+            for attn in attns:
+                for proj in ("wq", "wk", "wv", "wo"):
+                    dense(f"{name}.{attn}.{proj}", dim, dim)
+            dense(f"{name}.ff.lin1", dim, cfg.ff_dim)
+            dense(f"{name}.ff.lin2", cfg.ff_dim, dim)
+            for ln in norms:
+                norm(f"{name}.{ln}", dim)
+
+        dense("input_proj", cfg.feat_dim, dim)
+        for i in range(cfg.enc_blocks):
+            block(f"encoder.{i}", ("attn",), ("ln1", "ln2"))
+        norm("enc_norm", dim)
+        shapes["embed.table"] = (cfg.output_dim, dim)
+        for i in range(cfg.dec_blocks):
+            block(f"decoder.{i}", ("self_attn", "cross_attn"), ("ln1", "ln2", "ln3"))
+        norm("dec_norm", dim)
+        dense("dense", dim, cfg.output_dim)
+    else:
+        raise UsageError(f"unknown config type {type(cfg)!r}")
+    shapes["norm.mean"] = shapes["norm.std"] = (cfg.feat_dim,)
+    return shapes
+
+
 # -- checkpoints ---------------------------------------------------------------
 # layout: magic, u32 version, u32 header_len, header json,
 #         concatenated NDT1 tensor blocks, index json, u64 index offset
@@ -319,6 +363,11 @@ def load_checkpoint(path) -> Checkpoint:
             index = json.loads(fh.read(size - 8 - index_pos))
             if not isinstance(header, dict) or not isinstance(index, dict):
                 raise DataError(f"{path}: header and index must be JSON objects")
+            cfg = model_config_from_dict(header.get("model"))
+            shapes = tensor_shapes(cfg)
+            if set(index) != set(shapes):
+                raise DataError(f"{path}: tensor names do not match the header's {cfg.kind} config: "
+                                f"{sorted(set(index) ^ set(shapes))[:5]}")
             tensors = {}
             for name, offset in index.items():
                 if type(offset) is not int or not blocks_start <= offset < index_pos:
@@ -327,7 +376,9 @@ def load_checkpoint(path) -> Checkpoint:
                 tensors[name] = T.read_array(fh)
                 if fh.tell() > index_pos:
                     raise DataError(f"{path}: tensor {name!r} runs into the index")
-            cfg = model_config_from_dict(header.get("model"))
+                if tensors[name].shape != shapes[name]:
+                    raise DataError(f"{path}: tensor {name!r} shape {tensors[name].shape} does not match "
+                                    f"the header's {cfg.kind} config: {shapes[name]}")
         except (struct.error, ValueError, NumericError) as exc:
             raise DataError(f"{path}: corrupt checkpoint: {exc}") from exc
     return Checkpoint(cfg, tensors, step=header.get("step", 0), rng_state=header.get("rng_state"))

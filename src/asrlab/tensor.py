@@ -260,14 +260,11 @@ def log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Logistic function on a raw array; exp only ever sees a non-positive
-    argument, so it cannot overflow."""
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return y
+    """Logistic function on a raw array, branch-free: with e = exp(-|x|) it is
+    1/(1+e) for x >= 0 and e/(1+e) below, so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 # -- sums ----------------------------------------------------------------

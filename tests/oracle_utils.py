@@ -6,7 +6,7 @@ import numpy as np
 
 from asrlab import tensor as T
 from asrlab.decode import Hypothesis, dedup_by_text
-from asrlab.tensor import Tensor, log_softmax_np, sigmoid_np
+from asrlab.tensor import Tensor, log_softmax_np
 
 
 def collapse(path, blank):
@@ -37,9 +37,9 @@ def exhaustive_ctc_marginals(lp, blank):
 
 
 def reference_ctc_forward_backward(lp, label, blank):
-    """CTC forward-backward with the beta recursion written out as its own
-    loop; `losses._ctc_forward_backward` must return the same loss and
-    gradient bit for bit. lp is [T, V+1] log-probs of the real frames."""
+    """CTC forward-backward of one utterance with the beta recursion written
+    out as its own loop. lp is [T, V+1] log-probs of the real frames; returns
+    (log p, d(-log p)/dlp), or (log p, None) when p underflows."""
     t_len = lp.shape[0]
     ext = np.empty(2 * len(label) + 1, dtype=np.int64)
     ext[0::2] = blank
@@ -112,8 +112,19 @@ def _slice_last(a, start, stop):
     return T._finish(Tensor(a.data[..., start:stop]), (a,), backward)
 
 
+def reference_sigmoid(x):
+    """Logistic function by masked gather and scatter, exp only ever of a
+    non-positive argument; `tensor.sigmoid_np` must return the same bits."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
 def _sigmoid(a):
-    y = sigmoid_np(a.data)
+    y = reference_sigmoid(a.data)
     return T._finish(Tensor(y), (a,), lambda g: (g * y * (1.0 - y),))
 
 

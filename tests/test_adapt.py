@@ -197,6 +197,27 @@ def test_step_gradient_is_this_steps_gradient_only(make_model):
     assert two_steps[1]["grad_norm"] == fresh[0]["grad_norm"]
 
 
+@pytest.mark.parametrize("make_model", [
+    lambda: M.CtcModel(C.CtcConfig(feat_dim=6, hidden=8, layers=2, vocab=5), seed=0),
+    lambda: M.LasModel(C.LasConfig(feat_dim=6, dim=8, ff_dim=16, heads=2,
+                                   enc_blocks=1, dec_blocks=1, vocab=5), seed=0),
+], ids=["ctc", "las"])
+def test_step_log_splits_wall_time_and_counts_real_frames(make_model):
+    rng = np.random.default_rng(0)
+    lengths = (8, 5, 9)  # one batch per step: 22 real frames, 27 with padding
+    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids, "", str(i))
+                    for i, (t, ids) in enumerate(zip(lengths, ([0, 1], [2], [2, 3, 1])))])
+    model = make_model()
+    log, _ = A.train_model(model, items, _tiny_cfg(epochs=3), list(model.parameters()))
+    parts = ("forward_ms", "loss_ms", "backward_ms", "optimizer_ms")
+    assert len(log) == 3
+    for row in log:
+        assert all(row[part] >= 0.0 for part in parts)
+        assert sum(row[part] for part in parts) <= row["wall_ms"] + 1e-9  # each rounded to 0.1 ms
+        frames = row["frames_per_s"] * row["wall_ms"] / 1000
+        assert frames == pytest.approx(sum(lengths), rel=0.06 / row["wall_ms"] + 1e-6)
+
+
 def test_pretrain_deterministic_checkpoints(tmp_path):
     man, tok = _tiny_setup(tmp_path, n=16)
     cfg = _tiny_cfg(epochs=1, spec_augment=True)

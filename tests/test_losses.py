@@ -3,7 +3,7 @@ import pytest
 
 from asrlab import losses as LS
 from asrlab import tensor as T
-from asrlab.errors import DataError, NumericError
+from asrlab.errors import DataError, NumericError, SkippedUtteranceWarning
 from asrlab.losses import cross_entropy, ctc_loss
 from asrlab.tensor import Tape, Tensor
 from oracle_utils import brute_force_ctc_logp, reference_ctc_forward_backward
@@ -47,29 +47,75 @@ def test_ctc_matches_brute_force_on_random_instances():
         checked += 1
 
 
+def _reference_ctc_batch(lp, labels, lengths):
+    """ctc_loss composed from the per-utterance reference in the same float
+    ops: -log p / (|l|+1) and its gradient per admissible utterance, then the
+    batch mean."""
+    total, used, grad = 0.0, 0, np.zeros_like(lp)
+    for i, label in enumerate(labels):
+        label, t_len = np.asarray(label, dtype=np.int64), int(lengths[i])
+        if LS._ctc_required_frames(label) > t_len:
+            continue
+        log_p, g = reference_ctc_forward_backward(lp[:t_len, i], label, lp.shape[2] - 1)
+        scale = 1.0 / (len(label) + 1)
+        total += -log_p * scale
+        grad[:t_len, i] = g * scale
+        used += 1
+    grad /= used
+    return np.asarray(total / used, dtype=lp.dtype), grad
+
+
+def _ctc_loss_and_grad(lp, labels, lengths):
+    x = Tensor(lp, requires_grad=True, dtype=lp.dtype)
+    with Tape() as tape:
+        loss = ctc_loss(x, labels, lengths)
+        (grad,) = tape.backward(loss, [x])
+    return loss.data, grad
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b) and a.tobytes() == b.tobytes()  # the bytes tell -0.0 from +0.0
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_ctc_forward_backward_matches_reference_bit_for_bit(dtype):
     rng = np.random.default_rng(5)
-    finite = 0
-    for _ in range(400):
-        t_len = int(rng.integers(1, 13))
-        width = int(rng.integers(2, 7))
-        label = []
-        for _ in range(int(rng.integers(0, t_len + 1))):
-            repeat = label and rng.random() < 0.3
-            label.append(label[-1] if repeat else int(rng.integers(0, width - 1)))
-        label = np.asarray(label, dtype=np.int64)
-        lp = T.log_softmax_np(rng.normal(scale=2.0, size=(t_len, width)), axis=-1).astype(dtype)
-        log_p, grad = LS._ctc_forward_backward(lp, label, width - 1)
-        ref_p, ref_grad = reference_ctc_forward_backward(lp, label, width - 1)
-        assert np.array_equal(log_p, ref_p), (t_len, width, label)
-        if ref_grad is None:
-            assert grad is None
-            continue
-        assert grad.dtype == ref_grad.dtype == dtype
-        assert np.array_equal(grad, ref_grad), (t_len, width, label)
-        finite += 1
-    assert finite > 200
+    for _ in range(300):
+        batch, t_max, width = int(rng.integers(1, 7)), int(rng.integers(1, 13)), int(rng.integers(2, 7))
+        lengths = rng.integers(1, t_max + 1, size=batch)
+        lengths[rng.integers(batch)] = t_max
+        labels = []
+        for t_len in lengths:
+            label = []
+            for _ in range(int(rng.integers(0, t_len + 1))):  # empty labels included
+                repeat = label and rng.random() < 0.3
+                label.append(label[-1] if repeat else int(rng.integers(0, width - 1)))
+            while LS._ctc_required_frames(np.asarray(label)) > t_len:
+                label.pop()
+            labels.append(label)
+        # about a third of the utterances saturate: logits x30 make one symbol near certain per frame
+        sharpness = np.where(rng.random(batch) < 1 / 3, 30.0, 2.0)[None, :, None]
+        lp = T.log_softmax_np(rng.normal(size=(t_max, batch, width)) * sharpness, axis=-1).astype(dtype)
+        loss, grad = _ctc_loss_and_grad(lp, labels, lengths)
+        ref_loss, ref_grad = _reference_ctc_batch(lp, labels, lengths)
+        _assert_same_bits(loss, ref_loss)
+        _assert_same_bits(grad, ref_grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ctc_inadmissible_utterance_mid_batch_changes_no_other_bit(dtype):
+    rng = np.random.default_rng(6)
+    lp = T.log_softmax_np(rng.normal(scale=2.0, size=(7, 3, 4)), axis=-1).astype(dtype)
+    labels, lengths = [[0, 1, 1], [2, 2, 2], [1]], [7, 4, 5]  # [2, 2, 2] needs 5 frames
+    with pytest.warns(SkippedUtteranceWarning):
+        loss, grad = _ctc_loss_and_grad(lp, labels, lengths)
+    _assert_same_bits(grad[:, 1], np.zeros_like(grad[:, 1]))
+    keep = [0, 2]
+    kept_loss, kept_grad = _ctc_loss_and_grad(lp[:, keep], [labels[i] for i in keep], [lengths[i] for i in keep])
+    _assert_same_bits(loss, kept_loss)
+    _assert_same_bits(grad[:, keep], kept_grad)
+    _assert_same_bits(loss, _reference_ctc_batch(lp, labels, lengths)[0])
 
 
 def test_ctc_batch_mean_and_lengths():

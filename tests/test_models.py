@@ -208,6 +208,30 @@ def test_checkpoint_corruption_raises_data_error(tmp_path, model, corrupt):
         M.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("cfg", [
+    C.ctc_desk(), C.CtcConfig(feat_dim=7, hidden=5, layers=3, vocab=4), C.las_desk(),
+    C.LasConfig(feat_dim=7, dim=12, ff_dim=5, heads=3, enc_blocks=3, dec_blocks=2, vocab=4),
+], ids=["ctc-desk", "ctc-odd", "las-desk", "las-odd"])
+def test_tensor_shapes_name_every_tensor_of_the_built_model(cfg):
+    built = M.build_model(cfg).named_tensors()
+    assert list(M.tensor_shapes(cfg).items()) == [(name, arr.shape) for name, arr in built.items()]
+
+
+@pytest.mark.parametrize("change", [{"layers": 9}, {"hidden": 32}], ids=["layers-2-to-9", "hidden-64-to-32"])
+def test_checkpoint_header_not_matching_its_tensors_fails_at_load(tmp_path, monkeypatch, change):
+    path = tmp_path / "desk.ckpt"
+    M.save_checkpoint(path, M.CtcModel(C.ctc_desk()))
+    path.write_bytes(_edit_model_config(**change)(path.read_bytes()))
+
+    def build_nothing(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(M, "build_model", build_nothing)
+    monkeypatch.setattr(M.CtcModel, "__init__", build_nothing)
+    with pytest.raises(DataError, match="header's ctc config"):
+        M.load_checkpoint(path)
+
+
 def test_model_config_values_checked_on_construction():
     for preset in (C.ctc_desk, C.las_desk, C.ctc_paper_shapes, C.las_paper_shapes):
         preset()
