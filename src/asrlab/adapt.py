@@ -5,6 +5,14 @@ policy; every other tensor in the output checkpoint is bit-identical to
 the input checkpoint. Dense-only works for both architectures,
 decoder-only requires an encoder-decoder model, dense-plus-top-k
 unfreezes the k LSTM layers nearest the output of a CTC model.
+
+Each step runs the model in two halves, the encoder (``encode``) and the
+head on its output (CTC ``log_probs``, LAS ``decode_logits``). Within one
+``train_model`` call the encoder output of a batch is computed once and
+reused on later epochs when SpecAugment is off and the output does not
+require grad, i.e. no trainable tensor feeds it (dense-only, and LAS
+decoder-only). It is then a pure function of the fixed, length-bucketed
+batch, so reuse changes no bit. Any other run encodes on every step.
 """
 
 from __future__ import annotations
@@ -174,15 +182,17 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
                 log_path=None) -> tuple[list[dict], dict]:
     """Adam-train the selected parameters; returns (step log, final rng state).
     A step row holds the loss, the grad norm before clipping, whether the clip
-    fired, the utterances CTC skipped as inadmissible, the wall time and its
-    split into forward, loss, backward and optimizer time, and the real
-    (unpadded) frames trained on per second of wall time."""
+    fired, the utterances CTC skipped as inadmissible, whether the encoder
+    output was reused, the wall time and its split into forward, loss,
+    backward and optimizer time, and the real (unpadded) frames trained on
+    per second of wall time."""
     model.set_trainable(trainable)
     params = {n: p for n, p in model.parameters().items() if n in set(trainable)}
     state = AdamState()
     rng = np.random.default_rng(cfg.seed)
     batches = _bucket_batches(dataset, cfg.batch_size)
     is_ctc = isinstance(model, CtcModel)
+    encoded = {}  # batch index -> encoder output, kept only while it cannot change
 
     log: list[dict] = []
     step = 0
@@ -202,8 +212,14 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
             marks = [time.perf_counter()]  # step start, then the end of forward, loss, backward and optimizer
             skipped = 0
             with Tape() as tape:
+                enc = encoded.get(bi)
+                reused = enc is not None
+                if not reused:
+                    enc = (model.encode(padded),) if is_ctc else model.encode(padded, lengths)
+                    if not cfg.spec_augment and not enc[0].requires_grad:
+                        encoded[bi] = enc
                 if is_ctc:
-                    lp = model.forward(padded)
+                    lp = model.log_probs(*enc)
                     marks.append(time.perf_counter())
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
@@ -215,7 +231,7 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
                             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
                 else:
                     prefix, target, mask = _las_targets(labels, model.bos_id, model.eos_id)
-                    logits = model.forward(padded, lengths, prefix)
+                    logits = model.decode_logits(*enc, prefix)
                     marks.append(time.perf_counter())
                     loss = cross_entropy(logits, target, mask, smoothing=cfg.label_smoothing)
                 loss_val = loss.item()
@@ -230,6 +246,7 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
             ms = [round(1000 * (m - marks[0]), 1) for m in marks]
             row = {"step": step, "loss": round(loss_val, 6), "lr": cfg.lr,
                    "grad_norm": grad_norm, "clipped": grad_norm > cfg.grad_clip, "ctc_skipped": skipped,
+                   "encoder_reused": reused,
                    "wall_ms": ms[-1], "frames_per_s": round(int(lengths.sum()) / (marks[-1] - marks[0]), 1)}
             for part, start, end in zip(("forward_ms", "loss_ms", "backward_ms", "optimizer_ms"), ms, ms[1:]):
                 row[part] = round(end - start, 1)

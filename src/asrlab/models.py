@@ -98,15 +98,23 @@ class CtcModel(_ModelBase):
             names.extend(f"lstm.{i}.{n}" for n in self.lstms[i].parameters())
         return names
 
-    def forward(self, feats: np.ndarray) -> Tensor:
-        """Padded features [T,B,D] -> log-probs Tensor [T,B,V+1]."""
-        t_len, batch, _ = feats.shape
+    def encode(self, feats: np.ndarray) -> Tensor:
+        """Padded features [T,B,D] -> the top LSTM's hidden states [T,B,hidden]."""
         x = Tensor(self.normalize(feats))
         for layer in self.lstms:
             x = layer.forward(x)
-        logits = self.dense(T.reshape(x, (t_len * batch, self.cfg.hidden)))
+        return x
+
+    def log_probs(self, enc: Tensor) -> Tensor:
+        """Encoder output [T,B,hidden] -> log-probs [T,B,V+1] (dense, log-softmax)."""
+        t_len, batch, _ = enc.shape
+        logits = self.dense(T.reshape(enc, (t_len * batch, self.cfg.hidden)))
         lp = T.log_softmax(logits, axis=-1)
         return T.reshape(lp, (t_len, batch, self.cfg.output_dim))
+
+    def forward(self, feats: np.ndarray) -> Tensor:
+        """Padded features [T,B,D] -> log-probs Tensor [T,B,V+1]."""
+        return self.log_probs(self.encode(feats))
 
     def log_probs_single(self, feats: np.ndarray) -> np.ndarray:
         """Inference path for one utterance [T,D] -> [T,V+1] (no tape)."""
@@ -172,8 +180,11 @@ class LasModel(_ModelBase):
         return T.add(y, Tensor(np.ascontiguousarray(pe)))
 
     def decode_logits(self, memory: Tensor, mem_mask: np.ndarray, prefix: np.ndarray) -> Tensor:
-        """Teacher-forced decoder logits [B, L, V'] for prefix ids [B, L]."""
+        """Teacher-forced decoder logits [B, L, V'] for prefix ids [B, L], each
+        beginning with BOS."""
         prefix = np.asarray(prefix, dtype=np.int64)
+        if np.any(prefix[:, 0] != self.bos_id):
+            raise DataError("decoder prefix must begin with BOS")
         y = self._embed(prefix)
         causal = causal_mask(prefix.shape[1])
         for block in self.decoder:
@@ -181,9 +192,6 @@ class LasModel(_ModelBase):
         return self.dense(self.dec_norm(y))
 
     def forward(self, feats: np.ndarray, lengths: np.ndarray | None, prefix: np.ndarray) -> Tensor:
-        prefix = np.asarray(prefix, dtype=np.int64)
-        if np.any(prefix[:, 0] != self.bos_id):
-            raise DataError("decoder prefix must begin with BOS")
         memory, pad = self.encode(feats, lengths)
         return self.decode_logits(memory, pad, prefix)
 
@@ -313,7 +321,7 @@ class Checkpoint:
             arr = self.tensors[name]
             if arr.shape != p.data.shape:
                 raise DataError(f"tensor {name} shape {arr.shape} != model {p.data.shape}")
-            p.data = arr.astype(np.float32).copy()
+            p.data = arr.astype(np.float32)
         model.set_normalizer(self.tensors["norm.mean"], self.tensors["norm.std"])
 
 

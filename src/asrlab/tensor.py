@@ -19,6 +19,7 @@ vectors so that every backward rule stays auditable. Anything fancier
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -191,7 +192,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _finish(out, (a, b), backward)
 
@@ -205,7 +207,8 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def backward(g):
-        return g @ b.data.transpose(0, 2, 1), a.data.transpose(0, 2, 1) @ g
+        return (g @ b.data.transpose(0, 2, 1) if a.requires_grad else None,
+                a.data.transpose(0, 2, 1) @ g if b.requires_grad else None)
 
     return _finish(out, (a, b), backward)
 
@@ -357,7 +360,7 @@ def write_array(fh, arr: np.ndarray) -> None:
     fh.write(NDT_MAGIC)
     fh.write(struct.pack("<I", arr.ndim))
     fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(arr.astype("<f4").tobytes())
+    fh.write(arr.astype("<f4", copy=False))
 
 
 def read_array(fh) -> np.ndarray:
@@ -366,11 +369,14 @@ def read_array(fh) -> np.ndarray:
         raise NumericError(f"bad tensor magic {magic!r}")
     (rank,) = struct.unpack("<I", fh.read(4))
     dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-    count = int(np.prod(dims)) if rank else 1
-    payload = fh.read(4 * count)
-    if len(payload) != 4 * count:
+    start = fh.tell()
+    if fh.seek(0, 2) - start < 4 * math.prod(dims):  # checked before a corrupt shape can allocate
         raise NumericError("truncated tensor payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    fh.seek(start)
+    out = np.empty(dims, dtype="<f4")
+    if fh.readinto(out) != out.nbytes:
+        raise NumericError("truncated tensor payload")
+    return out
 
 
 def save_array(path, arr: np.ndarray) -> None:

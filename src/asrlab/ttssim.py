@@ -7,6 +7,12 @@ cross-fades between neighbours. The single-speaker profile "tts-1" is a
 repo-wide constant; multi-speaker sets sample a fresh profile per
 utterance. Noise injection mixes white Gaussian noise at a sampled SNR.
 
+Each enveloped phoneme segment depends only on (character, voice), so it
+is computed once and kept in a read-only cache of one entry per
+character of the charset plus space: a single-voice corpus synthesizes
+each character on its first use only, and a multi-speaker one reuses the
+characters that repeat within an utterance.
+
 Three word grammars (generic / address / voicesearch) generate the text
 corpora; the target-domain lexicons are mostly disjoint from the generic
 one, which is what makes the adaptation experiments meaningful.
@@ -14,6 +20,7 @@ one, which is what makes the adaptation experiments meaningful.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,14 +77,10 @@ def _harmonic(freq: float, pitch: float) -> float:
     return max(1.0, round(freq / pitch)) * pitch
 
 
-def synth(text: str, profile: SpeakerProfile = TTS1) -> np.ndarray:
-    """Render text to a 16 kHz waveform, deterministic in (text, profile)."""
-    if not text:
-        raise DataError("cannot synthesize empty text")
-    for ch in text:
-        if ch != " " and ch not in CHARSET:
-            raise DataError(f"unsupported character {ch!r}")
-
+@functools.lru_cache(maxsize=len(CHARSET) + 1)
+def _phoneme(ch: str, profile: SpeakerProfile) -> np.ndarray:
+    """The enveloped segment of one character (or space) in one voice,
+    read-only because the cache hands the same array to every caller."""
     n_ph = int(round(PHONEME_S * profile.rate_scale * SAMPLE_RATE))
     n_fade = int(CROSSFADE_S * SAMPLE_RATE)
     t = np.arange(n_ph) / SAMPLE_RATE
@@ -87,18 +90,31 @@ def synth(text: str, profile: SpeakerProfile = TTS1) -> np.ndarray:
     envelope[:n_fade] = ramp_in
     envelope[-n_fade:] = ramp_in[::-1]
 
-    pieces = []
+    if ch == " ":
+        seg = np.zeros(n_ph)
+    else:
+        f1, f2 = char_formants(ch)
+        f1 = _harmonic(f1 * profile.formant_scale, profile.pitch_hz)
+        f2 = _harmonic(f2 * profile.formant_scale, profile.pitch_hz)
+        seg = (0.18 * np.sin(2 * np.pi * f1 * t)
+               + 0.12 * np.sin(2 * np.pi * f2 * t)
+               + 0.06 * np.sin(2 * np.pi * profile.pitch_hz * t))
+    seg = seg * envelope
+    seg.flags.writeable = False
+    return seg
+
+
+def synth(text: str, profile: SpeakerProfile = TTS1) -> np.ndarray:
+    """Render text to a 16 kHz waveform, deterministic in (text, profile)."""
+    if not text:
+        raise DataError("cannot synthesize empty text")
     for ch in text:
-        if ch == " ":
-            seg = np.zeros(n_ph)
-        else:
-            f1, f2 = char_formants(ch)
-            f1 = _harmonic(f1 * profile.formant_scale, profile.pitch_hz)
-            f2 = _harmonic(f2 * profile.formant_scale, profile.pitch_hz)
-            seg = (0.18 * np.sin(2 * np.pi * f1 * t)
-                   + 0.12 * np.sin(2 * np.pi * f2 * t)
-                   + 0.06 * np.sin(2 * np.pi * profile.pitch_hz * t))
-        pieces.append(seg * envelope)
+        if ch != " " and ch not in CHARSET:
+            raise DataError(f"unsupported character {ch!r}")
+
+    pieces = [_phoneme(ch, profile) for ch in text]
+    n_ph = len(pieces[0])
+    n_fade = int(CROSSFADE_S * SAMPLE_RATE)
 
     # overlap-add adjacent phonemes across the fade region
     hop = n_ph - n_fade

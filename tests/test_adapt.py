@@ -218,6 +218,61 @@ def test_step_log_splits_wall_time_and_counts_real_frames(make_model):
         assert frames == pytest.approx(sum(lengths), rel=0.06 / row["wall_ms"] + 1e-6)
 
 
+_MODELS = {
+    "ctc": lambda: M.CtcModel(C.CtcConfig(feat_dim=6, hidden=8, layers=2, vocab=5), seed=0),
+    "las": lambda: M.LasModel(C.LasConfig(feat_dim=6, dim=8, ff_dim=16, heads=2,
+                                          enc_blocks=1, dec_blocks=1, vocab=5), seed=0),
+}
+
+
+@pytest.mark.parametrize("family, policy, spec_augment, reuses", [
+    ("ctc", "dense-only", False, True),
+    ("las", "decoder-only", False, True),
+    ("las", "dense-only", False, True),
+    ("ctc", "dense-top1", False, False),
+    ("ctc", "full", False, False),
+    ("ctc", "dense-only", True, False),
+    ("las", "decoder-only", True, False),
+])
+def test_frozen_encoder_output_is_reused_without_changing_a_bit(tmp_path, monkeypatch, family, policy,
+                                                                spec_augment, reuses):
+    rng = np.random.default_rng(0)
+    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids, "", str(i))
+                    for i, (t, ids) in enumerate([(8, [0, 1]), (5, [2]), (9, [2, 3, 1]), (7, [4, 0]),
+                                                  (6, [1]), (10, [3, 3])])])
+    cfg = _tiny_cfg(batch_size=2, epochs=3, lr=1e-2, spec_augment=spec_augment)  # 3 batches, 9 steps
+    cls = type(_MODELS[family]())
+    encode, calls = cls.encode, []
+
+    def counted(self, *args):
+        calls.append(args)
+        return encode(self, *args)
+
+    def never_reused(self, *args):  # an output that requires grad is never kept
+        out = counted(self, *args)
+        enc, rest = (out[0], out[1:]) if isinstance(out, tuple) else (out, None)
+        if not enc.requires_grad:  # frozen encoder: a copy that requires grad gets the same gradients
+            enc = Tensor(enc.data.copy(), requires_grad=True)
+        return enc if rest is None else (enc,) + rest
+
+    def run(tag, patch):
+        monkeypatch.setattr(cls, "encode", patch)
+        calls.clear()
+        model = _MODELS[family]()
+        log, _ = A.train_model(model, items, cfg, A.FreezePolicy.parse(policy).trainable_names(model))
+        M.save_checkpoint(tmp_path / f"{tag}.ckpt", model)
+        return log, len(calls), (tmp_path / f"{tag}.ckpt").read_bytes()
+
+    log, encodes, ckpt = run("cached", counted)
+    ref_log, ref_encodes, ref_ckpt = run("uncached", never_reused)
+    assert ckpt == ref_ckpt
+    assert [row["loss"] for row in log] == [row["loss"] for row in ref_log]
+    assert len(log) == ref_encodes == 9
+    assert encodes == (3 if reuses else 9)
+    assert [row["encoder_reused"] for row in log] == [reuses and row["step"] >= 3 for row in log]
+    assert not any(row["encoder_reused"] for row in ref_log)
+
+
 def test_pretrain_deterministic_checkpoints(tmp_path):
     man, tok = _tiny_setup(tmp_path, n=16)
     cfg = _tiny_cfg(epochs=1, spec_augment=True)

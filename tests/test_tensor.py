@@ -209,6 +209,20 @@ def test_bmm_gradients():
     assert err <= 1e-4
 
 
+@pytest.mark.parametrize("op, shapes", [(T.matmul, ((3, 4), (4, 2))), (T.bmm, ((2, 3, 4), (2, 4, 5)))],
+                         ids=["matmul", "bmm"])
+def test_matmul_and_bmm_skip_the_gradient_of_a_frozen_operand(op, shapes):
+    rng = np.random.default_rng(11)
+    for a_grad, b_grad in ((False, True), (True, False), (True, True)):
+        a = Tensor(rng.normal(size=shapes[0]), requires_grad=a_grad)
+        b = Tensor(rng.normal(size=shapes[1]), requires_grad=b_grad)
+        with Tape() as tape:
+            out = op(a, b)
+        (_, _, backward), = tape._nodes
+        ga, gb = backward(np.ones(out.shape))
+        assert (ga is not None, gb is not None) == (a_grad, b_grad)
+
+
 def test_embedding_gradient():
     rng = np.random.default_rng(9)
     table = Tensor(rng.normal(size=(5, 3)), requires_grad=True, dtype=np.float64)
@@ -234,6 +248,10 @@ def test_ndt_round_trip_and_truncation():
         T.read_array(io.BytesIO(raw[: len(raw) // 2]))
     with pytest.raises(NumericError):
         T.read_array(io.BytesIO(b"XXXX" + raw[4:]))
+    # a corrupt shape far larger than the payload is truncation, not an allocation
+    huge = T.NDT_MAGIC + np.array([2, 2**31, 2**31], dtype="<u4").tobytes() + raw[20:]
+    with pytest.raises(NumericError, match="truncated"):
+        T.read_array(io.BytesIO(huge))
 
 
 def test_inference_without_tape_records_nothing():

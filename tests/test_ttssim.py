@@ -5,6 +5,7 @@ from asrlab import signal as S
 from asrlab import ttssim as TS
 from asrlab.data import Manifest
 from asrlab.errors import DataError
+from asrlab.tensor import save_array
 
 
 def test_sample_text_address_shape():
@@ -118,3 +119,30 @@ def test_manifest_round_trip(tmp_path):
     reread = Manifest.read(tmp_path / "d" / "manifest.jsonl")
     assert [u.__dict__ for u in reread] == [u.__dict__ for u in man]
     reread.check_unique_ids()
+
+
+@pytest.mark.parametrize("speakers", ["single", "multi"])
+def test_build_dataset_writes_the_bytes_of_uncached_synthesis(tmp_path, speakers, monkeypatch):
+    n, seed = 5, 4
+    man = TS.build_dataset(TS.ADDRESS, n, tmp_path / "d", seed=seed, speakers=speakers, noise=False)
+    monkeypatch.setattr(TS, "_phoneme", TS._phoneme.__wrapped__)  # every segment computed afresh
+    mix_seeds = np.random.SeedSequence([seed, 1]).spawn(n)
+    for i, u in enumerate(man):
+        profile = (TS.TTS1 if speakers == "single"
+                   else TS.sample_profile(np.random.default_rng(mix_seeds[i]), u.speaker_id))
+        wave = TS.synth(u.text, profile)
+        S.write_wav(tmp_path / "ref.wav", wave)
+        save_array(tmp_path / "ref.ndt", S.extract_features(wave, S.FrontendConfig()))
+        assert (tmp_path / "ref.wav").read_bytes() == (tmp_path / "d" / u.wav).read_bytes(), u.id
+        assert (tmp_path / "ref.ndt").read_bytes() == (tmp_path / "d" / u.features).read_bytes(), u.id
+
+
+def test_cached_phoneme_segments_are_read_only():
+    wave = TS.synth("ab a", TS.TTS1)
+    seg = TS._phoneme("a", TS.TTS1)
+    assert TS._phoneme("a", TS.TTS1) is seg
+    assert not seg.flags.writeable
+    with pytest.raises(ValueError):
+        seg[0] = 1.0
+    wave[:] = 0.0  # the output is the caller's own array
+    assert TS.synth("ab a", TS.TTS1).any()
