@@ -29,7 +29,7 @@ from .config import TrainConfig
 from .data import Manifest
 from .errors import DataError, DivergenceError, SkippedUtteranceWarning, UsageError
 from .losses import cross_entropy, ctc_loss
-from .models import Checkpoint, CtcModel, LasModel, load_checkpoint, save_checkpoint
+from .models import Checkpoint, CtcModel, load_checkpoint, save_checkpoint
 from .signal import FeatureNormalizer, spec_augment
 from .tensor import Tape
 from .tokenizer import SubwordModel
@@ -52,9 +52,6 @@ class FreezePolicy:
                 raise UsageError(f"bad policy spec {text!r}") from exc
         raise UsageError(f"unknown freeze policy {text!r}")
 
-    def describe(self) -> str:
-        return f"dense-top{self.k}" if self.variant == "dense-top-k" else self.variant
-
     def trainable_names(self, model) -> list[str]:
         groups = model.parameter_groups()
         if self.variant == "full":
@@ -68,8 +65,9 @@ class FreezePolicy:
         if self.variant == "dense-top-k":
             if not isinstance(model, CtcModel):
                 raise UsageError("dense-top-k fine-tuning is defined for CTC models only")
-            if self.k < 1:
-                raise UsageError("dense-top-k needs k >= 1")
+            if not 1 <= self.k <= model.cfg.layers:
+                raise UsageError(f"dense-top-k needs 1 <= k <= {model.cfg.layers} (the model's LSTM layers), "
+                                 f"got {self.k}")
             return groups["dense"] + model.top_lstm_names(self.k)
         raise UsageError(f"unknown freeze policy {self.variant!r}")
 
@@ -117,14 +115,10 @@ def adam_step(params: dict, grads: list, state: AdamState, cfg: TrainConfig) -> 
 # -- data plumbing ---------------------------------------------------------------
 
 class EncodedDataset:
-    """Features and token ids for a manifest, resident in memory."""
+    """(features, token ids) of each utterance of a manifest, resident in memory."""
 
     def __init__(self, manifest: Manifest, tok: SubwordModel):
-        self.items = []
-        for utt in manifest:
-            feats = manifest.features(utt)
-            ids = tok.encode(utt.text)
-            self.items.append((feats, ids, utt.text, utt.id))
+        self.items = [(manifest.features(utt), tok.encode(utt.text)) for utt in manifest]
         if not self.items:
             raise DataError("empty manifest")
 
@@ -169,11 +163,13 @@ def _las_targets(labels, bos_id, eos_id):
     return prefix, target, mask
 
 
-def _augment(feats: np.ndarray, cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
+SA_MASK = 8  # SpecAugment: widest time and frequency mask
+SA_STRIPES = 1  # SpecAugment: masks per axis
+
+
+def _augment(feats: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     t_dim, f_dim = feats.shape
-    t_mask = min(cfg.sa_time_mask, t_dim - 1)
-    f_mask = min(cfg.sa_freq_mask, f_dim - 1)
-    return spec_augment(feats, t_mask, f_mask, cfg.sa_time_stripes, cfg.sa_freq_stripes, rng)
+    return spec_augment(feats, min(SA_MASK, t_dim - 1), min(SA_MASK, f_dim - 1), SA_STRIPES, SA_STRIPES, rng)
 
 
 # -- the train loop -----------------------------------------------------------------
@@ -202,9 +198,9 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
             feats_list = []
             labels = []
             for i in idxs:
-                f, ids, _text, _id = dataset.items[i]
+                f, ids = dataset.items[i]
                 if cfg.spec_augment:
-                    f = _augment(f, cfg, rng)
+                    f = _augment(f, rng)
                 feats_list.append(f)
                 labels.append(ids)
             padded, lengths = _collate(feats_list)
@@ -276,7 +272,7 @@ def pretrain(model, manifest: Manifest, tok: SubwordModel, cfg: TrainConfig,
     stages inherit it unchanged through the checkpoint.
     """
     dataset = EncodedDataset(manifest, tok)
-    norm = FeatureNormalizer.fit(f for f, _, _, _ in dataset.items)
+    norm = FeatureNormalizer.fit(f for f, _ in dataset.items)
     model.set_normalizer(norm.mean, norm.std)
     log, rng_state = train_model(model, dataset, cfg, FreezePolicy("full").trainable_names(model), log_path)
     save_checkpoint(out_path, model, step=len(log), rng_state=rng_state)

@@ -106,10 +106,6 @@ class TrainConfig:
     grad_clip: float = 50.0  # safety net against spikes; must not bind every step
     seed: int = 0
     spec_augment: bool = True
-    sa_time_mask: int = 8
-    sa_freq_mask: int = 8
-    sa_time_stripes: int = 1
-    sa_freq_stripes: int = 1
     label_smoothing: float = 0.1  # LAS only
 
     def __post_init__(self):

@@ -69,11 +69,11 @@ class Manifest:
         samples, _ = signal.read_wav(self.root / utt.wav)
         return samples
 
-    def features(self, utt: Utterance, cfg: signal.FrontendConfig | None = None) -> np.ndarray:
+    def features(self, utt: Utterance) -> np.ndarray:
         """Load cached features, or extract from the WAV when absent."""
         if utt.features is not None:
             return tensor.load_array(self.root / utt.features)
-        return signal.extract_features(self.waveform(utt), cfg or signal.FrontendConfig())
+        return signal.extract_features(self.waveform(utt))
 
     def check_unique_ids(self) -> None:
         seen = set()

@@ -248,10 +248,20 @@ def read_nbest(path) -> list[NBestList]:
                 continue
             try:
                 row = json.loads(line)
-                hyps = [Hypothesis(tuple(), h["text"], float(h["am"]),
-                                   h.get("lm"), h.get("total"))
-                        for h in row["hyps"]]
-                out.append(NBestList(row["id"], hyps))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                if not isinstance(row["id"], str):
+                    raise DataError(f"utterance id {row['id']!r} is not a string")
+                out.append(NBestList(row["id"], [_hypothesis(h) for h in row["hyps"]]))
+            except (json.JSONDecodeError, KeyError, TypeError, DataError) as exc:
                 raise DataError(f"{path}:{lineno}: bad n-best row: {exc}") from exc
     return out
+
+
+def _hypothesis(entry: dict) -> Hypothesis:
+    """One {text, am, lm?, total?} entry; each score present is a JSON number
+    other than NaN (-inf is the score of a hypothesis with no mass)."""
+    scores = (entry["am"], entry.get("lm"), entry.get("total"))
+    if not isinstance(entry["text"], str) or scores[0] is None or not all(
+            s is None or (type(s) in (int, float) and s == s) for s in scores):
+        raise DataError(f"bad hypothesis {entry!r}")
+    am, lm, total = (None if s is None else float(s) for s in scores)
+    return Hypothesis((), entry["text"], am, lm, total)

@@ -1,10 +1,10 @@
 """Neural building blocks: dense, LSTM, attention, layer norm, embeddings.
 
-Every layer owns its parameter tensors and exposes them through
-``parameters()`` as a flat {local_name: Tensor} dict; composite modules
-and models prefix these through ``prefixed`` to build the
-"submodule.index.param" checkpoint/freeze-policy namespace. Weights
-start uniform in ±1/sqrt(fan_in); LSTM forget-gate biases start at 1.0.
+A layer holds the tensors it is given: it is built from a model's flat
+{name: Tensor} dict and a name prefix, reads its own tensors as
+``params[f"{prefix}.w"]`` and so on, and takes its sizes from their
+shapes. The names and shapes, and the rule that draws initial values,
+live in ``models.tensor_shapes`` and ``models.init_tensors``.
 """
 
 from __future__ import annotations
@@ -16,48 +16,23 @@ from .errors import ShapeError
 from .tensor import Tensor, sigmoid_np
 
 NEG_FILL = -1e9  # pre-softmax fill for masked attention positions
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def prefixed(**subs) -> dict[str, Tensor]:
-    """Sub-module parameters as {"tag.name": Tensor}, in argument order.
-
-    A list of modules under one tag expands to "tag.index.name". This is
-    the naming rule that checkpoints and freeze policies key off, and
-    checkpoints store tensors in this order.
-    """
-    out = {}
-    for tag, sub in subs.items():
-        entries = [(f"{tag}.{i}", m) for i, m in enumerate(sub)] if isinstance(sub, list) else [(tag, sub)]
-        for prefix, module in entries:
-            for name, p in module.parameters().items():
-                out[f"{prefix}.{name}"] = p
-    return out
+LN_EPS = 1e-5  # layer-norm variance floor
 
 
 class Dense:
     """Affine projection y = x W + b on the trailing dim."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, dtype=np.float32):
-        self.d_in = d_in
-        self.d_out = d_out
-        self.w = Tensor(_uniform(rng, (d_in, d_out), d_in, dtype), requires_grad=True)
-        self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True)
+    def __init__(self, params: dict[str, Tensor], prefix: str):
+        self.w, self.b = params[f"{prefix}.w"], params[f"{prefix}.b"]
 
     def __call__(self, x: Tensor) -> Tensor:
+        d_in, d_out = self.w.shape
         lead = x.shape[:-1]
-        flat = T.reshape(x, (-1, self.d_in)) if x.ndim != 2 else x
+        flat = T.reshape(x, (-1, d_in)) if x.ndim != 2 else x
         y = T.add(T.matmul(flat, self.w), self.b)
         if x.ndim != 2:
-            y = T.reshape(y, lead + (self.d_out,))
+            y = T.reshape(y, lead + (d_out,))
         return y
-
-    def parameters(self):
-        return {"w": self.w, "b": self.b}
 
 
 class LstmLayer:
@@ -70,14 +45,9 @@ class LstmLayer:
     i|f slice of the gate pre-activations and once over o, and tanh over g.
     """
 
-    def __init__(self, d_in: int, hidden: int, rng: np.random.Generator, dtype=np.float32):
-        self.d_in = d_in
-        self.hidden = hidden
-        self.w = Tensor(_uniform(rng, (d_in, 4 * hidden), d_in, dtype), requires_grad=True)
-        self.u = Tensor(_uniform(rng, (hidden, 4 * hidden), hidden, dtype), requires_grad=True)
-        b = np.zeros(4 * hidden, dtype=dtype)
-        b[hidden:2 * hidden] = 1.0  # forget gate bias
-        self.b = Tensor(b, requires_grad=True)
+    def __init__(self, params: dict[str, Tensor], prefix: str):
+        self.w, self.u, self.b = (params[f"{prefix}.{n}"] for n in ("w", "u", "b"))
+        self.hidden = self.u.shape[0]
 
     def forward(self, x: Tensor) -> Tensor:
         """Run the recurrence over x [T, B, d_in] from zero state; returns
@@ -121,9 +91,6 @@ class LstmLayer:
 
         return T._finish(out, (x, w, u, b), backward)
 
-    def parameters(self):
-        return {"w": self.w, "u": self.u, "b": self.b}
-
 
 def _accumulate(total, term):
     """total += term, or term itself when there is no total yet."""
@@ -136,18 +103,14 @@ def _accumulate(total, term):
 class LayerNorm:
     """Per-position normalization over the trailing dim, with affine."""
 
-    def __init__(self, dim: int, dtype=np.float32, eps: float = 1e-5):
-        self.dim = dim
-        self.eps = eps
-        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
+    def __init__(self, params: dict[str, Tensor], prefix: str):
+        self.gamma, self.beta = params[f"{prefix}.gamma"], params[f"{prefix}.beta"]
 
     def __call__(self, x: Tensor) -> Tensor:
-        eps = self.eps
         mu = x.data.mean(axis=-1, keepdims=True)
         xc = x.data - mu
         var = (xc * xc).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + LN_EPS)
         xhat = xc * inv
         out = Tensor(self.gamma.data * xhat + self.beta.data)
         gamma, beta = self.gamma, self.beta
@@ -167,19 +130,13 @@ class LayerNorm:
 
         return T._finish(out, (x, gamma, beta), backward)
 
-    def parameters(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
 
 class Embedding:
-    def __init__(self, vocab: int, dim: int, rng: np.random.Generator, dtype=np.float32):
-        self.table = Tensor(_uniform(rng, (vocab, dim), dim, dtype), requires_grad=True)
+    def __init__(self, params: dict[str, Tensor], prefix: str):
+        self.table = params[f"{prefix}.table"]
 
     def __call__(self, ids: np.ndarray) -> Tensor:
         return T.embedding(self.table, ids)
-
-    def parameters(self):
-        return {"table": self.table}
 
 
 def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
@@ -198,16 +155,13 @@ def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
 class MultiHeadAttention:
     """Scaled dot-product attention with h heads and output projection."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=np.float32):
-        if dim % heads != 0:
-            raise ShapeError(f"model dim {dim} not divisible by {heads} heads")
-        self.dim = dim
+    def __init__(self, params: dict[str, Tensor], prefix: str, heads: int):
+        self.wq, self.wk, self.wv, self.wo = (Dense(params, f"{prefix}.{p}") for p in ("wq", "wk", "wv", "wo"))
+        self.dim = self.wq.w.shape[0]
+        if self.dim % heads != 0:
+            raise ShapeError(f"model dim {self.dim} not divisible by {heads} heads")
         self.heads = heads
-        self.head_dim = dim // heads
-        self.wq = Dense(dim, dim, rng, dtype)
-        self.wk = Dense(dim, dim, rng, dtype)
-        self.wv = Dense(dim, dim, rng, dtype)
-        self.wo = Dense(dim, dim, rng, dtype)
+        self.head_dim = self.dim // heads
 
     def _split(self, x: Tensor) -> Tensor:
         batch, t, _ = x.shape
@@ -251,50 +205,37 @@ class MultiHeadAttention:
     def __call__(self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
         return self.attend(self.project_q(q), *self.project_kv(k, v), mask)
 
-    def parameters(self):
-        return prefixed(wq=self.wq, wk=self.wk, wv=self.wv, wo=self.wo)
-
 
 class FeedForward:
-    def __init__(self, dim: int, hidden: int, rng: np.random.Generator, dtype=np.float32):
-        self.lin1 = Dense(dim, hidden, rng, dtype)
-        self.lin2 = Dense(hidden, dim, rng, dtype)
+    def __init__(self, params: dict[str, Tensor], prefix: str):
+        self.lin1, self.lin2 = Dense(params, f"{prefix}.lin1"), Dense(params, f"{prefix}.lin2")
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(T.relu(self.lin1(x)))
-
-    def parameters(self):
-        return prefixed(lin1=self.lin1, lin2=self.lin2)
 
 
 class EncoderBlock:
     """Pre-norm transformer encoder block: self-attention + feed-forward."""
 
-    def __init__(self, dim: int, ff_dim: int, heads: int, rng: np.random.Generator, dtype=np.float32):
-        self.attn = MultiHeadAttention(dim, heads, rng, dtype)
-        self.ff = FeedForward(dim, ff_dim, rng, dtype)
-        self.ln1 = LayerNorm(dim, dtype)
-        self.ln2 = LayerNorm(dim, dtype)
+    def __init__(self, params: dict[str, Tensor], prefix: str, heads: int):
+        self.attn = MultiHeadAttention(params, f"{prefix}.attn", heads)
+        self.ff = FeedForward(params, f"{prefix}.ff")
+        self.ln1, self.ln2 = (LayerNorm(params, f"{prefix}.{n}") for n in ("ln1", "ln2"))
 
     def __call__(self, x: Tensor, pad_mask: np.ndarray | None = None) -> Tensor:
         h = self.ln1(x)
         x = T.add(x, self.attn(h, h, h, pad_mask))
         return T.add(x, self.ff(self.ln2(x)))
 
-    def parameters(self):
-        return prefixed(attn=self.attn, ff=self.ff, ln1=self.ln1, ln2=self.ln2)
-
 
 class DecoderBlock:
     """Pre-norm decoder block: causal self-attention, cross-attention, FF."""
 
-    def __init__(self, dim: int, ff_dim: int, heads: int, rng: np.random.Generator, dtype=np.float32):
-        self.self_attn = MultiHeadAttention(dim, heads, rng, dtype)
-        self.cross_attn = MultiHeadAttention(dim, heads, rng, dtype)
-        self.ff = FeedForward(dim, ff_dim, rng, dtype)
-        self.ln1 = LayerNorm(dim, dtype)
-        self.ln2 = LayerNorm(dim, dtype)
-        self.ln3 = LayerNorm(dim, dtype)
+    def __init__(self, params: dict[str, Tensor], prefix: str, heads: int):
+        self.self_attn = MultiHeadAttention(params, f"{prefix}.self_attn", heads)
+        self.cross_attn = MultiHeadAttention(params, f"{prefix}.cross_attn", heads)
+        self.ff = FeedForward(params, f"{prefix}.ff")
+        self.ln1, self.ln2, self.ln3 = (LayerNorm(params, f"{prefix}.{n}") for n in ("ln1", "ln2", "ln3"))
 
     def __call__(self, x: Tensor, memory_kv: tuple[Tensor, Tensor], causal: np.ndarray | None = None,
                  mem_mask: np.ndarray | None = None, past_kv: tuple[np.ndarray, np.ndarray] | None = None):
@@ -319,10 +260,6 @@ class DecoderBlock:
             qm = self.cross_attn.project_q(T.reshape(h, (1, -1, x.shape[-1])))
             x = T.add(x, T.reshape(self.cross_attn.attend(qm, *memory_kv, mem_mask), x.shape))
         return T.add(x, self.ff(self.ln3(x))), (kh.data, vh.data)
-
-    def parameters(self):
-        return prefixed(self_attn=self.self_attn, cross_attn=self.cross_attn, ff=self.ff,
-                        ln1=self.ln1, ln2=self.ln2, ln3=self.ln3)
 
 
 def causal_mask(t: int) -> np.ndarray:

@@ -100,13 +100,16 @@ class NGramLm:
         path = Path(path)
         if not path.exists():
             raise DataError(f"LM file not found: {path}")
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("version") != LM_VERSION:
-            raise DataError(f"unsupported LM version {payload.get('version')}")
-        counts = {tuple(k.split(" ")) if k else (): Counter(v)
-                  for k, v in payload["counts"].items()}
-        return cls(payload["order"], counts, payload["total_unigrams"])
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+            if payload["version"] != LM_VERSION:
+                raise DataError(f"unsupported LM version {payload['version']}")
+            counts = {tuple(k.split(" ")) if k else (): Counter(v)
+                      for k, v in payload["counts"].items()}
+            return cls(payload["order"], counts, payload["total_unigrams"])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSONDecodeError is a ValueError
+            raise DataError(f"{path}: bad LM file: {exc!r}") from exc
 
     def dump_arpa(self) -> str:
         """ARPA-style text dump of interpolated probabilities, for inspection."""
@@ -183,6 +186,9 @@ def tune_weights(dev_nbests: list[NBestList], dev_refs: dict[str, str], lm: NGra
     WerBreakdown-like object with .errors and .ref_len; it is called
     once per distinct (utterance, chosen hypothesis) pair.
     """
+    empty = [nb.utt_id for nb in dev_nbests if not nb.hyps]
+    if not dev_nbests or empty:
+        raise DataError(f"tune_weights needs a non-empty dev set of non-empty n-best lists (empty: {empty[:5]})")
     cache = [(nb, [lm.score(h.text) for h in nb.hyps], [len(h.text.split()) for h in nb.hyps])
              for nb in dev_nbests]
     scored: dict[tuple[int, int], tuple[int, int]] = {}  # (utt, hyp) -> (errors, ref_len)

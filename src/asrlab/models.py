@@ -5,10 +5,13 @@ subword vocabulary plus a trailing blank. LasModel: transformer encoder
 over features, autoregressive transformer decoder over subword ids with
 BOS/EOS appended after the subword table.
 
-Parameter names follow "submodule.index.param" (e.g. "lstm.0.w",
+``tensor_shapes`` is the one list of a model's tensor names and shapes.
+Names follow "submodule.index.param" (e.g. "lstm.0.w",
 "decoder.1.cross_attn.wq.w"); freeze policies and checkpoints key off
-these names. Feature mean/variance stats ride along as non-trainable
-buffers under "norm.*".
+them. Feature mean/variance stats ride along as non-trainable buffers
+under "norm.*". A model is built from a {name: array} dict, drawn by
+``init_tensors`` or read from a checkpoint, and its layers hold those
+arrays as they are given.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .atomic import atomic_write
 from .config import CtcConfig, LasConfig, model_config_from_dict
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .layers import (Dense, DecoderBlock, EncoderBlock, Embedding, LayerNorm, LstmLayer,
-                     causal_mask, key_padding_mask, positional_encoding, prefixed)
+                     causal_mask, key_padding_mask, positional_encoding)
 from .tensor import Tensor
 
 CKPT_MAGIC = b"CKPT"
@@ -33,10 +36,13 @@ CKPT_VERSION = 1
 
 
 class _ModelBase:
-    def __init__(self, cfg):
+    def __init__(self, cfg, tensors: dict[str, np.ndarray]):
+        """Holds the arrays of tensors, a name -> array dict of every name in
+        tensor_shapes(cfg), without copying them."""
         self.cfg = cfg
-        self.norm_mean = np.zeros(cfg.feat_dim, dtype=np.float32)
-        self.norm_std = np.ones(cfg.feat_dim, dtype=np.float32)
+        self.params = {name: Tensor(tensors[name], requires_grad=True)
+                       for name in tensor_shapes(cfg) if not name.startswith("norm.")}
+        self.norm_mean, self.norm_std = tensors["norm.mean"], tensors["norm.std"]
 
     def set_normalizer(self, mean: np.ndarray, std: np.ndarray) -> None:
         if mean.shape != (self.cfg.feat_dim,) or std.shape != (self.cfg.feat_dim,):
@@ -52,6 +58,9 @@ class _ModelBase:
     def parameter_groups(self) -> dict[str, list[str]]:
         names = list(self.parameters())
         return {"dense": [n for n in names if n.startswith("dense.")], "all": names}
+
+    def parameters(self) -> dict[str, Tensor]:
+        return self.params
 
     def buffers(self) -> dict[str, np.ndarray]:
         return {"norm.mean": self.norm_mean, "norm.std": self.norm_std}
@@ -73,30 +82,19 @@ class _ModelBase:
 
 
 class CtcModel(_ModelBase):
-    def __init__(self, cfg: CtcConfig, seed: int = 0):
-        super().__init__(cfg)
-        rng = np.random.default_rng(seed)
-        self.lstms = []
-        d_in = cfg.feat_dim
-        for _ in range(cfg.layers):
-            self.lstms.append(LstmLayer(d_in, cfg.hidden, rng))
-            d_in = cfg.hidden
-        self.dense = Dense(cfg.hidden, cfg.output_dim, rng)
+    def __init__(self, cfg: CtcConfig, tensors: dict[str, np.ndarray]):
+        super().__init__(cfg, tensors)
+        self.lstms = [LstmLayer(self.params, f"lstm.{i}") for i in range(cfg.layers)]
+        self.dense = Dense(self.params, "dense")
 
     @property
     def blank_id(self) -> int:
         return self.cfg.vocab
 
-    def parameters(self) -> dict[str, Tensor]:
-        return prefixed(lstm=self.lstms, dense=self.dense)
-
     def top_lstm_names(self, k: int) -> list[str]:
-        """Names of the k LSTM layers nearest the output."""
-        k = min(k, len(self.lstms))
-        names = []
-        for i in range(len(self.lstms) - k, len(self.lstms)):
-            names.extend(f"lstm.{i}.{n}" for n in self.lstms[i].parameters())
-        return names
+        """Names of the k (at most cfg.layers) LSTM layers nearest the output."""
+        top = tuple(f"lstm.{i}." for i in range(self.cfg.layers - k, self.cfg.layers))
+        return [n for n in self.params if n.startswith(top)]
 
     def encode(self, feats: np.ndarray) -> Tensor:
         """Padded features [T,B,D] -> the top LSTM's hidden states [T,B,hidden]."""
@@ -122,16 +120,16 @@ class CtcModel(_ModelBase):
 
 
 class LasModel(_ModelBase):
-    def __init__(self, cfg: LasConfig, seed: int = 0):
-        super().__init__(cfg)
-        rng = np.random.default_rng(seed)
-        self.input_proj = Dense(cfg.feat_dim, cfg.dim, rng)
-        self.encoder = [EncoderBlock(cfg.dim, cfg.ff_dim, cfg.heads, rng) for _ in range(cfg.enc_blocks)]
-        self.enc_norm = LayerNorm(cfg.dim)
-        self.embed = Embedding(cfg.output_dim, cfg.dim, rng)
-        self.decoder = [DecoderBlock(cfg.dim, cfg.ff_dim, cfg.heads, rng) for _ in range(cfg.dec_blocks)]
-        self.dec_norm = LayerNorm(cfg.dim)
-        self.dense = Dense(cfg.dim, cfg.output_dim, rng)
+    def __init__(self, cfg: LasConfig, tensors: dict[str, np.ndarray]):
+        super().__init__(cfg, tensors)
+        p = self.params
+        self.input_proj = Dense(p, "input_proj")
+        self.encoder = [EncoderBlock(p, f"encoder.{i}", cfg.heads) for i in range(cfg.enc_blocks)]
+        self.enc_norm = LayerNorm(p, "enc_norm")
+        self.embed = Embedding(p, "embed")
+        self.decoder = [DecoderBlock(p, f"decoder.{i}", cfg.heads) for i in range(cfg.dec_blocks)]
+        self.dec_norm = LayerNorm(p, "dec_norm")
+        self.dense = Dense(p, "dense")
         self._pe = positional_encoding(512, cfg.dim)
 
     @property
@@ -141,10 +139,6 @@ class LasModel(_ModelBase):
     @property
     def eos_id(self) -> int:
         return self.cfg.vocab + 1
-
-    def parameters(self) -> dict[str, Tensor]:
-        return prefixed(input_proj=self.input_proj, encoder=self.encoder, enc_norm=self.enc_norm,
-                        embed=self.embed, decoder=self.decoder, dec_norm=self.dec_norm, dense=self.dense)
 
     def parameter_groups(self) -> dict[str, list[str]]:
         groups = super().parameter_groups()
@@ -240,17 +234,18 @@ class IncrementalDecoder:
         return model.dense(model.dec_norm(y)).data[:, 0]
 
 
+def _model(cfg, tensors: dict[str, np.ndarray]):
+    return (CtcModel if cfg.kind == "ctc" else LasModel)(cfg, tensors)
+
+
 def build_model(cfg, seed: int = 0):
-    if isinstance(cfg, CtcConfig):
-        return CtcModel(cfg, seed)
-    if isinstance(cfg, LasConfig):
-        return LasModel(cfg, seed)
-    raise UsageError(f"unknown config type {type(cfg)!r}")
+    """A freshly initialized model: init_tensors(cfg, seed)."""
+    return _model(cfg, init_tensors(cfg, seed))
 
 
 def tensor_shapes(cfg) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every tensor of the model a config builds, in
-    ``named_tensors`` order, without building the model."""
+    ``named_tensors`` order (the order checkpoints store them in)."""
     shapes = {}
 
     def dense(name, d_in, d_out):
@@ -292,6 +287,35 @@ def tensor_shapes(cfg) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def initial_values(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator):
+    """(name, float64 array) of each entry of shapes, in order, drawn from rng.
+
+    Weights ("*.w", "*.u", "embed.table") are uniform in ±1/sqrt(fan_in),
+    fan_in being the first dim (the second for the embedding table). Norm
+    scales ("*.gamma", "norm.std") are one and the rest zero, except the
+    forget-gate quarter [H:2H] of an LSTM bias, which is one.
+    """
+    for name, shape in shapes.items():
+        if name.endswith((".w", ".u", "embed.table")):
+            bound = 1.0 / np.sqrt(shape[1] if name.endswith("table") else shape[0])
+            yield name, rng.uniform(-bound, bound, size=shape)
+        elif name.endswith((".gamma", "norm.std")):
+            yield name, np.ones(shape)
+        else:
+            arr = np.zeros(shape)
+            if name.startswith("lstm.") and name.endswith(".b"):
+                hidden = shape[0] // 4
+                arr[hidden:2 * hidden] = 1.0
+            yield name, arr
+
+
+def init_tensors(cfg, seed: int = 0) -> dict[str, np.ndarray]:
+    """Float32 initial values of every tensor of tensor_shapes(cfg), drawn
+    in that order from one default_rng(seed)."""
+    return {name: arr.astype(np.float32)
+            for name, arr in initial_values(tensor_shapes(cfg), np.random.default_rng(seed))}
+
+
 # -- checkpoints ---------------------------------------------------------------
 # layout: magic, u32 version, u32 header_len, header json,
 #         concatenated NDT1 tensor blocks, index json, u64 index offset
@@ -304,25 +328,10 @@ class Checkpoint:
         self.step = step
         self.rng_state = rng_state
 
-    def build_model(self, seed: int = 0):
-        model = build_model(self.config, seed)
-        self.restore_into(model)
-        return model
-
-    def restore_into(self, model) -> None:
-        if asdict(model.cfg) != asdict(self.config):
-            raise DataError(f"checkpoint config {asdict(self.config)} does not match model {asdict(model.cfg)}")
-        params = model.parameters()
-        expected = set(params) | set(model.buffers())
-        if expected != set(self.tensors):
-            missing = expected ^ set(self.tensors)
-            raise DataError(f"checkpoint tensor names mismatch: {sorted(missing)[:5]}")
-        for name, p in params.items():
-            arr = self.tensors[name]
-            if arr.shape != p.data.shape:
-                raise DataError(f"tensor {name} shape {arr.shape} != model {p.data.shape}")
-            p.data = arr.astype(np.float32)
-        model.set_normalizer(self.tensors["norm.mean"], self.tensors["norm.std"])
+    def build_model(self):
+        """A model holding copies of the tensors: training updates a model's
+        arrays in place, and the checkpoint's stay as they were read."""
+        return _model(self.config, {name: arr.copy() for name, arr in self.tensors.items()})
 
 
 def save_checkpoint(path, model, step: int = 0, rng_state: dict | None = None) -> None:

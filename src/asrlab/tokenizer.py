@@ -116,11 +116,14 @@ class SubwordModel:
         path = Path(path)
         if not path.exists():
             raise DataError(f"tokenizer model not found: {path}")
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("version") != MODEL_VERSION:
-            raise DataError(f"unsupported tokenizer version {payload.get('version')}")
-        return cls(payload["charset"], [tuple(m) for m in payload["merges"]], payload["vocab"])
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+            if payload["version"] != MODEL_VERSION:
+                raise DataError(f"unsupported tokenizer version {payload['version']}")
+            return cls(payload["charset"], [tuple(m) for m in payload["merges"]], payload["vocab"])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSONDecodeError is a ValueError
+            raise DataError(f"{path}: bad tokenizer file: {exc!r}") from exc
 
 
 def _sentence_symbol_seqs(corpus) -> Counter:

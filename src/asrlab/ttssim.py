@@ -298,7 +298,6 @@ def lexicon_overlap(a: DomainGrammar, b: DomainGrammar) -> float:
 
 def build_dataset(grammar: DomainGrammar, n: int, out_dir, seed: int,
                   speakers: str = "single", noise: bool = False,
-                  frontend: signal.FrontendConfig | None = None,
                   texts: list[str] | None = None) -> Manifest:
     """Synthesize a manifest of n utterances with WAVs and cached features.
 
@@ -311,7 +310,6 @@ def build_dataset(grammar: DomainGrammar, n: int, out_dir, seed: int,
     out_dir = Path(out_dir)
     (out_dir / "wav").mkdir(parents=True, exist_ok=True)
     (out_dir / "feat").mkdir(parents=True, exist_ok=True)
-    frontend = frontend or signal.FrontendConfig()
     noise_spec = NoiseSpec() if noise else None
 
     if texts is None:
@@ -329,7 +327,7 @@ def build_dataset(grammar: DomainGrammar, n: int, out_dir, seed: int,
             profile = sample_profile(rng, name=f"spk-{i:05d}")
         wave = synth(text, profile)
         wave = degrade(wave, noise_spec, rng)
-        feats = signal.extract_features(wave, frontend)
+        feats = signal.extract_features(wave)
 
         utt_id = f"{grammar.name}-{i:05d}"
         wav_rel = f"wav/{utt_id}.wav"

@@ -32,23 +32,31 @@ def test_policy_parsing():
 
 
 def test_decoder_only_rejected_on_ctc():
-    model = M.CtcModel(C.CtcConfig(feat_dim=6, hidden=8, layers=2, vocab=5))
+    model = M.build_model(C.CtcConfig(feat_dim=6, hidden=8, layers=2, vocab=5))
     with pytest.raises(UsageError):
         A.FreezePolicy.parse("decoder-only").trainable_names(model)
 
 
 def test_dense_top_k_rejected_on_las():
-    model = M.LasModel(C.LasConfig(feat_dim=6, dim=8, ff_dim=16, heads=2,
+    model = M.build_model(C.LasConfig(feat_dim=6, dim=8, ff_dim=16, heads=2,
                                    enc_blocks=1, dec_blocks=1, vocab=5))
     with pytest.raises(UsageError):
         A.FreezePolicy.parse("dense-top1").trainable_names(model)
 
 
 def test_policy_group_selection():
-    model = M.CtcModel(C.CtcConfig(feat_dim=6, hidden=8, layers=3, vocab=5))
+    model = M.build_model(C.CtcConfig(feat_dim=6, hidden=8, layers=3, vocab=5))
     assert set(A.FreezePolicy.parse("dense-only").trainable_names(model)) == {"dense.w", "dense.b"}
     top1 = set(A.FreezePolicy.parse("dense-top1").trainable_names(model))
     assert top1 == {"dense.w", "dense.b", "lstm.2.w", "lstm.2.u", "lstm.2.b"}
+
+
+def test_dense_top_k_beyond_the_model_layers_rejected():
+    model = M.build_model(C.CtcConfig(feat_dim=6, hidden=8, layers=2, vocab=5))
+    top2 = A.FreezePolicy.parse("dense-top2").trainable_names(model)
+    assert top2 == ["dense.w", "dense.b"] + [f"lstm.{i}.{n}" for i in (0, 1) for n in "wub"]
+    with pytest.raises(UsageError, match="k <= 2"):
+        A.FreezePolicy.parse("dense-top3").trainable_names(model)
 
 
 # -- config presets ----------------------------------------------------------------
@@ -132,7 +140,7 @@ def _tiny_cfg(**kw):
 
 def test_pretrain_loss_decreases(tmp_path):
     man, tok = _tiny_setup(tmp_path)
-    model = M.CtcModel(C.CtcConfig(feat_dim=60, hidden=32, layers=1, vocab=tok.size), seed=1)
+    model = M.build_model(C.CtcConfig(feat_dim=60, hidden=32, layers=1, vocab=tok.size), seed=1)
     log = A.pretrain(model, man, tok, _tiny_cfg(epochs=3, lr=3e-3), tmp_path / "m.ckpt",
                      log_path=tmp_path / "log.jsonl")
     per_epoch = A.epoch_mean_losses(log, steps_per_epoch=3)
@@ -141,7 +149,7 @@ def test_pretrain_loss_decreases(tmp_path):
 
 
 class _Items:
-    """A dataset of given (feats, ids, text, id) items."""
+    """A dataset of given (feats, ids) items."""
 
     def __init__(self, items):
         self.items = items
@@ -153,9 +161,8 @@ class _Items:
 @pytest.mark.parametrize("grad_clip", [1e-6, 1e6])
 def test_step_log_reports_grad_norm_clip_and_ctc_skips(grad_clip, monkeypatch):
     rng = np.random.default_rng(0)
-    items = [(rng.normal(size=(t, 6)).astype(np.float32), ids, "", str(i))
-             for i, (t, ids) in enumerate([(8, [0, 1]), (3, [0, 1, 2, 3, 4]), (9, [2])])]
-    model = M.CtcModel(C.CtcConfig(feat_dim=6, hidden=4, layers=1, vocab=5), seed=0)
+    items = [(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in [(8, [0, 1]), (3, [0, 1, 2, 3, 4]), (9, [2])]]
+    model = M.build_model(C.CtcConfig(feat_dim=6, hidden=4, layers=1, vocab=5), seed=0)
     cfg = _tiny_cfg(epochs=2, grad_clip=grad_clip)
     with warnings.catch_warnings(record=True) as escaped:
         warnings.simplefilter("always")
@@ -178,16 +185,15 @@ def test_step_log_reports_grad_norm_clip_and_ctc_skips(grad_clip, monkeypatch):
 
 
 @pytest.mark.parametrize("make_model", [
-    lambda: M.CtcModel(C.CtcConfig(feat_dim=6, hidden=8, layers=2, vocab=5), seed=0),
-    lambda: M.LasModel(C.LasConfig(feat_dim=6, dim=8, ff_dim=16, heads=2,
+    lambda: M.build_model(C.CtcConfig(feat_dim=6, hidden=8, layers=2, vocab=5), seed=0),
+    lambda: M.build_model(C.LasConfig(feat_dim=6, dim=8, ff_dim=16, heads=2,
                                    enc_blocks=1, dec_blocks=1, vocab=5), seed=0),
 ], ids=["ctc", "las"])
 def test_step_gradient_is_this_steps_gradient_only(make_model):
     # Adam must see the gradient of the current step alone: step 2 of a run
     # equals step 1 of a fresh run started from the weights after step 1
     rng = np.random.default_rng(0)
-    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids, "", str(i))
-                    for i, (t, ids) in enumerate([(8, [0, 1]), (9, [2, 3, 1])])])
+    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in [(8, [0, 1]), (9, [2, 3, 1])]])
     model = make_model()
     two_steps, _ = A.train_model(model, items, _tiny_cfg(epochs=2), list(model.parameters()))
     model = make_model()
@@ -198,15 +204,14 @@ def test_step_gradient_is_this_steps_gradient_only(make_model):
 
 
 @pytest.mark.parametrize("make_model", [
-    lambda: M.CtcModel(C.CtcConfig(feat_dim=6, hidden=8, layers=2, vocab=5), seed=0),
-    lambda: M.LasModel(C.LasConfig(feat_dim=6, dim=8, ff_dim=16, heads=2,
+    lambda: M.build_model(C.CtcConfig(feat_dim=6, hidden=8, layers=2, vocab=5), seed=0),
+    lambda: M.build_model(C.LasConfig(feat_dim=6, dim=8, ff_dim=16, heads=2,
                                    enc_blocks=1, dec_blocks=1, vocab=5), seed=0),
 ], ids=["ctc", "las"])
 def test_step_log_splits_wall_time_and_counts_real_frames(make_model):
     rng = np.random.default_rng(0)
     lengths = (8, 5, 9)  # one batch per step: 22 real frames, 27 with padding
-    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids, "", str(i))
-                    for i, (t, ids) in enumerate(zip(lengths, ([0, 1], [2], [2, 3, 1])))])
+    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in zip(lengths, ([0, 1], [2], [2, 3, 1]))])
     model = make_model()
     log, _ = A.train_model(model, items, _tiny_cfg(epochs=3), list(model.parameters()))
     parts = ("forward_ms", "loss_ms", "backward_ms", "optimizer_ms")
@@ -219,8 +224,8 @@ def test_step_log_splits_wall_time_and_counts_real_frames(make_model):
 
 
 _MODELS = {
-    "ctc": lambda: M.CtcModel(C.CtcConfig(feat_dim=6, hidden=8, layers=2, vocab=5), seed=0),
-    "las": lambda: M.LasModel(C.LasConfig(feat_dim=6, dim=8, ff_dim=16, heads=2,
+    "ctc": lambda: M.build_model(C.CtcConfig(feat_dim=6, hidden=8, layers=2, vocab=5), seed=0),
+    "las": lambda: M.build_model(C.LasConfig(feat_dim=6, dim=8, ff_dim=16, heads=2,
                                           enc_blocks=1, dec_blocks=1, vocab=5), seed=0),
 }
 
@@ -237,9 +242,8 @@ _MODELS = {
 def test_frozen_encoder_output_is_reused_without_changing_a_bit(tmp_path, monkeypatch, family, policy,
                                                                 spec_augment, reuses):
     rng = np.random.default_rng(0)
-    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids, "", str(i))
-                    for i, (t, ids) in enumerate([(8, [0, 1]), (5, [2]), (9, [2, 3, 1]), (7, [4, 0]),
-                                                  (6, [1]), (10, [3, 3])])])
+    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids)
+                    for t, ids in [(8, [0, 1]), (5, [2]), (9, [2, 3, 1]), (7, [4, 0]), (6, [1]), (10, [3, 3])]])
     cfg = _tiny_cfg(batch_size=2, epochs=3, lr=1e-2, spec_augment=spec_augment)  # 3 batches, 9 steps
     cls = type(_MODELS[family]())
     encode, calls = cls.encode, []
@@ -273,18 +277,31 @@ def test_frozen_encoder_output_is_reused_without_changing_a_bit(tmp_path, monkey
     assert not any(row["encoder_reused"] for row in ref_log)
 
 
+def test_training_a_model_built_from_a_checkpoint_leaves_the_checkpoint_as_read(tmp_path):
+    M.save_checkpoint(tmp_path / "m.ckpt", _MODELS["ctc"]())
+    ckpt = M.load_checkpoint(tmp_path / "m.ckpt")
+    read = {name: arr.copy() for name, arr in ckpt.tensors.items()}
+    model = ckpt.build_model()
+    rng = np.random.default_rng(0)
+    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in [(8, [0, 1]), (9, [2, 3, 1])]])
+    A.train_model(model, items, _tiny_cfg(epochs=2, lr=1e-2), list(model.parameters()))
+    trained = model.named_tensors()
+    assert all(not np.array_equal(trained[n], read[n]) for n in model.parameters())  # training moved every parameter
+    assert all(ckpt.tensors[n].tobytes() == read[n].tobytes() for n in read)
+
+
 def test_pretrain_deterministic_checkpoints(tmp_path):
     man, tok = _tiny_setup(tmp_path, n=16)
     cfg = _tiny_cfg(epochs=1, spec_augment=True)
     for tag in ("a", "b"):
-        model = M.CtcModel(C.CtcConfig(feat_dim=60, hidden=16, layers=1, vocab=tok.size), seed=cfg.seed)
+        model = M.build_model(C.CtcConfig(feat_dim=60, hidden=16, layers=1, vocab=tok.size), seed=cfg.seed)
         A.pretrain(model, man, tok, cfg, tmp_path / f"{tag}.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 def test_zero_epochs_checkpoint_equals_init(tmp_path):
     man, tok = _tiny_setup(tmp_path, n=8)
-    model = M.CtcModel(C.CtcConfig(feat_dim=60, hidden=16, layers=1, vocab=tok.size), seed=5)
+    model = M.build_model(C.CtcConfig(feat_dim=60, hidden=16, layers=1, vocab=tok.size), seed=5)
     init = {k: v.copy() for k, v in model.named_tensors().items()}
     A.pretrain(model, man, tok, _tiny_cfg(epochs=0), tmp_path / "m.ckpt")
     ckpt = M.load_checkpoint(tmp_path / "m.ckpt")
@@ -295,7 +312,7 @@ def test_zero_epochs_checkpoint_equals_init(tmp_path):
 
 
 def _pretrained_ctc(tmp_path, man, tok):
-    model = M.CtcModel(C.CtcConfig(feat_dim=60, hidden=16, layers=2, vocab=tok.size), seed=2)
+    model = M.build_model(C.CtcConfig(feat_dim=60, hidden=16, layers=2, vocab=tok.size), seed=2)
     A.pretrain(model, man, tok, _tiny_cfg(), tmp_path / "pre.ckpt")
     return tmp_path / "pre.ckpt"
 
@@ -327,7 +344,7 @@ def test_fused_lstm_writes_the_checkpoints_of_the_per_frame_tape(tmp_path, monke
 
     def checkpoints(tag):
         pre, ft = tmp_path / f"{tag}-pre.ckpt", tmp_path / f"{tag}-ft.ckpt"
-        model = M.CtcModel(C.CtcConfig(feat_dim=60, hidden=16, layers=2, vocab=tok.size), seed=2)
+        model = M.build_model(C.CtcConfig(feat_dim=60, hidden=16, layers=2, vocab=tok.size), seed=2)
         A.pretrain(model, man, tok, _tiny_cfg(spec_augment=True), pre)
         A.finetune(pre, man, tok, A.FreezePolicy.parse("dense-top1"), _tiny_cfg(lr=1e-3), ft)
         return pre.read_bytes(), ft.read_bytes()
@@ -349,7 +366,7 @@ def test_finetune_lr_zero_is_identity(tmp_path):
 
 def test_dense_only_finetune_freezes_complement_las(tmp_path):
     man, tok = _tiny_setup(tmp_path, n=16)
-    model = M.LasModel(C.LasConfig(feat_dim=60, dim=16, ff_dim=32, heads=2,
+    model = M.build_model(C.LasConfig(feat_dim=60, dim=16, ff_dim=32, heads=2,
                                    enc_blocks=1, dec_blocks=1, vocab=tok.size), seed=3)
     A.pretrain(model, man, tok, _tiny_cfg(), tmp_path / "pre.ckpt")
     groups = model.parameter_groups()
@@ -368,7 +385,7 @@ def test_dense_only_finetune_freezes_complement_las(tmp_path):
 
 def test_finetune_feature_dim_mismatch(tmp_path):
     man, tok = _tiny_setup(tmp_path, n=8)
-    model = M.CtcModel(C.CtcConfig(feat_dim=30, hidden=8, layers=1, vocab=tok.size), seed=1)
+    model = M.build_model(C.CtcConfig(feat_dim=30, hidden=8, layers=1, vocab=tok.size), seed=1)
     M.save_checkpoint(tmp_path / "bad.ckpt", model)
     with pytest.raises(DataError):
         A.finetune(tmp_path / "bad.ckpt", man, tok, A.FreezePolicy.parse("dense-only"),
@@ -383,7 +400,7 @@ def test_ctc_overfit_single_utterance_greedy_recovers_transcript(tmp_path, layer
     man = ttssim.build_dataset(ttssim.GENERIC, 1, tmp_path / "one", seed=0,
                                speakers="single", noise=False, texts=[text])
     tok = train_bpe([text], 30)
-    model = M.CtcModel(C.CtcConfig(feat_dim=60, hidden=32, layers=layers, vocab=tok.size), seed=4)
+    model = M.build_model(C.CtcConfig(feat_dim=60, hidden=32, layers=layers, vocab=tok.size), seed=4)
     cfg = C.TrainConfig(batch_size=1, epochs=200, lr=3e-3, seed=4, spec_augment=False)
     A.pretrain(model, man, tok, cfg, tmp_path / "m.ckpt")
     feats = man.features(man.utterances[0])
@@ -396,7 +413,7 @@ def test_las_overfit_single_utterance_beam1_recovers_transcript(tmp_path):
     man = ttssim.build_dataset(ttssim.GENERIC, 1, tmp_path / "one", seed=0,
                                speakers="single", noise=False, texts=[text])
     tok = train_bpe([text], 30)
-    model = M.LasModel(C.LasConfig(feat_dim=60, dim=32, ff_dim=64, heads=2,
+    model = M.build_model(C.LasConfig(feat_dim=60, dim=32, ff_dim=64, heads=2,
                                    enc_blocks=1, dec_blocks=1, vocab=tok.size), seed=5)
     cfg = C.TrainConfig(batch_size=1, epochs=800, lr=2e-4, seed=5,
                         spec_augment=False, label_smoothing=0.0)

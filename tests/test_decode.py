@@ -7,7 +7,7 @@ from asrlab import decode as D
 from asrlab import models as M
 from asrlab import tensor as T
 from asrlab import ttssim
-from asrlab.errors import NumericError, ShapeError, UsageError
+from asrlab.errors import DataError, NumericError, ShapeError, UsageError
 from asrlab.tokenizer import train_bpe
 
 
@@ -192,7 +192,7 @@ def test_las_beam_hyps_end_with_eos_or_max_len():
 
 def small_las(seed, dec_blocks=2):
     cfg = C.LasConfig(feat_dim=6, dim=8, ff_dim=16, heads=2, enc_blocks=1, dec_blocks=dec_blocks, vocab=5)
-    return M.LasModel(cfg, seed=seed)
+    return M.build_model(cfg, seed=seed)
 
 
 def test_incremental_decoder_matches_decode_logits_on_reordered_prefixes():
@@ -261,3 +261,28 @@ def test_nbest_serialization_round_trip(tmp_path):
     assert back[0].hyps[0].total == -3.5
     assert back[0].hyps[1].lm_score is None
     assert [h.am_score for h in back[0].hyps] == [-1.5, -2.5]
+
+
+@pytest.mark.parametrize("row", [
+    '{"id": "u2", "hyps": [{"text": "a", "am": "x"}]}',
+    '{"id": "u2", "hyps": [{"text": "a", "am": true}]}',
+    '{"id": "u2", "hyps": [{"text": 5, "am": -1.0}]}',
+    '{"id": "u2", "hyps": [{"text": "a", "am": NaN}]}',
+    '{"id": "u2", "hyps": [{"text": "a", "am": null}]}',
+    '{"id": "u2", "hyps": [{"text": "a", "am": -1.0, "lm": "x"}]}',
+    '{"id": "u2", "hyps": [{"text": "a", "am": -1.0, "total": NaN}]}',
+    '{"id": "u2", "hyps": ["a"]}',
+    '{"id": 2, "hyps": [{"text": "a", "am": -1.0}]}',
+], ids=["am-string", "am-bool", "text-number", "am-nan", "am-null", "lm-string", "total-nan", "not-an-object",
+        "id-number"])
+def test_read_nbest_bad_row_raises_data_error(tmp_path, row):
+    path = tmp_path / "nbest.jsonl"
+    path.write_text('{"id": "u1", "hyps": [{"text": "b", "am": -0.5}]}\n' + row + "\n")
+    with pytest.raises(DataError, match=":2: bad n-best row"):
+        D.read_nbest(path)
+
+
+def test_read_nbest_keeps_a_hypothesis_with_no_mass(tmp_path):
+    path = tmp_path / "nbest.jsonl"
+    D.write_nbest(path, [D.NBestList("u1", [D.Hypothesis((), "a", -1.0), D.Hypothesis((), "b", -np.inf)])])
+    assert [h.am_score for h in D.read_nbest(path)[0].hyps] == [-1.0, -np.inf]

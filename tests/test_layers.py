@@ -1,20 +1,39 @@
 import numpy as np
 import pytest
 
+from asrlab import config as C
 from asrlab import layers as L
+from asrlab import models as M
 from asrlab import tensor as T
 from asrlab.errors import ShapeError
 from asrlab.tensor import Tape, Tensor
 from oracle_utils import reference_lstm_forward
 
 
-def make_lstm(d_in, hidden, seed=0, dtype=np.float64):
-    return L.LstmLayer(d_in, hidden, np.random.default_rng(seed), dtype=dtype)
+def drawn(cfg, prefix, rng, dtype=np.float64):
+    """{name: Tensor} of the tensors of cfg's model under prefix, drawn from
+    rng by the models' initializer in tensor_shapes order."""
+    shapes = {n: s for n, s in M.tensor_shapes(cfg).items() if n.startswith(prefix + ".")}
+    return {n: Tensor(a.astype(dtype), requires_grad=True) for n, a in M.initial_values(shapes, rng)}
+
+
+def make_lstm(d_in, hidden, rng, dtype=np.float64):
+    cfg = C.CtcConfig(feat_dim=int(d_in), hidden=int(hidden), layers=1, vocab=1)
+    return L.LstmLayer(drawn(cfg, "lstm.0", rng, dtype), "lstm.0")
+
+
+def las_tensors(prefix, dim, heads, rng, ff_dim=1, dtype=np.float64):
+    cfg = C.LasConfig(feat_dim=1, dim=dim, ff_dim=ff_dim, heads=heads, enc_blocks=1, dec_blocks=1, vocab=1)
+    return drawn(cfg, prefix, rng, dtype)
+
+
+def make_mha(dim, heads, rng, dtype=np.float64):
+    return L.MultiHeadAttention(las_tensors("encoder.0.attn", dim, heads, rng, dtype=dtype), "encoder.0.attn", heads)
 
 
 def test_lstm_zero_weights_zero_input_gives_zero_output():
-    layer = make_lstm(2, 3)
-    for p in layer.parameters().values():
+    layer = make_lstm(2, 3, np.random.default_rng(0))
+    for p in (layer.w, layer.u, layer.b):
         p.data[:] = 0.0
     out = layer.forward(Tensor(np.zeros((4, 1, 2))))
     # all gates at 0.5/0 -> c stays 0 -> h = o*tanh(0) = 0
@@ -22,7 +41,7 @@ def test_lstm_zero_weights_zero_input_gives_zero_output():
 
 
 def test_lstm_matches_hand_rolled_recurrence():
-    layer = make_lstm(1, 1)
+    layer = make_lstm(1, 1, np.random.default_rng(0))
     wi, wf, wg, wo = 0.5, -0.3, 0.8, 0.2
     ui, uf, ug, uo = 0.1, 0.4, -0.2, 0.7
     bi, bf, bg, bo = 0.05, 1.0, -0.1, 0.3
@@ -52,18 +71,18 @@ def test_lstm_matches_hand_rolled_recurrence():
 
 
 def test_lstm_gradients_match_finite_differences():
-    layer = make_lstm(2, 3, seed=1)
+    layer = make_lstm(2, 3, np.random.default_rng(1))
     x = Tensor(np.random.default_rng(2).normal(size=(4, 2, 2)), requires_grad=True)
 
     def loss():
         return T.tsum(layer.forward(x))
 
-    params = [x] + list(layer.parameters().values())
+    params = [x, layer.w, layer.u, layer.b]
     assert T.gradient_check(loss, params) <= 1e-3
 
 
 def test_lstm_forward_shape():
-    layer = L.LstmLayer(3, 5, np.random.default_rng(3))
+    layer = make_lstm(3, 5, np.random.default_rng(3), np.float32)
     x = np.random.default_rng(4).normal(size=(6, 2, 3)).astype(np.float32)
     out = layer.forward(Tensor(x))
     assert out.shape == (6, 2, 5)
@@ -84,9 +103,9 @@ def test_lstm_layer_matches_per_frame_tape_bit_for_bit(dtype):
     for case in range(160):
         t_len, batch = (1, 1) if case < 8 else (rng.integers(1, 9), rng.integers(1, 5))
         d_in, hidden = rng.integers(1, 6), rng.integers(1, 6)
-        layer = L.LstmLayer(d_in, hidden, rng, dtype=dtype)
+        layer = make_lstm(d_in, hidden, rng, dtype)
         if case % 3 == 0:  # pre-activations in the tens: many gates round to exactly 1.0
-            for p in layer.parameters().values():
+            for p in (layer.w, layer.u, layer.b):
                 p.data *= 30.0
         x_data = rng.normal(size=(t_len, batch, d_in)).astype(dtype)
         out_weight = rng.normal(size=(t_len, batch, hidden)).astype(dtype)
@@ -100,9 +119,9 @@ def test_lstm_layer_matches_per_frame_tape_bit_for_bit(dtype):
 
 def test_dense_forward_and_gradient():
     rng = np.random.default_rng(5)
-    dense = L.Dense(3, 2, rng, dtype=np.float64)
+    dense = L.Dense(drawn(C.CtcConfig(hidden=3, vocab=1), "dense", rng), "dense")
     x = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
-    err = T.gradient_check(lambda: T.tsum(T.mul(dense(x), dense(x))), list(dense.parameters().values()))
+    err = T.gradient_check(lambda: T.tsum(T.mul(dense(x), dense(x))), [dense.w, dense.b])
     assert err <= 1e-3
 
 
@@ -112,7 +131,7 @@ def attention_weights(attn, x, mask=None):
 
 def test_mha_single_position_softmax_is_identity_path():
     rng = np.random.default_rng(6)
-    attn = L.MultiHeadAttention(4, 2, rng, dtype=np.float64)
+    attn = make_mha(4, 2, rng)
     x = Tensor(rng.normal(size=(1, 1, 4)), dtype=np.float64)
     out = attn(x, x, x)
     # with a single key the attention weight is exactly 1
@@ -124,7 +143,7 @@ def test_mha_single_position_softmax_is_identity_path():
 
 def test_causal_mask_first_row_attends_only_to_itself():
     rng = np.random.default_rng(7)
-    attn = L.MultiHeadAttention(4, 1, rng, dtype=np.float64)
+    attn = make_mha(4, 1, rng)
     x = Tensor(rng.normal(size=(1, 3, 4)), dtype=np.float64)
     row0 = attention_weights(attn, x, L.causal_mask(3))[:, 0, :]
     assert np.allclose(row0, [[1.0, 0.0, 0.0]], atol=1e-12)
@@ -132,7 +151,7 @@ def test_causal_mask_first_row_attends_only_to_itself():
 
 def test_mha_two_token_single_head_matches_hand_computation():
     rng = np.random.default_rng(8)
-    attn = L.MultiHeadAttention(2, 1, rng, dtype=np.float64)
+    attn = make_mha(2, 1, rng)
     x_data = np.array([[[0.3, -0.5], [1.1, 0.4]]])
     x = Tensor(x_data, dtype=np.float64)
     out = attn(x, x, x)
@@ -152,7 +171,7 @@ def test_mha_two_token_single_head_matches_hand_computation():
 
 def test_mha_mask_shape_mismatch():
     rng = np.random.default_rng(9)
-    attn = L.MultiHeadAttention(4, 2, rng)
+    attn = make_mha(4, 2, rng, np.float32)
     x = Tensor(np.zeros((1, 3, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
         attn(x, x, x, np.zeros((2, 2), dtype=bool))
@@ -160,7 +179,7 @@ def test_mha_mask_shape_mismatch():
 
 def test_attention_weights_sum_to_one_over_unmasked_keys():
     rng = np.random.default_rng(10)
-    attn = L.MultiHeadAttention(8, 2, rng, dtype=np.float64)
+    attn = make_mha(8, 2, rng)
     x = Tensor(rng.normal(size=(2, 5, 8)), dtype=np.float64)
     w = attention_weights(attn, x, L.causal_mask(5))
     assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-6)
@@ -184,7 +203,7 @@ def test_positional_encoding_values_and_range():
 
 def test_layer_norm_gradients():
     rng = np.random.default_rng(12)
-    ln = L.LayerNorm(4, dtype=np.float64)
+    ln = L.LayerNorm(las_tensors("enc_norm", 4, 1, rng), "enc_norm")  # ones and zeros: no draws
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
     w = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
     params = [x, ln.gamma, ln.beta]
@@ -194,19 +213,21 @@ def test_layer_norm_gradients():
 
 def test_encoder_block_gradients():
     rng = np.random.default_rng(13)
-    block = L.EncoderBlock(4, 8, 2, rng, dtype=np.float64)
+    params = las_tensors("encoder.0", 4, 2, rng, ff_dim=8)
+    block = L.EncoderBlock(params, "encoder.0", 2)
     x = Tensor(rng.normal(size=(1, 3, 4)), dtype=np.float64)
-    params = list(block.parameters().values())
+    params = list(params.values())
     err = T.gradient_check(lambda: T.tsum(T.mul(block(x), block(x))), params)
     assert err <= 1e-3
 
 
 def test_decoder_block_gradients_and_causality():
     rng = np.random.default_rng(14)
-    block = L.DecoderBlock(4, 8, 2, rng, dtype=np.float64)
+    params = las_tensors("decoder.0", 4, 2, rng, ff_dim=8)
+    block = L.DecoderBlock(params, "decoder.0", 2)
     x = Tensor(rng.normal(size=(1, 3, 4)), dtype=np.float64)
     mem = Tensor(rng.normal(size=(1, 4, 4)), dtype=np.float64)
-    params = list(block.parameters().values())
+    params = list(params.values())
     err = T.gradient_check(
         lambda: T.tsum(T.mul(block(x, block.cross_attn.project_kv(mem, mem), L.causal_mask(3))[0], 1.0)), params)
     assert err <= 1e-3

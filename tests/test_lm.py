@@ -62,6 +62,14 @@ def test_save_load_and_arpa_dump(tmp_path):
     assert "\\1-grams:" in arpa and "\\3-grams:" in arpa and arpa.endswith("\\end\\")
 
 
+@pytest.mark.parametrize("text", ['{"version": 1, "order": ', '[1, 2]', '{"version": 1, "order": 2, "counts": {}}'],
+                         ids=["not-json", "json-list", "missing-field"])
+def test_lm_load_bad_file_raises_data_error(tmp_path, text):
+    (tmp_path / "lm.json").write_text(text)
+    with pytest.raises(DataError):
+        LM.NGramLm.load(tmp_path / "lm.json")
+
+
 def test_domain_lms_differ_on_address_text():
     addr_train = ttssim.sample_text(ttssim.ADDRESS, 400, seed=1)
     gen_train = ttssim.sample_text(ttssim.GENERIC, 400, seed=2)
@@ -153,6 +161,13 @@ def test_tune_weights_scores_each_chosen_hypothesis_once():
     # the search itself is unchanged: same pick and WER as scoring at every grid point
     assert weights == LM.RescoreWeights(1.0, 0.0)
     assert dev_wer == 15 / 82
+
+
+@pytest.mark.parametrize("nbests", [[], [NBestList("u0", [])]], ids=["empty-dev-set", "empty-nbest-list"])
+def test_tune_weights_empty_input_raises_data_error(nbests):
+    model = LM.train_lm(["a b"], order=2)
+    with pytest.raises(DataError):
+        LM.tune_weights(nbests, {"u0": "a b"}, model, wer)
 
 
 def test_rescore_weights_validation():

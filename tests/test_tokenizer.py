@@ -85,6 +85,14 @@ def test_save_load_identical_encodings(tmp_path):
         assert back.encode(text) == model.encode(text)
 
 
+@pytest.mark.parametrize("text", ['{"version": 1, "charset": ', '["a", "b"]', '{"version": 1, "charset": ["a"], "vocab": ["a"]}'],
+                         ids=["not-json", "json-list", "missing-field"])
+def test_load_bad_file_raises_data_error(tmp_path, text):
+    (tmp_path / "bpe.json").write_text(text)
+    with pytest.raises(DataError):
+        SubwordModel.load(tmp_path / "bpe.json")
+
+
 def test_blank_id_outside_table():
     model = train_bpe(["abc"], vocab_size=4)
     assert model.blank_id == model.size == 4
