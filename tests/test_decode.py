@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from oracle_utils import exhaustive_ctc_marginals, reference_las_beam, reference_prefix_beam
@@ -232,6 +235,44 @@ def test_las_beam_matches_reference_on_random_models():
             want = reference_las_beam(model, feats, tok, beam=beam, max_len=max_len)
             assert [(h.tokens, h.text) for h in got] == [(h.tokens, h.text) for h in want], (seed, beam)
             assert np.allclose([h.am_score for h in got], [h.am_score for h in want], rtol=0, atol=1e-5)
+
+
+def test_las_beam_output_is_pinned():
+    """Tokens and the float64 bits of every score of las_beam on seeded small
+    models, at beams 1, 3 and 8, hashed. The 1e-5 tolerances of the tests
+    above cannot see a change in the order of the decoder's float32
+    operations; this digest can. It holds for numpy's own OpenBLAS build,
+    whose kernels may round differently on another BLAS."""
+    tok = train_bpe(["ab ba cd dc"], vocab_size=5)
+    rng = np.random.default_rng(21)
+    digest = hashlib.sha256()
+    for seed in range(4):
+        model = small_las(seed, dec_blocks=1 + seed % 2)
+        feats = rng.normal(size=(int(rng.integers(2, 12)), 6)).astype(np.float32)
+        for beam in (1, 3, 8):
+            for h in D.las_beam(model, feats, tok, beam=beam, max_len=16):
+                digest.update(repr((seed, beam, h.tokens)).encode() + struct.pack("<d", h.am_score))
+    assert digest.hexdigest() == "a5470bcaa6f1124171b5166bc8876e6acdbcb425a52e152604ab93d83d8779f9"
+
+
+def test_incremental_decoder_logits_are_pinned():
+    """The bytes of every step's logits on a memory with padded frames,
+    with rows reordered and varying in number from step to step."""
+    model = small_las(3)
+    rng = np.random.default_rng(22)
+    memory, mem_mask = model.encode(rng.normal(size=(10, 1, 6)).astype(np.float32), lengths=np.array([7]))
+    decoder = model.start_decoding(memory, mem_mask)
+    digest = hashlib.sha256()
+    rows, tokens, n = [0], [model.bos_id], 1
+    for _ in range(12):
+        logits = decoder.step(rows, tokens)
+        assert logits.dtype == np.float32
+        digest.update(logits.tobytes())
+        n_next = int(rng.integers(1, 9))
+        rows = rng.integers(0, n, size=n_next)
+        tokens = rng.integers(0, model.cfg.vocab, size=n_next)
+        n = n_next
+    assert digest.hexdigest() == "3c96cf514fa681dab597a01ffb0a4bca386e4658475905a4f96f21eff4a9027f"
 
 
 @pytest.mark.parametrize("feats, error", [

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,16 @@ def test_retrain_is_deterministic():
     m2 = train_bpe(corpus, 120)
     assert m1.merges == m2.merges
     assert m1.vocab == m2.vocab
+
+
+def test_merges_on_a_seeded_corpus_are_pinned():
+    """The merges and vocab learnt at vocab 200 on a seeded generic plus
+    address corpus, hashed."""
+    corpus = ttssim.sample_text(ttssim.GENERIC, 300, seed=41) + ttssim.sample_text(ttssim.ADDRESS, 300, seed=42)
+    model = train_bpe(corpus, 200, charset=ttssim.CHARSET)
+    assert model.size == 200
+    payload = json.dumps([model.merges, model.vocab], ensure_ascii=False).encode()
+    assert hashlib.sha256(payload).hexdigest() == "ac75e3b3163d2c974f294465a4cdb8c50208327a959f7f09f5420b11a5697666"
 
 
 def test_round_trip_identity():
