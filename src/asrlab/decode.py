@@ -5,7 +5,9 @@ matrix in numpy; Python only touches the few candidates that can make
 the next beam. The LAS beam encodes the utterance once and then feeds
 only the newest token of each live hypothesis through the model's
 incremental decoder, which caches the attention keys and values of
-the memory and of the earlier positions.
+the memory and of the earlier positions and computes on plain arrays:
+nothing in a decode touches the tape (``DecoderBlock`` is the training
+path).
 
 N-best lists carry (token ids, text, acoustic score); the language-model
 score and combined total are filled in by rescoring. The JSONL wire
@@ -16,6 +18,7 @@ decoding, rescoring and evaluation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +27,7 @@ import numpy as np
 from .atomic import atomic_write
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .models import LasModel
-from .tensor import log_softmax_np
+from .tensor import log_softmax_np, no_tape
 from .tokenizer import SubwordModel
 
 LOG_ZERO = -np.inf
@@ -157,9 +160,9 @@ def las_beam(model: LasModel, feats: np.ndarray, tok: SubwordModel, beam: int = 
 
     feats is a single utterance [T, D]. Each step decodes only the newest
     position of every live hypothesis through the model's incremental
-    decoder and expands at most 3*beam candidates; scores are sums of
-    log-softmax outputs divided by the generated length (EOS included,
-    BOS excluded).
+    decoder, off the tape, and expands at most 3*beam candidates; scores
+    are sums of log-softmax outputs divided by the generated length (EOS
+    included, BOS excluded).
     """
     if beam < 1 or max_len < 1:
         raise UsageError("beam and max_len must be >= 1")
@@ -168,7 +171,8 @@ def las_beam(model: LasModel, feats: np.ndarray, tok: SubwordModel, beam: int = 
         raise ShapeError(f"las_beam wants features [T, D] with T >= 1, got {feats.shape}")
     if not np.all(np.isfinite(feats)):
         raise NumericError("non-finite features fed to las_beam")
-    decoder = model.start_decoding(*model.encode(feats[:, None, :]))
+    with no_tape():  # the incremental decoder itself never touches the tape
+        decoder = model.start_decoding(*model.encode(feats[:, None, :]))
     expansion_cap = 3 * beam
 
     active: list[tuple[tuple, float]] = [((model.bos_id,), 0.0)]
@@ -187,12 +191,11 @@ def las_beam(model: LasModel, feats: np.ndarray, tok: SubwordModel, beam: int = 
         next_active: list[tuple[tuple, float]] = []
         rows, tokens = [], []
         gen_len = len(active[0][0])  # BOS excluded, new token included
-        for idx in top:
-            if not np.isfinite(flat[idx]):
+        for idx, score in zip(top.tolist(), flat[top].tolist()):
+            if not math.isfinite(score):
                 continue
-            hyp_i, token = divmod(int(idx), logp.shape[1])
+            hyp_i, token = divmod(idx, logp.shape[1])
             seq = active[hyp_i][0] + (token,)
-            score = float(flat[idx])
             if token == model.eos_id:
                 finished.append((seq, score / gen_len))
             else:

@@ -107,13 +107,9 @@ class LayerNorm:
         self.gamma, self.beta = params[f"{prefix}.gamma"], params[f"{prefix}.beta"]
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.data.mean(axis=-1, keepdims=True)
-        xc = x.data - mu
-        var = (xc * xc).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + LN_EPS)
-        xhat = xc * inv
-        out = Tensor(self.gamma.data * xhat + self.beta.data)
         gamma, beta = self.gamma, self.beta
+        y, xhat, inv = layer_norm_np(x.data, gamma.data, beta.data)
+        out = Tensor(y)
 
         def backward(g):
             dx = dgamma = dbeta = None
@@ -129,6 +125,22 @@ class LayerNorm:
             return dx, dgamma, dbeta
 
         return T._finish(out, (x, gamma, beta), backward)
+
+
+def layer_norm_np(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """Layer norm of a raw array over its trailing dim: (output, normalized
+    input xhat, 1/std), the last two being what the backward rule reads.
+
+    The means are sums divided by the dim: a division is correctly rounded,
+    so this equals ``np.mean`` (which divides in float64) bit for bit
+    without its Python overhead."""
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / n
+    xc = x - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = xc * inv
+    return gamma * xhat + beta, xhat, inv
 
 
 class Embedding:
@@ -238,28 +250,15 @@ class DecoderBlock:
         self.ln1, self.ln2, self.ln3 = (LayerNorm(params, f"{prefix}.{n}") for n in ("ln1", "ln2", "ln3"))
 
     def __call__(self, x: Tensor, memory_kv: tuple[Tensor, Tensor], causal: np.ndarray | None = None,
-                 mem_mask: np.ndarray | None = None, past_kv: tuple[np.ndarray, np.ndarray] | None = None):
-        """Run the newest positions x [B, L, dim] through the block; returns the
-        output and the self-attention keys and values of all P+L positions.
-
-        memory_kv is ``cross_attn.project_kv`` of the memory, [B*h, Tenc, head_dim]
-        each, or [h, Tenc, head_dim] of one utterance that all B rows share.
-        past_kv holds the keys and values of P earlier positions, [B*h, P, head_dim].
-        """
+                 mem_mask: np.ndarray | None = None) -> Tensor:
+        """Teacher-forced positions x [B, L, dim] -> [B, L, dim]. memory_kv is
+        ``cross_attn.project_kv`` of the memory, [B*h, Tenc, head_dim] each.
+        Decoding runs ``models.IncrementalDecoder`` instead, off the tape."""
         h = self.ln1(x)
-        qh = self.self_attn.project_q(h)
-        kh, vh = self.self_attn.project_kv(h, h)
-        if past_kv is not None:
-            kh = Tensor(np.concatenate([past_kv[0], kh.data], axis=1))
-            vh = Tensor(np.concatenate([past_kv[1], vh.data], axis=1))
-        x = T.add(x, self.self_attn.attend(qh, kh, vh, causal))
+        x = T.add(x, self.self_attn.attend(self.self_attn.project_q(h), *self.self_attn.project_kv(h, h), causal))
         h = self.ln2(x)
-        if memory_kv[0].shape[0] == qh.shape[0]:
-            x = T.add(x, self.cross_attn.attend(self.cross_attn.project_q(h), *memory_kv, mem_mask))
-        else:  # rows that share one memory go in as queries of a single batch entry
-            qm = self.cross_attn.project_q(T.reshape(h, (1, -1, x.shape[-1])))
-            x = T.add(x, T.reshape(self.cross_attn.attend(qm, *memory_kv, mem_mask), x.shape))
-        return T.add(x, self.ff(self.ln3(x))), (kh.data, vh.data)
+        x = T.add(x, self.cross_attn.attend(self.cross_attn.project_q(h), *memory_kv, mem_mask))
+        return T.add(x, self.ff(self.ln3(x)))
 
 
 def causal_mask(t: int) -> np.ndarray:

@@ -27,9 +27,9 @@ from . import tensor as T
 from .atomic import atomic_write
 from .config import CtcConfig, LasConfig, model_config_from_dict
 from .errors import DataError, NumericError, ShapeError, UsageError
-from .layers import (Dense, DecoderBlock, EncoderBlock, Embedding, LayerNorm, LstmLayer,
-                     causal_mask, key_padding_mask, positional_encoding)
-from .tensor import Tensor
+from .layers import (NEG_FILL, Dense, DecoderBlock, EncoderBlock, Embedding, LayerNorm, LstmLayer,
+                     causal_mask, key_padding_mask, layer_norm_np, positional_encoding)
+from .tensor import Tensor, softmax_np
 
 CKPT_MAGIC = b"CKPT"
 CKPT_VERSION = 1
@@ -182,12 +182,8 @@ class LasModel(_ModelBase):
         y = self._embed(prefix)
         causal = causal_mask(prefix.shape[1])
         for block in self.decoder:
-            y, _ = block(y, block.cross_attn.project_kv(memory, memory), causal, mem_mask)
+            y = block(y, block.cross_attn.project_kv(memory, memory), causal, mem_mask)
         return self.dense(self.dec_norm(y))
-
-    def forward(self, feats: np.ndarray, lengths: np.ndarray | None, prefix: np.ndarray) -> Tensor:
-        memory, pad = self.encode(feats, lengths)
-        return self.decode_logits(memory, pad, prefix)
 
     def start_decoding(self, memory: Tensor, mem_mask: np.ndarray | None = None) -> IncrementalDecoder:
         """Incremental decoder state for one utterance's memory [1, Tenc, dim]."""
@@ -195,26 +191,65 @@ class LasModel(_ModelBase):
 
 
 class IncrementalDecoder:
-    """Decodes one new position per step, reusing the work of earlier steps.
+    """Decodes one new position per step on plain arrays, off the tape.
 
-    Each decoder block projects the cross-attention keys and values of
-    the memory once, and caches the self-attention keys and values of
-    every earlier position per row, [rows*heads, L, head_dim]. A step
-    first reorders that cache by each row's parent row, so the logits
-    match ``LasModel.decode_logits`` on the rows' full prefixes.
+    ``DecoderBlock`` is the teacher-forced training path. A step runs the
+    same float32 operations as that path, in the same order, on the newest
+    position of each row: no Tensor is made and nothing is recorded, even
+    inside a live Tape. The cross-attention keys and values of the memory
+    are projected once per block, and the self-attention keys and values
+    of every earlier position are cached per row, [rows*heads, L, head_dim].
+    A step first reorders that cache by each row's parent row, so the
+    logits match ``LasModel.decode_logits`` on the rows' full prefixes.
     """
 
     def __init__(self, model: LasModel, memory: Tensor, mem_mask: np.ndarray | None):
         if memory.ndim != 3 or memory.shape[0] != 1:
             raise ShapeError(f"incremental decoding wants the memory of one utterance, got {memory.shape}")
-        self.model = model
-        # a mask that hides no memory frame would only add zeros to the scores at every step
-        self.mem_mask = mem_mask if mem_mask is not None and mem_mask.any() else None
-        self.memory_kv = [block.cross_attn.project_kv(memory, memory) for block in model.decoder]
         cfg = model.cfg
-        empty = np.zeros((cfg.heads, 0, cfg.dim // cfg.heads), dtype=memory.dtype)
-        self.past = [(empty, empty)] * len(model.decoder)
+        t_enc = memory.shape[1]
+        self.model = model
+        self.heads, self.head_dim = cfg.heads, cfg.dim // cfg.heads
+        self.scale = np.float32(1.0 / np.sqrt(self.head_dim))
+        self.embed_scale = np.float32(np.sqrt(cfg.dim))
+        self.p = {name: t.data for name, t in model.params.items()}
+        self.blocks = [f"decoder.{i}." for i in range(cfg.dec_blocks)]
+        # a mask that hides no memory frame would only add zeros to the scores at every step
+        self.fill = None
+        if mem_mask is not None and mem_mask.any():
+            if mem_mask.size != t_enc or mem_mask.shape[-1] != t_enc:
+                raise ShapeError(f"memory mask shape {mem_mask.shape} does not match {t_enc} memory frames")
+            self.fill = np.where(mem_mask.reshape(t_enc), NEG_FILL, 0.0).astype(memory.dtype)
+        mem = memory.data.reshape(t_enc, cfg.dim)
+        self.memory_kv = [(self._heads(self._dense(mem, b + "cross_attn.wk"), 1),
+                           self._heads(self._dense(mem, b + "cross_attn.wv"), 1)) for b in self.blocks]
+        empty = np.zeros((self.heads, 0, self.head_dim), dtype=memory.dtype)
+        self.past = [(empty, empty)] * cfg.dec_blocks
         self.pos = 0
+
+    def _dense(self, x: np.ndarray, name: str) -> np.ndarray:
+        """x [n, d_in] @ w + b, as layers.Dense computes it."""
+        return x @ self.p[name + ".w"] + self.p[name + ".b"]
+
+    def _norm(self, x: np.ndarray, name: str) -> np.ndarray:
+        return layer_norm_np(x, self.p[name + ".gamma"], self.p[name + ".beta"])[0]
+
+    def _heads(self, x: np.ndarray, batch: int) -> np.ndarray:
+        """[batch*t, dim] -> per-head [batch*h, t, head_dim], as MultiHeadAttention splits."""
+        t = x.shape[0] // batch
+        x = x.reshape(batch, t, self.heads, self.head_dim).transpose(0, 2, 1, 3)
+        return x.reshape(batch * self.heads, t, self.head_dim)
+
+    def _attend(self, qh, kh, vh, fill, name: str) -> np.ndarray:
+        """Attention output [batch*tq, dim] of per-head queries [batch*h, tq, head_dim],
+        as MultiHeadAttention.attend computes it."""
+        batch, tq = qh.shape[0] // self.heads, qh.shape[1]
+        scores = (qh @ kh.transpose(0, 2, 1)) * self.scale
+        if fill is not None:
+            scores = scores + fill
+        ctx = softmax_np(scores) @ vh
+        ctx = ctx.reshape(batch, self.heads, tq, self.head_dim).transpose(0, 2, 1, 3)
+        return self._dense(ctx.reshape(batch * tq, self.heads * self.head_dim), name + ".wo")
 
     def step(self, rows, tokens) -> np.ndarray:
         """Logits [n, V'] for the next position of n rows.
@@ -222,16 +257,29 @@ class IncrementalDecoder:
         Row i extends row rows[i] of the previous step by token tokens[i];
         the first step has the one row 0, extended by BOS.
         """
-        model, heads = self.model, self.model.cfg.heads
         rows = np.asarray(rows, dtype=np.int64)
+        tokens = np.asarray(tokens, dtype=np.int64)
+        table = self.p["embed.table"]
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= table.shape[0]):
+            raise ShapeError("embedding id out of range")
+        n, heads = len(tokens), self.heads
         cache_rows = (rows[:, None] * heads + np.arange(heads)).ravel()
-        y = model._embed(np.asarray(tokens, dtype=np.int64)[:, None], self.pos)
-        for i, block in enumerate(model.decoder):
-            k, v = self.past[i]
-            y, self.past[i] = block(y, self.memory_kv[i], mem_mask=self.mem_mask,
-                                    past_kv=(k[cache_rows], v[cache_rows]))
+        y = table[tokens] * self.embed_scale + self.model._pe_slice(self.pos + 1)[self.pos]
+        for i, b in enumerate(self.blocks):
+            h = self._norm(y, b + "ln1")
+            qh, kh, vh = (self._heads(self._dense(h, b + f"self_attn.{w}"), n) for w in ("wq", "wk", "wv"))
+            past_k, past_v = self.past[i]
+            kh = np.concatenate([past_k[cache_rows], kh], axis=1)
+            vh = np.concatenate([past_v[cache_rows], vh], axis=1)
+            self.past[i] = (kh, vh)
+            y = y + self._attend(qh, kh, vh, None, b + "self_attn")
+            # the n rows share one memory, so they go in as n queries of a single batch entry
+            qm = self._heads(self._dense(self._norm(y, b + "ln2"), b + "cross_attn.wq"), 1)
+            y = y + self._attend(qm, *self.memory_kv[i], self.fill, b + "cross_attn")
+            h = np.maximum(self._dense(self._norm(y, b + "ln3"), b + "ff.lin1"), 0.0)
+            y = y + self._dense(h, b + "ff.lin2")
         self.pos += 1
-        return model.dense(model.dec_norm(y)).data[:, 0]
+        return self._dense(self._norm(y, "dec_norm"), "dense")
 
 
 def _model(cfg, tensors: dict[str, np.ndarray]):

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
 from .atomic import atomic_write
 from .errors import NumericError, ShapeError, UsageError
 
-_ACTIVE_TAPES: list["Tape"] = []
+_ACTIVE_TAPES: list["Tape | None"] = []  # None: no_tape() is in force
 
 
 class Tape:
@@ -83,6 +84,16 @@ class Tape:
 
 def active_tape():
     return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
+
+
+@contextmanager
+def no_tape():
+    """Ops run inside record nothing, even within a live Tape (inference)."""
+    _ACTIVE_TAPES.append(None)
+    try:
+        yield
+    finally:
+        _ACTIVE_TAPES.pop()
 
 
 class Tensor:
@@ -251,15 +262,15 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-subtracted softmax on a raw array (shared by ops and inference)."""
-    m = np.max(x, axis=axis, keepdims=True)
+    m = x.max(axis=axis, keepdims=True)
     e = np.exp(x - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = np.max(x, axis=axis, keepdims=True)
+    m = x.max(axis=axis, keepdims=True)
     z = x - m
-    return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
+    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -315,38 +326,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         return (full,)
 
     return _finish(out, (table,), backward)
-
-
-# -- gradient checking -----------------------------------------------------
-
-def gradient_check(loss_fn, params, h: float = 1e-5):
-    """Max relative error between tape gradients and central differences.
-
-    loss_fn must rebuild the loss from scratch on each call; params are
-    float64 leaf tensors it reads. Returns the worst relative error over
-    every element of every parameter.
-    """
-    for p in params:
-        if p.data.dtype != np.float64:
-            raise UsageError("gradient_check requires float64 parameters")
-    with Tape() as tape:
-        analytic = tape.backward(loss_fn(), params)
-
-    worst = 0.0
-    for p, an in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = loss_fn().item()
-            flat[i] = orig - h
-            f_minus = loss_fn().item()
-            flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * h)
-            an_i = an.reshape(-1)[i]
-            err = abs(fd - an_i) / max(abs(fd), abs(an_i), 1e-6)
-            worst = max(worst, err)
-    return worst
 
 
 # -- binary tensor format ---------------------------------------------------

@@ -13,7 +13,7 @@ Ids run 0..V-1; the CTC blank is V, outside the table.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 from .atomic import atomic_write
@@ -159,24 +159,32 @@ def train_bpe(corpus, vocab_size: int, charset: str | None = None) -> SubwordMod
         raise DataError(f"vocab_size {vocab_size} below base charset size {len(base)}")
 
     word_seqs = _sentence_symbol_seqs(corpus)
-    seqs = {w: list(w) for w in word_seqs}
+    seqs = [list(w) for w in word_seqs]
+    freqs = list(word_seqs.values())
+    pairs: Counter = Counter()  # pair -> occurrences over the corpus
+    where: dict[tuple[str, str], set[int]] = defaultdict(set)  # pair -> words that may hold it
+    for i, symbols in enumerate(seqs):
+        for pair in zip(symbols, symbols[1:]):
+            pairs[pair] += freqs[i]
+            where[pair].add(i)
     vocab = list(base)
     merges: list[tuple[str, str]] = []
 
-    while len(vocab) < vocab_size:
-        pairs: Counter = Counter()
-        for word, symbols in seqs.items():
-            freq = word_seqs[word]
-            for a, b in zip(symbols, symbols[1:]):
-                pairs[(a, b)] += freq
-        if not pairs:
-            break
+    while len(vocab) < vocab_size and pairs:
         top = max(pairs.values())
         if top < 2:
             break
         best = min(p for p, c in pairs.items() if c == top)
-        for word, symbols in seqs.items():
-            seqs[word] = _apply_merge(symbols, best)
+        for i in where.pop(best):  # only the words that hold best change
+            symbols = seqs[i]
+            for pair in zip(symbols, symbols[1:]):
+                pairs[pair] -= freqs[i]
+                if not pairs[pair]:
+                    del pairs[pair]
+            seqs[i] = symbols = _apply_merge(symbols, best)
+            for pair in zip(symbols, symbols[1:]):
+                pairs[pair] += freqs[i]
+                where[pair].add(i)
         merges.append(best)
         vocab.append(best[0] + best[1])
 

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles and reference loops shared by test modules."""
+"""Independent brute-force oracles, reference loops and the finite-difference
+gradient check shared by test modules."""
 
 import itertools
 
@@ -6,6 +7,7 @@ import numpy as np
 
 from asrlab import tensor as T
 from asrlab.decode import Hypothesis, dedup_by_text
+from asrlab.errors import UsageError
 from asrlab.tensor import Tensor, log_softmax_np
 
 
@@ -266,3 +268,33 @@ def brute_force_edit_distance(ref_words, hyp_words):
     dele = brute_force_edit_distance(ref_words[1:], hyp_words) + 1
     ins = brute_force_edit_distance(ref_words, hyp_words[1:]) + 1
     return min(sub, dele, ins)
+
+
+def gradient_check(loss_fn, params, h: float = 1e-5):
+    """Max relative error between tape gradients and central differences.
+
+    loss_fn must rebuild the loss from scratch on each call; params are
+    float64 leaf tensors it reads. Returns the worst relative error over
+    every element of every parameter.
+    """
+    for p in params:
+        if p.data.dtype != np.float64:
+            raise UsageError("gradient_check requires float64 parameters")
+    with T.Tape() as tape:
+        analytic = tape.backward(loss_fn(), params)
+
+    worst = 0.0
+    for p, an in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            f_plus = loss_fn().item()
+            flat[i] = orig - h
+            f_minus = loss_fn().item()
+            flat[i] = orig
+            fd = (f_plus - f_minus) / (2.0 * h)
+            an_i = an.reshape(-1)[i]
+            err = abs(fd - an_i) / max(abs(fd), abs(an_i), 1e-6)
+            worst = max(worst, err)
+    return worst

@@ -237,6 +237,21 @@ def test_las_beam_matches_reference_on_random_models():
             assert np.allclose([h.am_score for h in got], [h.am_score for h in want], rtol=0, atol=1e-5)
 
 
+def test_las_beam_inside_a_live_tape_records_nothing():
+    tok = train_bpe(["ab ba cd dc"], vocab_size=5)
+    model = small_las(1)
+    feats = np.random.default_rng(23).normal(size=(7, 6)).astype(np.float32)
+    want = D.las_beam(model, feats, tok, beam=3, max_len=8)
+    with T.Tape() as tape:
+        got = D.las_beam(model, feats, tok, beam=3, max_len=8)
+        assert len(tape) == 0
+        memory, mem_mask = model.encode(feats[:, None, :])
+        recorded = len(tape)
+        model.start_decoding(memory, mem_mask).step([0], [model.bos_id])
+        assert len(tape) == recorded > 0  # encode records here; the decoder does not
+    assert got == want
+
+
 def test_las_beam_output_is_pinned():
     """Tokens and the float64 bits of every score of las_beam on seeded small
     models, at beams 1, 3 and 8, hashed. The 1e-5 tolerances of the tests

@@ -69,10 +69,10 @@ def test_las_forward_shapes_and_bos_check():
     feats = np.random.default_rng(2).normal(size=(6, 2, 6)).astype(np.float32)
     prefix = np.full((2, 4), 1, dtype=np.int64)
     prefix[:, 0] = model.bos_id
-    logits = model.forward(feats, None, prefix)
+    logits = model.decode_logits(*model.encode(feats), prefix)
     assert logits.shape == (2, 4, 7)  # vocab 5 + BOS + EOS
     with pytest.raises(DataError):
-        model.forward(feats, None, np.ones((2, 4), dtype=np.int64))
+        model.decode_logits(*model.encode(feats), np.ones((2, 4), dtype=np.int64))
 
 
 def test_las_step0_logits_ignore_later_prefix_tokens():
@@ -80,8 +80,9 @@ def test_las_step0_logits_ignore_later_prefix_tokens():
     feats = np.random.default_rng(3).normal(size=(5, 1, 6)).astype(np.float32)
     p1 = np.array([[model.bos_id, 0, 1]])
     p2 = np.array([[model.bos_id, 3, 4]])
-    l1 = model.forward(feats, None, p1).data
-    l2 = model.forward(feats, None, p2).data
+    memory, pad = model.encode(feats)
+    l1 = model.decode_logits(memory, pad, p1).data
+    l2 = model.decode_logits(memory, pad, p2).data
     assert np.allclose(l1[0, 0], l2[0, 0], atol=1e-12)
     assert not np.allclose(l1[0, 1], l2[0, 1])
 
@@ -217,7 +218,7 @@ def test_tensor_shapes_name_every_tensor_of_the_built_model(cfg):
         else:
             prefix = np.array([[model.bos_id, 1, 2], [model.bos_id, 3, 0]])
             target = np.array([[1, 2, model.eos_id], [3, 0, model.eos_id]])
-            loss = cross_entropy(model.forward(feats, np.array([12, 9]), prefix), target)
+            loss = cross_entropy(model.decode_logits(*model.encode(feats, np.array([12, 9])), prefix), target)
         grads = tape.backward(loss, params.values())
     assert [name for name, g in zip(params, grads) if not np.any(g)] == []
 

@@ -9,7 +9,7 @@ import pytest
 from asrlab import tensor as T
 from asrlab.errors import NumericError, ShapeError, UsageError
 from asrlab.tensor import Tape, Tensor
-from oracle_utils import reference_sigmoid
+from oracle_utils import gradient_check, reference_sigmoid
 
 
 def test_matmul_identity():
@@ -33,7 +33,7 @@ def test_matmul_gradient_matches_finite_difference():
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True, dtype=np.float64)
-    err = T.gradient_check(lambda: T.tsum(T.matmul(a, b)), [a, b])
+    err = gradient_check(lambda: T.tsum(T.matmul(a, b)), [a, b])
     assert err <= 1e-4
 
 
@@ -41,7 +41,7 @@ def test_elementwise_gradients():
     rng = np.random.default_rng(1)
     x = Tensor(rng.uniform(0.1, 2.0, size=(3, 3)), requires_grad=True, dtype=np.float64)
     for op in (T.relu, T.softmax, T.log_softmax):
-        err = T.gradient_check(lambda op=op: T.tsum(op(x)), [x])
+        err = gradient_check(lambda op=op: T.tsum(op(x)), [x])
         assert err <= 1e-4, op.__name__
 
 
@@ -64,11 +64,11 @@ def test_broadcast_add_mul_row_and_scalar():
     a = Tensor(rng.normal(size=(4, 3)), requires_grad=True, dtype=np.float64)
     row = Tensor(rng.normal(size=3), requires_grad=True, dtype=np.float64)
 
-    err = T.gradient_check(lambda: T.tsum(T.add(a, row)), [a, row])
+    err = gradient_check(lambda: T.tsum(T.add(a, row)), [a, row])
     assert err <= 1e-4
-    err = T.gradient_check(lambda: T.tsum(T.mul(a, row)), [a, row])
+    err = gradient_check(lambda: T.tsum(T.mul(a, row)), [a, row])
     assert err <= 1e-4
-    err = T.gradient_check(lambda: T.tsum(T.mul(a, 0.7)), [a])
+    err = gradient_check(lambda: T.tsum(T.mul(a, 0.7)), [a])
     assert err <= 1e-4
 
     with pytest.raises(ShapeError):
@@ -102,9 +102,9 @@ def test_softmax_log_softmax_gradients():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(2, 5)), requires_grad=True, dtype=np.float64)
     w = Tensor(rng.normal(size=(2, 5)), dtype=np.float64)
-    err = T.gradient_check(lambda: T.tsum(T.mul(T.softmax(x), w)), [x])
+    err = gradient_check(lambda: T.tsum(T.mul(T.softmax(x), w)), [x])
     assert err <= 1e-4
-    err = T.gradient_check(lambda: T.tsum(T.mul(T.log_softmax(x), w)), [x])
+    err = gradient_check(lambda: T.tsum(T.mul(T.log_softmax(x), w)), [x])
     assert err <= 1e-4
 
 
@@ -168,7 +168,7 @@ def test_random_mlp_gradients_match_finite_differences():
         Tensor(rng.normal(scale=0.5, size=(4, 2)), requires_grad=True, dtype=np.float64),
         Tensor(rng.normal(scale=0.1, size=2), requires_grad=True, dtype=np.float64),
     ]
-    err = T.gradient_check(lambda: _mlp_loss(params, x), params)
+    err = gradient_check(lambda: _mlp_loss(params, x), params)
     assert err <= 1e-3
 
 
@@ -198,14 +198,14 @@ def test_shape_ops_gradients():
         y = T.transpose(y, (1, 0, 2))
         return T.tsum(T.mul(y, w))
 
-    assert T.gradient_check(f, [x]) <= 1e-4
+    assert gradient_check(f, [x]) <= 1e-4
 
 
 def test_bmm_gradients():
     rng = np.random.default_rng(8)
     a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True, dtype=np.float64)
     b = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True, dtype=np.float64)
-    err = T.gradient_check(lambda: T.tsum(T.bmm(a, b)), [a, b])
+    err = gradient_check(lambda: T.tsum(T.bmm(a, b)), [a, b])
     assert err <= 1e-4
 
 
@@ -227,7 +227,7 @@ def test_embedding_gradient():
     rng = np.random.default_rng(9)
     table = Tensor(rng.normal(size=(5, 3)), requires_grad=True, dtype=np.float64)
     ids = np.array([[0, 2], [2, 4]])
-    err = T.gradient_check(lambda: T.tsum(T.mul(T.embedding(table, ids), T.embedding(table, ids))), [table])
+    err = gradient_check(lambda: T.tsum(T.mul(T.embedding(table, ids), T.embedding(table, ids))), [table])
     assert err <= 1e-4
     with pytest.raises(ShapeError):
         T.embedding(table, np.array([7]))
@@ -273,3 +273,14 @@ def test_step_activations_are_freed_without_the_cycle_collector():
         assert activation() is None
     finally:
         gc.enable()
+
+
+def test_no_tape_records_nothing_inside_a_live_tape():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        with T.no_tape():
+            T.mul(x, 2.0)
+        assert len(tape) == 0
+        y = T.tsum(T.mul(x, 2.0))
+        assert len(tape) == 2
+        assert np.array_equal(tape.backward(y, [x])[0], [2.0, 2.0, 2.0])
