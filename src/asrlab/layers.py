@@ -255,7 +255,9 @@ class DecoderBlock:
         ``cross_attn.project_kv`` of the memory, [B*h, Tenc, head_dim] each.
         Decoding runs ``models.IncrementalDecoder`` instead, off the tape."""
         h = self.ln1(x)
-        x = T.add(x, self.self_attn.attend(self.self_attn.project_q(h), *self.self_attn.project_kv(h, h), causal))
+        qh = self.self_attn.project_q(h)
+        kh, vh = self.self_attn.project_kv(h, h)
+        x = T.add(x, self.self_attn.attend(qh, kh, vh, causal))
         h = self.ln2(x)
         x = T.add(x, self.cross_attn.attend(self.cross_attn.project_q(h), *memory_kv, mem_mask))
         return T.add(x, self.ff(self.ln3(x)))

@@ -166,11 +166,11 @@ class LasModel(_ModelBase):
             h = block(h, pad)
         return self.enc_norm(h), pad
 
-    def _embed(self, ids: np.ndarray, start: int = 0) -> Tensor:
-        """Scaled embeddings of ids [B, L] plus the encodings of positions start..start+L-1."""
+    def _embed(self, ids: np.ndarray) -> Tensor:
+        """Scaled embeddings of ids [B, L] plus the encodings of positions 0..L-1."""
         batch, length = ids.shape
         y = T.mul(self.embed(ids), float(np.sqrt(self.cfg.dim)))
-        pe = np.broadcast_to(self._pe_slice(start + length)[None, start:], (batch, length, self.cfg.dim))
+        pe = np.broadcast_to(self._pe_slice(length)[None], (batch, length, self.cfg.dim))
         return T.add(y, Tensor(np.ascontiguousarray(pe)))
 
     def decode_logits(self, memory: Tensor, mem_mask: np.ndarray, prefix: np.ndarray) -> Tensor:

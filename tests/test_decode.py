@@ -224,6 +224,17 @@ def test_incremental_decoder_matches_decode_logits_on_reordered_prefixes():
     assert model._pe.shape[0] > 512
 
 
+def test_incremental_decoder_rejects_bad_mask_and_tokens():
+    model = small_las(0)
+    memory, mem_mask = model.encode(np.zeros((5, 1, 6), np.float32), lengths=np.array([4]))
+    with pytest.raises(ShapeError):
+        model.start_decoding(memory, np.ones((1, 1, 6), dtype=bool))
+    decoder = model.start_decoding(memory, mem_mask)
+    for token in (-1, model.cfg.output_dim):
+        with pytest.raises(ShapeError):
+            decoder.step([0], [token])
+
+
 def test_las_beam_matches_reference_on_random_models():
     tok = train_bpe(["ab ba cd dc"], vocab_size=5)
     rng = np.random.default_rng(7)
