@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -339,19 +340,46 @@ def test_dense_top1_finetune_changes_dense_plus_top_lstm(tmp_path):
     assert changed == {"dense.w", "dense.b", "lstm.1.w", "lstm.1.u", "lstm.1.b"}
 
 
+def _las_checkpoints(tmp_path, man, tok, tag):
+    """Bytes of a 2-decoder-block LAS model pretrained with SpecAugment on,
+    then of its decoder-only fine-tune."""
+    pre, ft = tmp_path / f"{tag}-pre.ckpt", tmp_path / f"{tag}-ft.ckpt"
+    model = M.build_model(C.LasConfig(feat_dim=60, dim=16, ff_dim=32, heads=2,
+                                      enc_blocks=1, dec_blocks=2, vocab=tok.size), seed=3)
+    A.pretrain(model, man, tok, _tiny_cfg(spec_augment=True), pre)
+    A.finetune(pre, man, tok, A.FreezePolicy.parse("decoder-only"), _tiny_cfg(lr=1e-3), ft)
+    return pre.read_bytes(), ft.read_bytes()
+
+
+def _ctc_checkpoints(tmp_path, man, tok, tag):
+    """Bytes of a 2-layer CTC model pretrained with SpecAugment on, then of
+    its dense-top1 fine-tune."""
+    pre, ft = tmp_path / f"{tag}-pre.ckpt", tmp_path / f"{tag}-ft.ckpt"
+    model = M.build_model(C.CtcConfig(feat_dim=60, hidden=16, layers=2, vocab=tok.size), seed=2)
+    A.pretrain(model, man, tok, _tiny_cfg(spec_augment=True), pre)
+    A.finetune(pre, man, tok, A.FreezePolicy.parse("dense-top1"), _tiny_cfg(lr=1e-3), ft)
+    return pre.read_bytes(), ft.read_bytes()
+
+
 def test_fused_lstm_writes_the_checkpoints_of_the_per_frame_tape(tmp_path, monkeypatch):
     man, tok = _tiny_setup(tmp_path, n=16)
-
-    def checkpoints(tag):
-        pre, ft = tmp_path / f"{tag}-pre.ckpt", tmp_path / f"{tag}-ft.ckpt"
-        model = M.build_model(C.CtcConfig(feat_dim=60, hidden=16, layers=2, vocab=tok.size), seed=2)
-        A.pretrain(model, man, tok, _tiny_cfg(spec_augment=True), pre)
-        A.finetune(pre, man, tok, A.FreezePolicy.parse("dense-top1"), _tiny_cfg(lr=1e-3), ft)
-        return pre.read_bytes(), ft.read_bytes()
-
-    fused = checkpoints("fused")
+    fused = _ctc_checkpoints(tmp_path, man, tok, "fused")
     monkeypatch.setattr(L.LstmLayer, "forward", reference_lstm_forward)
-    assert checkpoints("per-frame") == fused
+    assert _ctc_checkpoints(tmp_path, man, tok, "per-frame") == fused
+
+
+def test_trained_checkpoints_are_pinned(tmp_path):
+    """The sha256 of each checkpoint that a few seeded training steps write.
+    A change of one ulp in any forward or backward rule changes these; the
+    frozen-tensor and loss tests cannot see it. Like the decoding digests,
+    they hold for numpy's own OpenBLAS build."""
+    man, tok = _tiny_setup(tmp_path, n=16)
+    digests = [hashlib.sha256(b).hexdigest()
+               for b in _las_checkpoints(tmp_path, man, tok, "las") + _ctc_checkpoints(tmp_path, man, tok, "ctc")]
+    assert digests == ["cb5efd1955b45a513f7234d488bd9ca6a89dea24e08996c6a841e1f05b85840e",
+                       "9f620ad4d7ad543bfed95df629d7d3be98f5b4cebfb088cf10b210fc7257cf2e",
+                       "067c080589f7aaab5a96a42fb563da47e077421ab29adc65600e8a3cab8b1c5a",
+                       "97869b0f3117015d8a896cd0514669b32a2b720bf65b6700eca425810921ff25"]
 
 
 def test_finetune_lr_zero_is_identity(tmp_path):
