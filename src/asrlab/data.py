@@ -7,6 +7,7 @@ with file paths stored relative to the manifest's directory.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import signal, tensor
 from .atomic import atomic_write
-from .errors import DataError
+from .errors import DataError, NumericError
 
 
 @dataclass
@@ -53,10 +54,19 @@ class Manifest:
                 if not line:
                     continue
                 try:
-                    row = json.loads(line)
-                    utts.append(Utterance(**row))
+                    utt = Utterance(**json.loads(line))
                 except (json.JSONDecodeError, TypeError) as exc:
                     raise DataError(f"{path}:{lineno}: bad manifest row: {exc}") from exc
+                bad = [name for name in ("id", "text", "domain", "speaker_id", "wav")
+                       if not isinstance(getattr(utt, name), str)]
+                if utt.features is not None and not isinstance(utt.features, str):
+                    bad.append("features")
+                if type(utt.duration_s) not in (int, float) or not math.isfinite(utt.duration_s):
+                    bad.append("duration_s")
+                if bad:
+                    raise DataError(f"{path}:{lineno}: utterance {utt.id!r}: bad {', '.join(bad)} "
+                                    "(strings, a finite duration_s and a string or no features)")
+                utts.append(utt)
         return cls(utts, path.parent)
 
     def write(self, path) -> None:
@@ -66,14 +76,21 @@ class Manifest:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
 
     def waveform(self, utt: Utterance) -> np.ndarray:
-        samples, _ = signal.read_wav(self.root / utt.wav)
+        try:
+            samples, _ = signal.read_wav(self.root / utt.wav)
+        except DataError as exc:
+            raise DataError(f"utterance {utt.id!r}: {exc}") from exc
         return samples
 
     def features(self, utt: Utterance) -> np.ndarray:
         """Load cached features, or extract from the WAV when absent."""
-        if utt.features is not None:
-            return tensor.load_array(self.root / utt.features)
-        return signal.extract_features(self.waveform(utt))
+        if utt.features is None:
+            return signal.extract_features(self.waveform(utt))
+        path = self.root / utt.features
+        try:
+            return tensor.load_array(path)
+        except (OSError, NumericError) as exc:
+            raise DataError(f"utterance {utt.id!r}: cannot read features {path}: {exc}") from exc
 
     def check_unique_ids(self) -> None:
         seen = set()
@@ -81,17 +98,3 @@ class Manifest:
             if utt.id in seen:
                 raise DataError(f"duplicate utterance id {utt.id!r}")
             seen.add(utt.id)
-
-
-def write_text_corpus(path, sentences) -> None:
-    with atomic_write(path) as fh:
-        for s in sentences:
-            fh.write(s + "\n")
-
-
-def read_text_corpus(path) -> list[str]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"text corpus not found: {path}")
-    with open(path) as fh:
-        return [line.strip() for line in fh if line.strip()]

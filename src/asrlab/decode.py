@@ -5,9 +5,9 @@ matrix in numpy; Python only touches the few candidates that can make
 the next beam. The LAS beam encodes the utterance once and then feeds
 only the newest token of each live hypothesis through the model's
 incremental decoder, which caches the attention keys and values of
-the memory and of the earlier positions and computes on plain arrays:
-nothing in a decode touches the tape (``DecoderBlock`` is the training
-path).
+the memory and of the earlier positions and calls the array code of
+the model's own layers: nothing in a decode touches the tape, and
+decoding runs the same per-layer arithmetic as training.
 
 N-best lists carry (token ids, text, acoustic score); the language-model
 score and combined total are filled in by rescoring. The JSONL wire

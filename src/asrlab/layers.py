@@ -5,6 +5,12 @@ A layer holds the tensors it is given: it is built from a model's flat
 ``params[f"{prefix}.w"]`` and so on, and takes its sizes from their
 shapes. The names and shapes, and the rule that draws initial values,
 live in ``models.tensor_shapes`` and ``models.init_tensors``.
+
+A layer is an array forward plus one tape node: ``apply`` computes on
+raw arrays, and calling the layer on Tensors runs that same code and
+records it as a single node with a hand-written backward rule. The
+incremental decoder (``models.IncrementalDecoder``) calls the layers'
+array code, so a model's forward pass is written once.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .tensor import Tensor, sigmoid_np
+from .tensor import Tensor, sigmoid_np, softmax_np
 
 NEG_FILL = -1e9  # pre-softmax fill for masked attention positions
 LN_EPS = 1e-5  # layer-norm variance floor
@@ -25,14 +31,25 @@ class Dense:
     def __init__(self, params: dict[str, Tensor], prefix: str):
         self.w, self.b = params[f"{prefix}.w"], params[f"{prefix}.b"]
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """x [..., d_in] -> [..., d_out], as one 2-d product over the
+        flattened leading dims."""
         d_in, d_out = self.w.shape
-        lead = x.shape[:-1]
-        flat = T.reshape(x, (-1, d_in)) if x.ndim != 2 else x
-        y = T.add(T.matmul(flat, self.w), self.b)
-        if x.ndim != 2:
-            y = T.reshape(y, lead + (d_out,))
-        return y
+        if x.shape[-1] != d_in:
+            raise ShapeError(f"dense input dim {x.shape[-1]} does not match weight {self.w.shape}")
+        return (x.reshape(-1, d_in) @ self.w.data + self.b.data).reshape(x.shape[:-1] + (d_out,))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        w, b = self.w, self.b
+        out = Tensor(self.apply(x.data))
+
+        def backward(g):
+            g = g.reshape(-1, g.shape[-1])
+            return ((g @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+                    x.data.reshape(-1, w.shape[0]).T @ g if w.requires_grad else None,
+                    g.sum(axis=0) if b.requires_grad else None)
+
+        return T._finish(out, (x, w, b), backward)
 
 
 class LstmLayer:
@@ -106,9 +123,27 @@ class LayerNorm:
     def __init__(self, params: dict[str, Tensor], prefix: str):
         self.gamma, self.beta = params[f"{prefix}.gamma"], params[f"{prefix}.beta"]
 
+    def _forward(self, x: np.ndarray):
+        """(output, normalized input xhat, 1/std), the last two being what
+        the backward rule reads.
+
+        The means are sums divided by the dim: a division is correctly
+        rounded, so this equals ``np.mean`` (which divides in float64) bit
+        for bit without its Python overhead."""
+        n = x.shape[-1]
+        mu = x.sum(axis=-1, keepdims=True) / n
+        xc = x - mu
+        var = (xc * xc).sum(axis=-1, keepdims=True) / n
+        inv = 1.0 / np.sqrt(var + LN_EPS)
+        xhat = xc * inv
+        return self.gamma.data * xhat + self.beta.data, xhat, inv
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._forward(x)[0]
+
     def __call__(self, x: Tensor) -> Tensor:
         gamma, beta = self.gamma, self.beta
-        y, xhat, inv = layer_norm_np(x.data, gamma.data, beta.data)
+        y, xhat, inv = self._forward(x.data)
         out = Tensor(y)
 
         def backward(g):
@@ -127,28 +162,27 @@ class LayerNorm:
         return T._finish(out, (x, gamma, beta), backward)
 
 
-def layer_norm_np(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    """Layer norm of a raw array over its trailing dim: (output, normalized
-    input xhat, 1/std), the last two being what the backward rule reads.
-
-    The means are sums divided by the dim: a division is correctly rounded,
-    so this equals ``np.mean`` (which divides in float64) bit for bit
-    without its Python overhead."""
-    n = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) / n
-    xc = x - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return gamma * xhat + beta, xhat, inv
-
-
 class Embedding:
     def __init__(self, params: dict[str, Tensor], prefix: str):
         self.table = params[f"{prefix}.table"]
 
+    def apply(self, ids: np.ndarray) -> np.ndarray:
+        """The table rows of integer ids of any shape: [..., dim]."""
+        if ids.size and (ids.min() < 0 or ids.max() >= self.table.shape[0]):
+            raise ShapeError("embedding id out of range")
+        return self.table.data[ids]
+
     def __call__(self, ids: np.ndarray) -> Tensor:
-        return T.embedding(self.table, ids)
+        table = self.table
+        ids = np.asarray(ids)
+        out = Tensor(self.apply(ids))
+
+        def backward(g):
+            full = np.zeros_like(table.data)
+            np.add.at(full, ids, g)
+            return (full,)
+
+        return T._finish(out, (table,), backward)
 
 
 def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
@@ -165,7 +199,12 @@ def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
 
 
 class MultiHeadAttention:
-    """Scaled dot-product attention with h heads and output projection."""
+    """Scaled dot-product attention with h heads and output projection.
+
+    ``attend`` is one tape node over the projected queries, keys and
+    values. ``split``, ``weights`` and ``merge`` are its array steps; the
+    incremental decoder calls them on its cached keys and values.
+    """
 
     def __init__(self, params: dict[str, Tensor], prefix: str, heads: int):
         self.wq, self.wk, self.wv, self.wo = (Dense(params, f"{prefix}.{p}") for p in ("wq", "wk", "wv", "wo"))
@@ -174,53 +213,70 @@ class MultiHeadAttention:
             raise ShapeError(f"model dim {self.dim} not divisible by {heads} heads")
         self.heads = heads
         self.head_dim = self.dim // heads
+        self.scale = 1.0 / np.sqrt(self.head_dim)
 
-    def _split(self, x: Tensor) -> Tensor:
+    def split(self, x: np.ndarray) -> np.ndarray:
+        """[B, T, dim] -> per-head [B*h, T, head_dim]."""
         batch, t, _ = x.shape
-        x = T.reshape(x, (batch, t, self.heads, self.head_dim))
-        x = T.transpose(x, (0, 2, 1, 3))
-        return T.reshape(x, (batch * self.heads, t, self.head_dim))
+        x = x.reshape(batch, t, self.heads, self.head_dim).transpose(0, 2, 1, 3)
+        return x.reshape(batch * self.heads, t, self.head_dim)
 
-    def project_q(self, q: Tensor) -> Tensor:
-        """Queries [B, Tq, dim] -> per-head queries [B*h, Tq, head_dim]."""
-        return self._split(self.wq(q))
+    def merge(self, x: np.ndarray) -> np.ndarray:
+        """Per-head [B*h, T, head_dim] -> [B, T, dim], the inverse of split."""
+        t = x.shape[1]
+        x = x.reshape(-1, self.heads, t, self.head_dim).transpose(0, 2, 1, 3)
+        return x.reshape(-1, t, self.dim)
 
-    def project_kv(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Keys and values [B, Tk, dim] -> per-head keys and values [B*h, Tk, head_dim]."""
-        return self._split(self.wk(k)), self._split(self.wv(v))
+    def weights(self, qh: np.ndarray, kh: np.ndarray, fill: np.ndarray | None = None) -> np.ndarray:
+        """Softmax weights [B*h, Tq, Tk] of per-head queries and keys; fill,
+        NEG_FILL at a hidden key, is added to the scaled scores."""
+        scores = (qh @ kh.transpose(0, 2, 1)) * qh.dtype.type(self.scale)
+        if fill is not None:
+            scores = scores + fill
+        return softmax_np(scores)
 
-    def weights(self, qh: Tensor, kh: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """Softmax attention weights [B*h, Tq, Tk]; mask is True where a key is hidden."""
-        batch = qh.shape[0] // self.heads
-        tq, tk = qh.shape[1], kh.shape[1]
-        scores = T.bmm(qh, T.transpose(kh, (0, 2, 1)))
-        scores = T.mul(scores, 1.0 / np.sqrt(self.head_dim))
+    def attend(self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Attention of projected queries q [B, Tq, dim] over projected keys
+        and values [B, Tk, dim], heads merged: [B, Tq, dim]. mask, [Tq, Tk]
+        or [B, Tq|1, Tk], is True where a key is hidden. One tape node."""
+        (batch, tq, _), tk = q.shape, k.shape[1]
+        fill = None
         if mask is not None:
             if mask.shape[-1] != tk or mask.shape[-2] not in (1, tq) or mask.ndim not in (2, 3):
                 raise ShapeError(f"mask shape {mask.shape} incompatible with ({tq}, {tk})")
             expand = mask if mask.ndim == 2 else mask[:, None]
             full = np.broadcast_to(expand, (batch, self.heads, tq, tk))
-            fill = np.where(full.reshape(batch * self.heads, tq, tk), NEG_FILL, 0.0)
-            scores = T.add(scores, Tensor(fill.astype(scores.dtype)))
-        return T.softmax(scores, axis=-1)
+            fill = np.where(full.reshape(batch * self.heads, tq, tk), NEG_FILL, 0.0).astype(q.dtype)
+        qh, kh, vh = self.split(q.data), self.split(k.data), self.split(v.data)
+        w = self.weights(qh, kh, fill)
+        out = Tensor(self.merge(w @ vh))
 
-    def attend(self, qh: Tensor, kh: Tensor, vh: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """Attention output [B, Tq, dim] from projected queries, keys and values."""
-        batch = qh.shape[0] // self.heads
-        tq = qh.shape[1]
-        ctx = T.bmm(self.weights(qh, kh, mask), vh)
-        ctx = T.reshape(ctx, (batch, self.heads, tq, self.head_dim))
-        ctx = T.transpose(ctx, (0, 2, 1, 3))
-        ctx = T.reshape(ctx, (batch, tq, self.dim))
-        return self.wo(ctx)
+        def backward(g):
+            g = self.split(g)
+            dq = dk = dv = None
+            if v.requires_grad:
+                dv = self.merge(w.transpose(0, 2, 1) @ g)
+            if q.requires_grad or k.requires_grad:
+                dw = g @ vh.transpose(0, 2, 1)
+                ds = ((dw - np.sum(dw * w, axis=-1, keepdims=True)) * w) * q.dtype.type(self.scale)
+                if q.requires_grad:
+                    dq = self.merge(ds @ kh)
+                if k.requires_grad:
+                    dk = self.merge((qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1))
+            return dq, dk, dv
+
+        return T._finish(out, (q, k, v), backward)
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        return self.attend(self.project_q(q), *self.project_kv(k, v), mask)
+        return self.wo(self.attend(self.wq(q), self.wk(k), self.wv(v), mask))
 
 
 class FeedForward:
     def __init__(self, params: dict[str, Tensor], prefix: str):
         self.lin1, self.lin2 = Dense(params, f"{prefix}.lin1"), Dense(params, f"{prefix}.lin2")
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.lin2.apply(np.maximum(self.lin1.apply(x), 0.0))
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(T.relu(self.lin1(x)))
@@ -249,17 +305,13 @@ class DecoderBlock:
         self.ff = FeedForward(params, f"{prefix}.ff")
         self.ln1, self.ln2, self.ln3 = (LayerNorm(params, f"{prefix}.{n}") for n in ("ln1", "ln2", "ln3"))
 
-    def __call__(self, x: Tensor, memory_kv: tuple[Tensor, Tensor], causal: np.ndarray | None = None,
+    def __call__(self, x: Tensor, memory: Tensor, causal: np.ndarray | None = None,
                  mem_mask: np.ndarray | None = None) -> Tensor:
-        """Teacher-forced positions x [B, L, dim] -> [B, L, dim]. memory_kv is
-        ``cross_attn.project_kv`` of the memory, [B*h, Tenc, head_dim] each.
-        Decoding runs ``models.IncrementalDecoder`` instead, off the tape."""
+        """Teacher-forced positions x [B, L, dim] attending to the encoder
+        memory [B, Tenc, dim] -> [B, L, dim]."""
         h = self.ln1(x)
-        qh = self.self_attn.project_q(h)
-        kh, vh = self.self_attn.project_kv(h, h)
-        x = T.add(x, self.self_attn.attend(qh, kh, vh, causal))
-        h = self.ln2(x)
-        x = T.add(x, self.cross_attn.attend(self.cross_attn.project_q(h), *memory_kv, mem_mask))
+        x = T.add(x, self.self_attn(h, h, h, causal))
+        x = T.add(x, self.cross_attn(self.ln2(x), memory, memory, mem_mask))
         return T.add(x, self.ff(self.ln3(x)))
 
 

@@ -12,6 +12,10 @@ them. Feature mean/variance stats ride along as non-trainable buffers
 under "norm.*". A model is built from a {name: array} dict, drawn by
 ``init_tensors`` or read from a checkpoint, and its layers hold those
 arrays as they are given.
+
+Each layer call records one tape node (``layers``). Beam search runs
+``IncrementalDecoder``, which calls the array code of the same layer
+objects and holds no layer math of its own.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from .atomic import atomic_write
 from .config import CtcConfig, LasConfig, model_config_from_dict
 from .errors import DataError, NumericError, ShapeError, UsageError
 from .layers import (NEG_FILL, Dense, DecoderBlock, EncoderBlock, Embedding, LayerNorm, LstmLayer,
-                     causal_mask, key_padding_mask, layer_norm_np, positional_encoding)
-from .tensor import Tensor, softmax_np
+                     causal_mask, key_padding_mask, positional_encoding)
+from .tensor import Tensor
 
 CKPT_MAGIC = b"CKPT"
 CKPT_VERSION = 1
@@ -105,10 +109,7 @@ class CtcModel(_ModelBase):
 
     def log_probs(self, enc: Tensor) -> Tensor:
         """Encoder output [T,B,hidden] -> log-probs [T,B,V+1] (dense, log-softmax)."""
-        t_len, batch, _ = enc.shape
-        logits = self.dense(T.reshape(enc, (t_len * batch, self.cfg.hidden)))
-        lp = T.log_softmax(logits, axis=-1)
-        return T.reshape(lp, (t_len, batch, self.cfg.output_dim))
+        return T.log_softmax(self.dense(enc), axis=-1)
 
     def forward(self, feats: np.ndarray) -> Tensor:
         """Padded features [T,B,D] -> log-probs Tensor [T,B,V+1]."""
@@ -131,6 +132,8 @@ class LasModel(_ModelBase):
         self.dec_norm = LayerNorm(p, "dec_norm")
         self.dense = Dense(p, "dense")
         self._pe = positional_encoding(512, cfg.dim)
+        # sqrt(dim) keeps projected features and embeddings comparable to the position signal
+        self.content_scale = float(np.sqrt(cfg.dim))
 
     @property
     def bos_id(self) -> int:
@@ -158,7 +161,7 @@ class LasModel(_ModelBase):
             lengths = np.full(batch, t_len, dtype=np.int64)
         x = self.normalize(feats).transpose(1, 0, 2)  # [B,T,D]
         h = self.input_proj(Tensor(np.ascontiguousarray(x)))
-        h = T.mul(h, float(np.sqrt(self.cfg.dim)))  # keep content comparable to the position signal
+        h = T.mul(h, self.content_scale)
         pe = np.broadcast_to(self._pe_slice(t_len)[None], (batch, t_len, self.cfg.dim))
         h = T.add(h, Tensor(np.ascontiguousarray(pe)))
         pad = key_padding_mask(lengths, t_len)
@@ -169,7 +172,7 @@ class LasModel(_ModelBase):
     def _embed(self, ids: np.ndarray) -> Tensor:
         """Scaled embeddings of ids [B, L] plus the encodings of positions 0..L-1."""
         batch, length = ids.shape
-        y = T.mul(self.embed(ids), float(np.sqrt(self.cfg.dim)))
+        y = T.mul(self.embed(ids), self.content_scale)
         pe = np.broadcast_to(self._pe_slice(length)[None], (batch, length, self.cfg.dim))
         return T.add(y, Tensor(np.ascontiguousarray(pe)))
 
@@ -182,7 +185,7 @@ class LasModel(_ModelBase):
         y = self._embed(prefix)
         causal = causal_mask(prefix.shape[1])
         for block in self.decoder:
-            y = block(y, block.cross_attn.project_kv(memory, memory), causal, mem_mask)
+            y = block(y, memory, causal, mem_mask)
         return self.dense(self.dec_norm(y))
 
     def start_decoding(self, memory: Tensor, mem_mask: np.ndarray | None = None) -> IncrementalDecoder:
@@ -193,63 +196,32 @@ class LasModel(_ModelBase):
 class IncrementalDecoder:
     """Decodes one new position per step on plain arrays, off the tape.
 
-    ``DecoderBlock`` is the teacher-forced training path. A step runs the
-    same float32 operations as that path, in the same order, on the newest
-    position of each row: no Tensor is made and nothing is recorded, even
-    inside a live Tape. The cross-attention keys and values of the memory
-    are projected once per block, and the self-attention keys and values
-    of every earlier position are cached per row, [rows*heads, L, head_dim].
-    A step first reorders that cache by each row's parent row, so the
-    logits match ``LasModel.decode_logits`` on the rows' full prefixes.
+    A step runs the model's own layers through their array code on the
+    newest position of each row, so no Tensor is made and nothing is
+    recorded, even inside a live Tape. This class keeps only what is
+    incremental: the memory's cross-attention keys and values, projected
+    once per block; the self-attention keys and values of the earlier
+    positions, [rows*heads, L, head_dim] per block, reordered at each step
+    by the rows' parent rows so that the logits match
+    ``LasModel.decode_logits`` on the full prefixes; the position counter;
+    and the additive fill of the memory's padded frames.
     """
 
     def __init__(self, model: LasModel, memory: Tensor, mem_mask: np.ndarray | None):
         if memory.ndim != 3 or memory.shape[0] != 1:
             raise ShapeError(f"incremental decoding wants the memory of one utterance, got {memory.shape}")
-        cfg = model.cfg
         t_enc = memory.shape[1]
         self.model = model
-        self.heads, self.head_dim = cfg.heads, cfg.dim // cfg.heads
-        self.scale = np.float32(1.0 / np.sqrt(self.head_dim))
-        self.embed_scale = np.float32(np.sqrt(cfg.dim))
-        self.p = {name: t.data for name, t in model.params.items()}
-        self.blocks = [f"decoder.{i}." for i in range(cfg.dec_blocks)]
         # a mask that hides no memory frame would only add zeros to the scores at every step
         self.fill = None
         if mem_mask is not None and mem_mask.any():
             if mem_mask.size != t_enc or mem_mask.shape[-1] != t_enc:
                 raise ShapeError(f"memory mask shape {mem_mask.shape} does not match {t_enc} memory frames")
             self.fill = np.where(mem_mask.reshape(t_enc), NEG_FILL, 0.0).astype(memory.dtype)
-        mem = memory.data.reshape(t_enc, cfg.dim)
-        self.memory_kv = [(self._heads(self._dense(mem, b + "cross_attn.wk"), 1),
-                           self._heads(self._dense(mem, b + "cross_attn.wv"), 1)) for b in self.blocks]
-        empty = np.zeros((self.heads, 0, self.head_dim), dtype=memory.dtype)
-        self.past = [(empty, empty)] * cfg.dec_blocks
+        self.memory_kv = [(b.cross_attn.split(b.cross_attn.wk.apply(memory.data)),
+                           b.cross_attn.split(b.cross_attn.wv.apply(memory.data))) for b in model.decoder]
+        self.past = [(k[:, :0], v[:, :0]) for k, v in self.memory_kv]  # no earlier position yet
         self.pos = 0
-
-    def _dense(self, x: np.ndarray, name: str) -> np.ndarray:
-        """x [n, d_in] @ w + b, as layers.Dense computes it."""
-        return x @ self.p[name + ".w"] + self.p[name + ".b"]
-
-    def _norm(self, x: np.ndarray, name: str) -> np.ndarray:
-        return layer_norm_np(x, self.p[name + ".gamma"], self.p[name + ".beta"])[0]
-
-    def _heads(self, x: np.ndarray, batch: int) -> np.ndarray:
-        """[batch*t, dim] -> per-head [batch*h, t, head_dim], as MultiHeadAttention splits."""
-        t = x.shape[0] // batch
-        x = x.reshape(batch, t, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-        return x.reshape(batch * self.heads, t, self.head_dim)
-
-    def _attend(self, qh, kh, vh, fill, name: str) -> np.ndarray:
-        """Attention output [batch*tq, dim] of per-head queries [batch*h, tq, head_dim],
-        as MultiHeadAttention.attend computes it."""
-        batch, tq = qh.shape[0] // self.heads, qh.shape[1]
-        scores = (qh @ kh.transpose(0, 2, 1)) * self.scale
-        if fill is not None:
-            scores = scores + fill
-        ctx = softmax_np(scores) @ vh
-        ctx = ctx.reshape(batch, self.heads, tq, self.head_dim).transpose(0, 2, 1, 3)
-        return self._dense(ctx.reshape(batch * tq, self.heads * self.head_dim), name + ".wo")
 
     def step(self, rows, tokens) -> np.ndarray:
         """Logits [n, V'] for the next position of n rows.
@@ -259,27 +231,26 @@ class IncrementalDecoder:
         """
         rows = np.asarray(rows, dtype=np.int64)
         tokens = np.asarray(tokens, dtype=np.int64)
-        table = self.p["embed.table"]
-        if tokens.size and (tokens.min() < 0 or tokens.max() >= table.shape[0]):
-            raise ShapeError("embedding id out of range")
-        n, heads = len(tokens), self.heads
+        model, heads = self.model, self.model.cfg.heads
+        n = len(tokens)
         cache_rows = (rows[:, None] * heads + np.arange(heads)).ravel()
-        y = table[tokens] * self.embed_scale + self.model._pe_slice(self.pos + 1)[self.pos]
-        for i, b in enumerate(self.blocks):
-            h = self._norm(y, b + "ln1")
-            qh, kh, vh = (self._heads(self._dense(h, b + f"self_attn.{w}"), n) for w in ("wq", "wk", "wv"))
+        y = model.embed.apply(tokens[:, None]) * model.content_scale + model._pe_slice(self.pos + 1)[self.pos]
+        for i, block in enumerate(model.decoder):
+            attn = block.self_attn
+            h = block.ln1.apply(y)  # [n, 1, dim]
+            qh, kh, vh = (attn.split(proj.apply(h)) for proj in (attn.wq, attn.wk, attn.wv))
             past_k, past_v = self.past[i]
             kh = np.concatenate([past_k[cache_rows], kh], axis=1)
             vh = np.concatenate([past_v[cache_rows], vh], axis=1)
             self.past[i] = (kh, vh)
-            y = y + self._attend(qh, kh, vh, None, b + "self_attn")
+            y = y + attn.wo.apply(attn.merge(attn.weights(qh, kh) @ vh))
             # the n rows share one memory, so they go in as n queries of a single batch entry
-            qm = self._heads(self._dense(self._norm(y, b + "ln2"), b + "cross_attn.wq"), 1)
-            y = y + self._attend(qm, *self.memory_kv[i], self.fill, b + "cross_attn")
-            h = np.maximum(self._dense(self._norm(y, b + "ln3"), b + "ff.lin1"), 0.0)
-            y = y + self._dense(h, b + "ff.lin2")
+            attn, (mem_k, mem_v) = block.cross_attn, self.memory_kv[i]
+            qm = attn.split(attn.wq.apply(block.ln2.apply(y)).reshape(1, n, -1))
+            y = y + attn.wo.apply(attn.merge(attn.weights(qm, mem_k, self.fill) @ mem_v)).reshape(n, 1, -1)
+            y = y + block.ff.apply(block.ln3.apply(y))
         self.pos += 1
-        return self._dense(self._norm(y, "dec_norm"), "dense")
+        return model.dense.apply(model.dec_norm.apply(y))[:, 0]
 
 
 def _model(cfg, tensors: dict[str, np.ndarray]):

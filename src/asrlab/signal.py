@@ -193,9 +193,12 @@ def write_wav(path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None
 
 
 def read_wav(path) -> tuple[np.ndarray, int]:
-    with _wave.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
-            raise DataError(f"{path}: expected 16-bit mono PCM")
-        rate = fh.getframerate()
-        pcm = np.frombuffer(fh.readframes(fh.getnframes()), dtype="<i2")
+    try:
+        with _wave.open(str(path), "rb") as fh:
+            if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
+                raise DataError(f"{path}: expected 16-bit mono PCM")
+            rate = fh.getframerate()
+            pcm = np.frombuffer(fh.readframes(fh.getnframes()), dtype="<i2")
+    except (OSError, EOFError, _wave.Error) as exc:
+        raise DataError(f"{path}: not a readable WAV file: {exc}") from exc
     return (pcm.astype(np.float32) / 32767.0), rate

@@ -12,9 +12,11 @@ parents and backward rule, and a tensor knows nothing of the tape it was
 recorded on, so a step's activations are freed as soon as its tape and
 outputs go out of scope.
 
-Broadcasting is deliberately restricted to scalars and trailing-dim row
-vectors so that every backward rule stays auditable. Anything fancier
-(attention masks) is materialized to full shape first.
+The ops here are the glue between layers: add, mul, relu and
+log-softmax. A layer records its whole forward pass as one node of its
+own (``layers``), and a loss does the same (``losses``). Broadcasting is
+deliberately restricted to scalars and trailing-dim row vectors so that
+every backward rule stays auditable.
 """
 
 from __future__ import annotations
@@ -195,35 +197,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _finish(out, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def backward(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
-
-    return _finish(out, (a, b), backward)
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul on [N,m,k] @ [N,k,n]."""
-    if a.ndim != 3 or b.ndim != 3:
-        raise ShapeError(f"bmm expects 3-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"bmm shapes incompatible: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def backward(g):
-        return (g @ b.data.transpose(0, 2, 1) if a.requires_grad else None,
-                a.data.transpose(0, 2, 1) @ g if b.requires_grad else None)
-
-    return _finish(out, (a, b), backward)
-
-
 # -- elementwise nonlinearities -----------------------------------------
 
 def relu(a: Tensor) -> Tensor:
@@ -238,17 +211,6 @@ def relu(a: Tensor) -> Tensor:
 
 # -- softmax ------------------------------------------------------------
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    y = softmax_np(a.data, axis)
-    out = Tensor(y)
-
-    def backward(g):
-        dot = np.sum(g * y, axis=axis, keepdims=True)
-        return ((g - dot) * y,)
-
-    return _finish(out, (a,), backward)
-
-
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     y = log_softmax_np(a.data, axis)
     out = Tensor(y)
@@ -261,7 +223,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted softmax on a raw array (shared by ops and inference)."""
+    """Max-subtracted softmax on a raw array."""
     m = x.max(axis=axis, keepdims=True)
     e = np.exp(x - m)
     return e / e.sum(axis=axis, keepdims=True)
@@ -279,53 +241,6 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
-
-
-# -- sums ----------------------------------------------------------------
-
-def tsum(a: Tensor) -> Tensor:
-    out = Tensor(np.asarray(a.data.sum(), dtype=a.data.dtype))
-
-    def backward(g):
-        return (np.full_like(a.data, g),)
-
-    return _finish(out, (a,), backward)
-
-
-# -- shape surgery --------------------------------------------------------
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-
-    def backward(g):
-        return (g.reshape(a.shape),)
-
-    return _finish(out, (a,), backward)
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    out = Tensor(a.data.transpose(axes))
-    inv = tuple(np.argsort(axes))
-
-    def backward(g):
-        return (g.transpose(inv),)
-
-    return _finish(out, (a,), backward)
-
-
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    ids = np.asarray(ids)
-    if np.any(ids < 0) or np.any(ids >= table.shape[0]):
-        raise ShapeError("embedding id out of range")
-    out = Tensor(table.data[ids])
-
-    def backward(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        return (full,)
-
-    return _finish(out, (table,), backward)
 
 
 # -- binary tensor format ---------------------------------------------------
@@ -346,8 +261,11 @@ def read_array(fh) -> np.ndarray:
     magic = fh.read(4)
     if magic != NDT_MAGIC:
         raise NumericError(f"bad tensor magic {magic!r}")
-    (rank,) = struct.unpack("<I", fh.read(4))
-    dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+    try:
+        (rank,) = struct.unpack("<I", fh.read(4))
+        dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+    except struct.error as exc:
+        raise NumericError(f"truncated tensor header: {exc}") from exc
     start = fh.tell()
     if fh.seek(0, 2) - start < 4 * math.prod(dims):  # checked before a corrupt shape can allocate
         raise NumericError("truncated tensor payload")

@@ -1,5 +1,5 @@
-"""Independent brute-force oracles, reference loops and the finite-difference
-gradient check shared by test modules."""
+"""Independent brute-force oracles, reference loops and op chains, and the
+finite-difference gradient check shared by test modules."""
 
 import itertools
 
@@ -7,8 +7,98 @@ import numpy as np
 
 from asrlab import tensor as T
 from asrlab.decode import Hypothesis, dedup_by_text
-from asrlab.errors import UsageError
-from asrlab.tensor import Tensor, log_softmax_np
+from asrlab.errors import ShapeError, UsageError
+from asrlab.layers import NEG_FILL
+from asrlab.tensor import Tensor, log_softmax_np, softmax_np
+
+
+# -- generic tape ops: the op chains below are spelled in them -------------------
+
+def matmul(a, b):
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    out = Tensor(a.data @ b.data)
+
+    def backward(g):
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
+
+    return T._finish(out, (a, b), backward)
+
+
+def bmm(a, b):
+    """Batched matmul on [N,m,k] @ [N,k,n]."""
+    if a.ndim != 3 or b.ndim != 3:
+        raise ShapeError(f"bmm expects 3-d operands, got {a.shape} @ {b.shape}")
+    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+        raise ShapeError(f"bmm shapes incompatible: {a.shape} @ {b.shape}")
+    out = Tensor(a.data @ b.data)
+
+    def backward(g):
+        return (g @ b.data.transpose(0, 2, 1) if a.requires_grad else None,
+                a.data.transpose(0, 2, 1) @ g if b.requires_grad else None)
+
+    return T._finish(out, (a, b), backward)
+
+
+def softmax(a, axis=-1):
+    y = softmax_np(a.data, axis)
+
+    def backward(g):
+        dot = np.sum(g * y, axis=axis, keepdims=True)
+        return ((g - dot) * y,)
+
+    return T._finish(Tensor(y), (a,), backward)
+
+
+def tsum(a):
+    out = Tensor(np.asarray(a.data.sum(), dtype=a.data.dtype))
+    return T._finish(out, (a,), lambda g: (np.full_like(a.data, g),))
+
+
+def reshape(a, shape):
+    return T._finish(Tensor(a.data.reshape(shape)), (a,), lambda g: (g.reshape(a.shape),))
+
+
+def transpose(a, axes):
+    inv = tuple(np.argsort(axes))
+    return T._finish(Tensor(a.data.transpose(axes)), (a,), lambda g: (g.transpose(inv),))
+
+
+def reference_dense(dense, x):
+    """`layers.Dense` spelled as the ops reshape, matmul, add and reshape;
+    the fused node must return the same output and gradients bit for bit."""
+    if x.ndim == 2:
+        return T.add(matmul(x, dense.w), dense.b)
+    d_in, d_out = dense.w.shape
+    y = T.add(matmul(reshape(x, (-1, d_in)), dense.w), dense.b)
+    return reshape(y, x.shape[:-1] + (d_out,))
+
+
+def _split_heads(attn, x):
+    batch, t, _ = x.shape
+    x = transpose(reshape(x, (batch, t, attn.heads, attn.head_dim)), (0, 2, 1, 3))
+    return reshape(x, (batch * attn.heads, t, attn.head_dim))
+
+
+def reference_attention(attn, q, k, v, mask=None):
+    """`MultiHeadAttention.__call__` spelled as a chain of generic tape ops,
+    with the projections as `reference_dense`; the fused layer must return
+    the same output and gradients bit for bit."""
+    (batch, tq, _), tk = q.shape, k.shape[1]
+    qh = _split_heads(attn, reference_dense(attn.wq, q))
+    kh = _split_heads(attn, reference_dense(attn.wk, k))
+    vh = _split_heads(attn, reference_dense(attn.wv, v))
+    scores = T.mul(bmm(qh, transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(attn.head_dim))
+    if mask is not None:
+        expand = mask if mask.ndim == 2 else mask[:, None]
+        full = np.broadcast_to(expand, (batch, attn.heads, tq, tk)).reshape(batch * attn.heads, tq, tk)
+        scores = T.add(scores, Tensor(np.where(full, NEG_FILL, 0.0).astype(scores.dtype)))
+    ctx = bmm(softmax(scores), vh)
+    ctx = transpose(reshape(ctx, (batch, attn.heads, tq, attn.head_dim)), (0, 2, 1, 3))
+    return reference_dense(attn.wo, reshape(ctx, (batch, tq, attn.dim)))
 
 
 def collapse(path, blank):
@@ -148,7 +238,7 @@ def reference_lstm_forward(layer, x):
     c = Tensor(np.zeros((x.shape[1], H), dtype=x.dtype))
     out = []
     for t in range(x.shape[0]):
-        gates = T.add(T.add(T.matmul(_frame(x, t), layer.w), T.matmul(h, layer.u)), layer.b)
+        gates = T.add(T.add(matmul(_frame(x, t), layer.w), matmul(h, layer.u)), layer.b)
         i = _sigmoid(_slice_last(gates, 0, H))
         f = _sigmoid(_slice_last(gates, H, 2 * H))
         g = _tanh(_slice_last(gates, 2 * H, 3 * H))

@@ -15,7 +15,7 @@ from asrlab.errors import DataError, UsageError
 from asrlab.losses import ctc_loss
 from asrlab.tensor import Tensor
 from asrlab.tokenizer import train_bpe
-from oracle_utils import reference_lstm_forward
+from oracle_utils import reference_attention, reference_dense, reference_lstm_forward
 
 
 # -- freeze policies -----------------------------------------------------------
@@ -366,6 +366,14 @@ def test_fused_lstm_writes_the_checkpoints_of_the_per_frame_tape(tmp_path, monke
     fused = _ctc_checkpoints(tmp_path, man, tok, "fused")
     monkeypatch.setattr(L.LstmLayer, "forward", reference_lstm_forward)
     assert _ctc_checkpoints(tmp_path, man, tok, "per-frame") == fused
+
+
+def test_fused_dense_and_attention_write_the_checkpoints_of_the_op_chain(tmp_path, monkeypatch):
+    man, tok = _tiny_setup(tmp_path, n=16)
+    fused = _las_checkpoints(tmp_path, man, tok, "fused")
+    monkeypatch.setattr(L.Dense, "__call__", reference_dense)
+    monkeypatch.setattr(L.MultiHeadAttention, "__call__", reference_attention)
+    assert _las_checkpoints(tmp_path, man, tok, "op-chain") == fused
 
 
 def test_trained_checkpoints_are_pinned(tmp_path):

@@ -7,7 +7,7 @@ from asrlab import models as M
 from asrlab import tensor as T
 from asrlab.errors import ShapeError
 from asrlab.tensor import Tape, Tensor
-from oracle_utils import gradient_check, reference_lstm_forward
+from oracle_utils import gradient_check, reference_attention, reference_dense, reference_lstm_forward, tsum
 
 
 def drawn(cfg, prefix, rng, dtype=np.float64):
@@ -75,7 +75,7 @@ def test_lstm_gradients_match_finite_differences():
     x = Tensor(np.random.default_rng(2).normal(size=(4, 2, 2)), requires_grad=True)
 
     def loss():
-        return T.tsum(layer.forward(x))
+        return tsum(layer.forward(x))
 
     params = [x, layer.w, layer.u, layer.b]
     assert gradient_check(loss, params) <= 1e-3
@@ -93,7 +93,7 @@ def _lstm_output_and_grads(forward, layer, x_data, x_grad, out_weight):
     x = Tensor(x_data, requires_grad=x_grad)
     with Tape() as tape:
         out = forward(layer, x)
-        loss = T.tsum(T.mul(out, Tensor(out_weight)))
+        loss = tsum(T.mul(out, Tensor(out_weight)))
         return [out.data] + tape.backward(loss, [x, layer.w, layer.u, layer.b])
 
 
@@ -121,12 +121,75 @@ def test_dense_forward_and_gradient():
     rng = np.random.default_rng(5)
     dense = L.Dense(drawn(C.CtcConfig(hidden=3, vocab=1), "dense", rng), "dense")
     x = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
-    err = gradient_check(lambda: T.tsum(T.mul(dense(x), dense(x))), [dense.w, dense.b])
+    err = gradient_check(lambda: tsum(T.mul(dense(x), dense(x))), [dense.w, dense.b])
     assert err <= 1e-3
 
 
+def _outputs_and_grads(call, layer_params, inputs, out_weight):
+    """The output of call(*inputs) and the gradients of sum(out * out_weight)
+    with respect to every input and layer tensor."""
+    with Tape() as tape:
+        out = call(*inputs)
+        loss = tsum(T.mul(out, Tensor(out_weight)))
+        return [out.data] + tape.backward(loss, [t for t in inputs if isinstance(t, Tensor)] + layer_params)
+
+
+def _freeze_some(tensors, rng):
+    """Freeze each tensor with chance 0.3, keeping one of them trainable."""
+    trainable = rng.random(len(tensors)) < 0.7
+    trainable[rng.integers(len(tensors))] = True
+    for t, keep in zip(tensors, trainable):
+        t.requires_grad = bool(keep)
+
+
+def _assert_same_bits(fused, chain, case):
+    for i, (a, b) in enumerate(zip(fused, chain, strict=True)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (case, i)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_dense_matches_the_op_chain_bit_for_bit(dtype):
+    rng = np.random.default_rng(15)
+    for case in range(60):
+        d_in, d_out = (int(n) for n in rng.integers(1, 9, size=2))
+        dense = L.Dense({"dense.w": Tensor(rng.normal(size=(d_in, d_out)).astype(dtype), requires_grad=True),
+                         "dense.b": Tensor(rng.normal(size=d_out).astype(dtype), requires_grad=True)}, "dense")
+        lead = tuple(int(n) for n in rng.integers(1, 5, size=int(rng.integers(1, 4))))
+        x = Tensor(rng.normal(size=lead + (d_in,)).astype(dtype), requires_grad=True)
+        _freeze_some([x, dense.w, dense.b], rng)
+        out_weight = rng.normal(size=lead + (d_out,)).astype(dtype)
+        fused = _outputs_and_grads(dense, [dense.w, dense.b], [x], out_weight)
+        chain = _outputs_and_grads(lambda x: reference_dense(dense, x), [dense.w, dense.b], [x], out_weight)
+        _assert_same_bits(fused, chain, case)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_attention_matches_the_op_chain_bit_for_bit(dtype):
+    rng = np.random.default_rng(16)
+    for case in range(120):
+        heads = int(rng.integers(1, 4))
+        dim = heads * int(rng.integers(1, 5))
+        batch, tq, tk = (int(n) for n in rng.integers(1, 6, size=3))
+        attn = make_mha(dim, heads, rng, dtype)
+        params = [d.w for d in (attn.wq, attn.wk, attn.wv, attn.wo)] + [d.b for d in (attn.wq, attn.wk, attn.wv, attn.wo)]
+        q = Tensor(rng.normal(size=(batch, tq, dim)).astype(dtype), requires_grad=True)
+        if case % 3 == 0:  # self-attention: one input feeds all three projections
+            tk, inputs, mask = tq, [q, q, q], L.causal_mask(tq)
+        else:
+            kv = Tensor(rng.normal(size=(batch, tk, dim)).astype(dtype), requires_grad=True)
+            inputs = [q, kv, kv] if case % 3 == 1 else [q, kv, Tensor(rng.normal(size=kv.shape).astype(dtype))]
+            mask = L.key_padding_mask(rng.integers(1, tk + 1, size=batch), tk) if case % 2 else None
+        if case >= 8:
+            _freeze_some(params + inputs, rng)
+        out_weight = rng.normal(size=(batch, tq, dim)).astype(dtype)
+        fused = _outputs_and_grads(lambda *x: attn(*x, mask), params, inputs, out_weight)
+        chain = _outputs_and_grads(lambda *x: reference_attention(attn, *x, mask), params, inputs, out_weight)
+        _assert_same_bits(fused, chain, case)
+
+
 def attention_weights(attn, x, mask=None):
-    return attn.weights(attn.project_q(x), attn.project_kv(x, x)[0], mask).data
+    fill = None if mask is None else np.where(mask, L.NEG_FILL, 0.0)
+    return attn.weights(attn.split(attn.wq.apply(x.data)), attn.split(attn.wk.apply(x.data)), fill)
 
 
 def test_mha_single_position_softmax_is_identity_path():
@@ -207,7 +270,7 @@ def test_layer_norm_gradients():
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
     w = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
     params = [x, ln.gamma, ln.beta]
-    err = gradient_check(lambda: T.tsum(T.mul(ln(x), w)), params)
+    err = gradient_check(lambda: tsum(T.mul(ln(x), w)), params)
     assert err <= 1e-3
 
 
@@ -217,7 +280,7 @@ def test_encoder_block_gradients():
     block = L.EncoderBlock(params, "encoder.0", 2)
     x = Tensor(rng.normal(size=(1, 3, 4)), dtype=np.float64)
     params = list(params.values())
-    err = gradient_check(lambda: T.tsum(T.mul(block(x), block(x))), params)
+    err = gradient_check(lambda: tsum(T.mul(block(x), block(x))), params)
     assert err <= 1e-3
 
 
@@ -228,16 +291,14 @@ def test_decoder_block_gradients_and_causality():
     x = Tensor(rng.normal(size=(1, 3, 4)), dtype=np.float64)
     mem = Tensor(rng.normal(size=(1, 4, 4)), dtype=np.float64)
     params = list(params.values())
-    err = gradient_check(
-        lambda: T.tsum(T.mul(block(x, block.cross_attn.project_kv(mem, mem), L.causal_mask(3)), 1.0)), params)
+    err = gradient_check(lambda: tsum(T.mul(block(x, mem, L.causal_mask(3)), 1.0)), params)
     assert err <= 1e-3
 
     # changing a future input must not affect earlier positions
-    mem_kv = block.cross_attn.project_kv(mem, mem)
-    out1 = block(x, mem_kv, L.causal_mask(3)).data.copy()
+    out1 = block(x, mem, L.causal_mask(3)).data.copy()
     x2_data = x.data.copy()
     x2_data[0, 2] += 5.0
-    out2 = block(Tensor(x2_data, dtype=np.float64), mem_kv, L.causal_mask(3)).data
+    out2 = block(Tensor(x2_data, dtype=np.float64), mem, L.causal_mask(3)).data
     assert np.allclose(out1[0, :2], out2[0, :2], atol=1e-12)
     assert not np.allclose(out1[0, 2], out2[0, 2])
 

@@ -64,6 +64,22 @@ def test_ctc_step_tape_size_does_not_grow_with_frames():
     assert sizes[0] == sizes[1]
 
 
+def test_las_step_tape_size_is_fixed():
+    # each Dense, LayerNorm and attention is one tape node, whatever the frame count and prefix length
+    model = M.build_model(C.las_desk(), seed=0)
+    rng = np.random.default_rng(5)
+    sizes = []
+    for t_len in (20, 70):
+        for length in (3, 9):
+            feats = rng.normal(size=(t_len, 4, model.cfg.feat_dim)).astype(np.float32)
+            prefix = rng.integers(0, model.cfg.vocab, size=(4, length))
+            prefix[:, 0] = model.bos_id
+            with Tape() as tape:
+                cross_entropy(model.decode_logits(*model.encode(feats), prefix), np.roll(prefix, -1, axis=1))
+            sizes.append(len(tape))
+    assert sizes == [53] * 4
+
+
 def test_las_forward_shapes_and_bos_check():
     model = small_las()
     feats = np.random.default_rng(2).normal(size=(6, 2, 6)).astype(np.float32)
