@@ -84,10 +84,6 @@ class Tape:
         return len(self._nodes)
 
 
-def active_tape():
-    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
-
-
 @contextmanager
 def no_tape():
     """Ops run inside record nothing, even within a live Tape (inference)."""
@@ -142,7 +138,7 @@ def _as_tensor(x, like: Tensor) -> Tensor:
 
 def _finish(out: Tensor, parents, backward_fn) -> Tensor:
     """Mark out as requiring grad and record it, when a tape is live."""
-    tape = active_tape()
+    tape = _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         tape.record(out, parents, backward_fn)
