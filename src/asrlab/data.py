@@ -1,7 +1,9 @@
 """Utterance manifests: JSONL metadata plus WAV/feature blobs on disk.
 
 Manifest rows are {id, text, domain, speaker_id, wav, features?, duration_s}
-with file paths stored relative to the manifest's directory.
+with file paths stored relative to the manifest's directory. Every field
+is a string except duration_s, a finite number; a row that breaks this, or
+an utterance whose feature or WAV file cannot be read, raises DataError.
 """
 
 from __future__ import annotations
@@ -64,8 +66,7 @@ class Manifest:
                 if type(utt.duration_s) not in (int, float) or not math.isfinite(utt.duration_s):
                     bad.append("duration_s")
                 if bad:
-                    raise DataError(f"{path}:{lineno}: utterance {utt.id!r}: bad {', '.join(bad)} "
-                                    "(strings, a finite duration_s and a string or no features)")
+                    raise DataError(f"{path}:{lineno}: utterance {utt.id!r}: bad {', '.join(bad)}")
                 utts.append(utt)
         return cls(utts, path.parent)
 

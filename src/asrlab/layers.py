@@ -257,6 +257,8 @@ class MultiHeadAttention:
             if v.requires_grad:
                 dv = self.merge(w.transpose(0, 2, 1) @ g)
             if q.requires_grad or k.requires_grad:
+                # the softmax, scale and bmm rules of the generic ops, in their order and operand
+                # layout, so the gradients equal those of the op chain bit for bit
                 dw = g @ vh.transpose(0, 2, 1)
                 ds = ((dw - np.sum(dw * w, axis=-1, keepdims=True)) * w) * q.dtype.type(self.scale)
                 if q.requires_grad:

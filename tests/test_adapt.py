@@ -340,40 +340,34 @@ def test_dense_top1_finetune_changes_dense_plus_top_lstm(tmp_path):
     assert changed == {"dense.w", "dense.b", "lstm.1.w", "lstm.1.u", "lstm.1.b"}
 
 
-def _las_checkpoints(tmp_path, man, tok, tag):
-    """Bytes of a 2-decoder-block LAS model pretrained with SpecAugment on,
-    then of its decoder-only fine-tune."""
+def _trained_checkpoints(tmp_path, man, tok, family, tag):
+    """Bytes of a seeded model pretrained with SpecAugment on, then of its
+    fine-tune: a 2-decoder-block LAS model fine-tuned decoder-only, or a
+    2-layer CTC model fine-tuned dense-top1."""
     pre, ft = tmp_path / f"{tag}-pre.ckpt", tmp_path / f"{tag}-ft.ckpt"
-    model = M.build_model(C.LasConfig(feat_dim=60, dim=16, ff_dim=32, heads=2,
-                                      enc_blocks=1, dec_blocks=2, vocab=tok.size), seed=3)
-    A.pretrain(model, man, tok, _tiny_cfg(spec_augment=True), pre)
-    A.finetune(pre, man, tok, A.FreezePolicy.parse("decoder-only"), _tiny_cfg(lr=1e-3), ft)
-    return pre.read_bytes(), ft.read_bytes()
-
-
-def _ctc_checkpoints(tmp_path, man, tok, tag):
-    """Bytes of a 2-layer CTC model pretrained with SpecAugment on, then of
-    its dense-top1 fine-tune."""
-    pre, ft = tmp_path / f"{tag}-pre.ckpt", tmp_path / f"{tag}-ft.ckpt"
-    model = M.build_model(C.CtcConfig(feat_dim=60, hidden=16, layers=2, vocab=tok.size), seed=2)
-    A.pretrain(model, man, tok, _tiny_cfg(spec_augment=True), pre)
-    A.finetune(pre, man, tok, A.FreezePolicy.parse("dense-top1"), _tiny_cfg(lr=1e-3), ft)
+    if family == "las":
+        cfg, seed, policy = C.LasConfig(feat_dim=60, dim=16, ff_dim=32, heads=2, enc_blocks=1, dec_blocks=2,
+                                        vocab=tok.size), 3, "decoder-only"
+    else:
+        cfg, seed, policy = C.CtcConfig(feat_dim=60, hidden=16, layers=2, vocab=tok.size), 2, "dense-top1"
+    A.pretrain(M.build_model(cfg, seed=seed), man, tok, _tiny_cfg(spec_augment=True), pre)
+    A.finetune(pre, man, tok, A.FreezePolicy.parse(policy), _tiny_cfg(lr=1e-3), ft)
     return pre.read_bytes(), ft.read_bytes()
 
 
 def test_fused_lstm_writes_the_checkpoints_of_the_per_frame_tape(tmp_path, monkeypatch):
     man, tok = _tiny_setup(tmp_path, n=16)
-    fused = _ctc_checkpoints(tmp_path, man, tok, "fused")
+    fused = _trained_checkpoints(tmp_path, man, tok, "ctc", "fused")
     monkeypatch.setattr(L.LstmLayer, "forward", reference_lstm_forward)
-    assert _ctc_checkpoints(tmp_path, man, tok, "per-frame") == fused
+    assert _trained_checkpoints(tmp_path, man, tok, "ctc", "per-frame") == fused
 
 
 def test_fused_dense_and_attention_write_the_checkpoints_of_the_op_chain(tmp_path, monkeypatch):
     man, tok = _tiny_setup(tmp_path, n=16)
-    fused = _las_checkpoints(tmp_path, man, tok, "fused")
+    fused = _trained_checkpoints(tmp_path, man, tok, "las", "fused")
     monkeypatch.setattr(L.Dense, "__call__", reference_dense)
     monkeypatch.setattr(L.MultiHeadAttention, "__call__", reference_attention)
-    assert _las_checkpoints(tmp_path, man, tok, "op-chain") == fused
+    assert _trained_checkpoints(tmp_path, man, tok, "las", "op-chain") == fused
 
 
 def test_trained_checkpoints_are_pinned(tmp_path):
@@ -383,7 +377,7 @@ def test_trained_checkpoints_are_pinned(tmp_path):
     they hold for numpy's own OpenBLAS build."""
     man, tok = _tiny_setup(tmp_path, n=16)
     digests = [hashlib.sha256(b).hexdigest()
-               for b in _las_checkpoints(tmp_path, man, tok, "las") + _ctc_checkpoints(tmp_path, man, tok, "ctc")]
+               for family in ("las", "ctc") for b in _trained_checkpoints(tmp_path, man, tok, family, family)]
     assert digests == ["cb5efd1955b45a513f7234d488bd9ca6a89dea24e08996c6a841e1f05b85840e",
                        "9f620ad4d7ad543bfed95df629d7d3be98f5b4cebfb088cf10b210fc7257cf2e",
                        "067c080589f7aaab5a96a42fb563da47e077421ab29adc65600e8a3cab8b1c5a",

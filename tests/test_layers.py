@@ -89,12 +89,13 @@ def test_lstm_forward_shape():
     assert out.dtype == np.float32
 
 
-def _lstm_output_and_grads(forward, layer, x_data, x_grad, out_weight):
-    x = Tensor(x_data, requires_grad=x_grad)
+def _outputs_and_grads(call, layer_params, inputs, out_weight):
+    """The output of call(*inputs) and the gradients of sum(out * out_weight)
+    with respect to every input and layer tensor."""
     with Tape() as tape:
-        out = forward(layer, x)
+        out = call(*inputs)
         loss = tsum(T.mul(out, Tensor(out_weight)))
-        return [out.data] + tape.backward(loss, [x, layer.w, layer.u, layer.b])
+        return [out.data] + tape.backward(loss, inputs + layer_params)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -110,9 +111,9 @@ def test_lstm_layer_matches_per_frame_tape_bit_for_bit(dtype):
         x_data = rng.normal(size=(t_len, batch, d_in)).astype(dtype)
         out_weight = rng.normal(size=(t_len, batch, hidden)).astype(dtype)
         out_weight[rng.random(t_len) < 0.3] = 0.0  # frames the loss ignores, like padding
-        x_grad = case % 4 != 1
-        fused = _lstm_output_and_grads(L.LstmLayer.forward, layer, x_data, x_grad, out_weight)
-        per_frame = _lstm_output_and_grads(reference_lstm_forward, layer, x_data, x_grad, out_weight)
+        x, params = Tensor(x_data, requires_grad=case % 4 != 1), [layer.w, layer.u, layer.b]
+        fused = _outputs_and_grads(layer.forward, params, [x], out_weight)
+        per_frame = _outputs_and_grads(lambda x: reference_lstm_forward(layer, x), params, [x], out_weight)
         for name, a, b in zip(("out", "x", "w", "u", "b"), fused, per_frame):
             assert a.dtype == b.dtype and np.array_equal(a, b), (case, name)
 
@@ -123,15 +124,8 @@ def test_dense_forward_and_gradient():
     x = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
     err = gradient_check(lambda: tsum(T.mul(dense(x), dense(x))), [dense.w, dense.b])
     assert err <= 1e-3
-
-
-def _outputs_and_grads(call, layer_params, inputs, out_weight):
-    """The output of call(*inputs) and the gradients of sum(out * out_weight)
-    with respect to every input and layer tensor."""
-    with Tape() as tape:
-        out = call(*inputs)
-        loss = tsum(T.mul(out, Tensor(out_weight)))
-        return [out.data] + tape.backward(loss, [t for t in inputs if isinstance(t, Tensor)] + layer_params)
+    with pytest.raises(ShapeError):
+        dense(Tensor(np.zeros((4, 5))))
 
 
 def _freeze_some(tensors, rng):
@@ -171,7 +165,7 @@ def test_fused_attention_matches_the_op_chain_bit_for_bit(dtype):
         dim = heads * int(rng.integers(1, 5))
         batch, tq, tk = (int(n) for n in rng.integers(1, 6, size=3))
         attn = make_mha(dim, heads, rng, dtype)
-        params = [d.w for d in (attn.wq, attn.wk, attn.wv, attn.wo)] + [d.b for d in (attn.wq, attn.wk, attn.wv, attn.wo)]
+        params = [t for d in (attn.wq, attn.wk, attn.wv, attn.wo) for t in (d.w, d.b)]
         q = Tensor(rng.normal(size=(batch, tq, dim)).astype(dtype), requires_grad=True)
         if case % 3 == 0:  # self-attention: one input feeds all three projections
             tk, inputs, mask = tq, [q, q, q], L.causal_mask(tq)
