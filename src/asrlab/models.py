@@ -218,9 +218,9 @@ class IncrementalDecoder:
             if mem_mask.size != t_enc or mem_mask.shape[-1] != t_enc:
                 raise ShapeError(f"memory mask shape {mem_mask.shape} does not match {t_enc} memory frames")
             self.fill = np.where(mem_mask.reshape(t_enc), NEG_FILL, 0.0).astype(memory.dtype)
-        self.memory_kv = [(b.cross_attn.split(b.cross_attn.wk.apply(memory.data)),
-                           b.cross_attn.split(b.cross_attn.wv.apply(memory.data))) for b in model.decoder]
-        self.past = [(k[:, :0], v[:, :0]) for k, v in self.memory_kv]  # no earlier position yet
+        self.cross_kv = [(b.cross_attn.split(b.cross_attn.wk.apply(memory.data)),
+                         b.cross_attn.split(b.cross_attn.wv.apply(memory.data))) for b in model.decoder]
+        self.past = [(k[:, :0], v[:, :0]) for k, v in self.cross_kv]  # no earlier position yet
         self.pos = 0
 
     def step(self, rows, tokens) -> np.ndarray:
@@ -245,7 +245,7 @@ class IncrementalDecoder:
             self.past[i] = (kh, vh)
             y = y + attn.wo.apply(attn.merge(attn.weights(qh, kh) @ vh))
             # the n rows share one memory, so they go in as n queries of a single batch entry
-            attn, (mem_k, mem_v) = block.cross_attn, self.memory_kv[i]
+            attn, (mem_k, mem_v) = block.cross_attn, self.cross_kv[i]
             qm = attn.split(attn.wq.apply(block.ln2.apply(y)).reshape(1, n, -1))
             y = y + attn.wo.apply(attn.merge(attn.weights(qm, mem_k, self.fill) @ mem_v)).reshape(n, 1, -1)
             y = y + block.ff.apply(block.ln3.apply(y))
