@@ -1,15 +1,30 @@
-"""Independent brute-force oracles, reference loops and op chains, and the
-finite-difference gradient check shared by test modules."""
+"""Independent brute-force oracles, reference loops and op chains, the
+finite-difference gradient check and the checkpoint value digest shared by
+test modules."""
 
+import hashlib
 import itertools
 
 import numpy as np
 
+from asrlab import models as M
 from asrlab import tensor as T
 from asrlab.decode import Hypothesis, dedup_by_text
 from asrlab.errors import ShapeError, UsageError
 from asrlab.layers import NEG_FILL
 from asrlab.tensor import Tensor, log_softmax_np, softmax_np
+
+
+def checkpoint_digest(path) -> str:
+    """sha256 of the values a checkpoint holds, whatever its file layout:
+    each tensor's name, shape and little-endian float32 bytes in
+    tensor_shapes order, then its step, rng state and config."""
+    ckpt = M.load_checkpoint(path)
+    h = hashlib.sha256()
+    for name, shape in M.tensor_shapes(ckpt.config).items():
+        h.update(name.encode() + repr(shape).encode() + ckpt.tensors[name].astype("<f4").tobytes())
+    h.update(repr((ckpt.step, ckpt.rng_state, ckpt.config)).encode())
+    return h.hexdigest()
 
 
 # -- generic tape ops: the op chains below are spelled in them -------------------

@@ -1,4 +1,3 @@
-import hashlib
 import warnings
 
 import numpy as np
@@ -15,7 +14,7 @@ from asrlab.errors import DataError, UsageError
 from asrlab.losses import ctc_loss
 from asrlab.tensor import Tensor
 from asrlab.tokenizer import train_bpe
-from oracle_utils import reference_attention, reference_dense, reference_lstm_forward
+from oracle_utils import checkpoint_digest, reference_attention, reference_dense, reference_lstm_forward
 
 
 # -- freeze policies -----------------------------------------------------------
@@ -341,9 +340,9 @@ def test_dense_top1_finetune_changes_dense_plus_top_lstm(tmp_path):
 
 
 def _trained_checkpoints(tmp_path, man, tok, family, tag):
-    """Bytes of a seeded model pretrained with SpecAugment on, then of its
-    fine-tune: a 2-decoder-block LAS model fine-tuned decoder-only, or a
-    2-layer CTC model fine-tuned dense-top1."""
+    """Paths of the checkpoints of a seeded model pretrained with SpecAugment
+    on, then of its fine-tune: a 2-decoder-block LAS model fine-tuned
+    decoder-only, or a 2-layer CTC model fine-tuned dense-top1."""
     pre, ft = tmp_path / f"{tag}-pre.ckpt", tmp_path / f"{tag}-ft.ckpt"
     if family == "las":
         cfg, seed, policy = C.LasConfig(feat_dim=60, dim=16, ff_dim=32, heads=2, enc_blocks=1, dec_blocks=2,
@@ -352,36 +351,40 @@ def _trained_checkpoints(tmp_path, man, tok, family, tag):
         cfg, seed, policy = C.CtcConfig(feat_dim=60, hidden=16, layers=2, vocab=tok.size), 2, "dense-top1"
     A.pretrain(M.build_model(cfg, seed=seed), man, tok, _tiny_cfg(spec_augment=True), pre)
     A.finetune(pre, man, tok, A.FreezePolicy.parse(policy), _tiny_cfg(lr=1e-3), ft)
-    return pre.read_bytes(), ft.read_bytes()
+    return pre, ft
+
+
+def _trained_checkpoint_bytes(tmp_path, man, tok, family, tag):
+    return [path.read_bytes() for path in _trained_checkpoints(tmp_path, man, tok, family, tag)]
 
 
 def test_fused_lstm_writes_the_checkpoints_of_the_per_frame_tape(tmp_path, monkeypatch):
     man, tok = _tiny_setup(tmp_path, n=16)
-    fused = _trained_checkpoints(tmp_path, man, tok, "ctc", "fused")
+    fused = _trained_checkpoint_bytes(tmp_path, man, tok, "ctc", "fused")
     monkeypatch.setattr(L.LstmLayer, "forward", reference_lstm_forward)
-    assert _trained_checkpoints(tmp_path, man, tok, "ctc", "per-frame") == fused
+    assert _trained_checkpoint_bytes(tmp_path, man, tok, "ctc", "per-frame") == fused
 
 
 def test_fused_dense_and_attention_write_the_checkpoints_of_the_op_chain(tmp_path, monkeypatch):
     man, tok = _tiny_setup(tmp_path, n=16)
-    fused = _trained_checkpoints(tmp_path, man, tok, "las", "fused")
+    fused = _trained_checkpoint_bytes(tmp_path, man, tok, "las", "fused")
     monkeypatch.setattr(L.Dense, "__call__", reference_dense)
     monkeypatch.setattr(L.MultiHeadAttention, "__call__", reference_attention)
-    assert _trained_checkpoints(tmp_path, man, tok, "las", "op-chain") == fused
+    assert _trained_checkpoint_bytes(tmp_path, man, tok, "las", "op-chain") == fused
 
 
 def test_trained_checkpoints_are_pinned(tmp_path):
-    """The sha256 of each checkpoint that a few seeded training steps write.
-    A change of one ulp in any forward or backward rule changes these; the
-    frozen-tensor and loss tests cannot see it. Like the decoding digests,
-    they hold for numpy's own OpenBLAS build."""
+    """The value digest of each checkpoint that a few seeded training steps
+    write. A change of one ulp in any forward or backward rule changes
+    these; the frozen-tensor and loss tests cannot see it. Like the decoding
+    digests, they hold for numpy's own OpenBLAS build."""
     man, tok = _tiny_setup(tmp_path, n=16)
-    digests = [hashlib.sha256(b).hexdigest()
-               for family in ("las", "ctc") for b in _trained_checkpoints(tmp_path, man, tok, family, family)]
-    assert digests == ["cb5efd1955b45a513f7234d488bd9ca6a89dea24e08996c6a841e1f05b85840e",
-                       "9f620ad4d7ad543bfed95df629d7d3be98f5b4cebfb088cf10b210fc7257cf2e",
-                       "067c080589f7aaab5a96a42fb563da47e077421ab29adc65600e8a3cab8b1c5a",
-                       "97869b0f3117015d8a896cd0514669b32a2b720bf65b6700eca425810921ff25"]
+    digests = [checkpoint_digest(path)
+               for family in ("las", "ctc") for path in _trained_checkpoints(tmp_path, man, tok, family, family)]
+    assert digests == ["8320c80e973e3b901d7429289c292955e7807a6d66b4f1873be59f4c0c3c32d5",
+                       "58e271923ee545ef0d0ca0c85217c87a47d2a2bcb74db04301971312de66d85e",
+                       "142f1881dad8dc7e3ecf8e1be4bda54d92a856cc078d0ca4887ae9ef8afeb408",
+                       "3a421e83ee4b9442abf3888a8d069cee6ffcd1b6abb7fab7594e7868742a71d3"]
 
 
 def test_finetune_lr_zero_is_identity(tmp_path):
