@@ -1,10 +1,11 @@
 """Training and fine-tuning: Adam, freeze policies, the epoch loop.
 
-Fine-tuning updates exactly the parameter group selected by the freeze
-policy; every other tensor in the output checkpoint is bit-identical to
-the input checkpoint. Dense-only works for both architectures,
-decoder-only requires an encoder-decoder model, dense-plus-top-k
-unfreezes the k LSTM layers nearest the output of a CTC model.
+Fine-tuning updates exactly the parameters a freeze policy selects by
+tensor-name prefix; every other tensor in the output checkpoint is
+bit-identical to the input checkpoint. Dense-only works for both
+architectures, decoder-only requires an encoder-decoder model,
+dense-plus-top-k unfreezes the k LSTM layers nearest the output of a CTC
+model.
 
 Each step runs the model in two halves, the encoder (``encode``) and the
 head on its output (CTC ``log_probs``, LAS ``decode_logits``). Within one
@@ -29,7 +30,7 @@ from .config import TrainConfig
 from .data import Manifest
 from .errors import DataError, DivergenceError, SkippedUtteranceWarning, UsageError
 from .losses import cross_entropy, ctc_loss
-from .models import Checkpoint, CtcModel, load_checkpoint, save_checkpoint
+from .models import load_checkpoint, save_checkpoint
 from .signal import FeatureNormalizer, spec_augment
 from .tensor import Tape
 from .tokenizer import SubwordModel
@@ -53,23 +54,26 @@ class FreezePolicy:
         raise UsageError(f"unknown freeze policy {text!r}")
 
     def trainable_names(self, model) -> list[str]:
-        groups = model.parameter_groups()
+        """Names of the model's parameters that the policy trains, in model order."""
+        cfg = model.cfg
         if self.variant == "full":
-            return groups["all"]
-        if self.variant == "dense-only":
-            return groups["dense"]
-        if self.variant == "decoder-only":
-            if "decoder" not in groups:
+            prefixes = ("",)
+        elif self.variant == "dense-only":
+            prefixes = ("dense.",)
+        elif self.variant == "decoder-only":
+            if cfg.kind != "las":
                 raise UsageError("decoder-only fine-tuning requires an encoder-decoder model")
-            return groups["decoder"]
-        if self.variant == "dense-top-k":
-            if not isinstance(model, CtcModel):
+            prefixes = ("decoder.", "dec_norm.", "embed.", "dense.")
+        elif self.variant == "dense-top-k":
+            if cfg.kind != "ctc":
                 raise UsageError("dense-top-k fine-tuning is defined for CTC models only")
-            if not 1 <= self.k <= model.cfg.layers:
-                raise UsageError(f"dense-top-k needs 1 <= k <= {model.cfg.layers} (the model's LSTM layers), "
+            if not 1 <= self.k <= cfg.layers:
+                raise UsageError(f"dense-top-k needs 1 <= k <= {cfg.layers} (the model's LSTM layers), "
                                  f"got {self.k}")
-            return groups["dense"] + model.top_lstm_names(self.k)
-        raise UsageError(f"unknown freeze policy {self.variant!r}")
+            prefixes = ("dense.",) + tuple(f"lstm.{i}." for i in range(cfg.layers - self.k, cfg.layers))
+        else:
+            raise UsageError(f"unknown freeze policy {self.variant!r}")
+        return [name for name in model.parameters() if name.startswith(prefixes)]
 
 
 # -- Adam ---------------------------------------------------------------------
@@ -187,7 +191,7 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
     state = AdamState()
     rng = np.random.default_rng(cfg.seed)
     batches = _bucket_batches(dataset, cfg.batch_size)
-    is_ctc = isinstance(model, CtcModel)
+    is_ctc = model.cfg.kind == "ctc"
     encoded = {}  # batch index -> encoder output, kept only while it cannot change
 
     log: list[dict] = []
@@ -281,9 +285,9 @@ def pretrain(model, manifest: Manifest, tok: SubwordModel, cfg: TrainConfig,
 
 def finetune(ckpt_path, manifest: Manifest, tok: SubwordModel, policy: FreezePolicy,
              cfg: TrainConfig, out_path, log_path=None) -> list[dict]:
-    """Fine-tune a checkpoint under a freeze policy; frozen tensors pass
-    through to the output checkpoint bit-identical."""
-    ckpt = ckpt_path if isinstance(ckpt_path, Checkpoint) else load_checkpoint(ckpt_path)
+    """Fine-tune the checkpoint at ckpt_path under a freeze policy; frozen
+    tensors pass through to the output checkpoint bit-identical."""
+    ckpt = load_checkpoint(ckpt_path)
     model = ckpt.build_model()
     trainable = policy.trainable_names(model)
     dataset = EncodedDataset(manifest, tok)

@@ -5,13 +5,14 @@ subword vocabulary plus a trailing blank. LasModel: transformer encoder
 over features, autoregressive transformer decoder over subword ids with
 BOS/EOS appended after the subword table.
 
-``tensor_shapes`` is the one list of a model's tensor names and shapes.
-Names follow "submodule.index.param" (e.g. "lstm.0.w",
-"decoder.1.cross_attn.wq.w"); freeze policies and checkpoints key off
-them. Feature mean/variance stats ride along as non-trainable buffers
-under "norm.*". A model is built from a {name: array} dict, drawn by
-``init_tensors`` or read from a checkpoint, and its layers hold those
-arrays as they are given.
+``tensor_shapes`` is the one list of a model's tensor names, order and
+shapes. Names follow "submodule.index.param" (e.g. "lstm.0.w",
+"decoder.1.cross_attn.wq.w"); freeze policies select by their prefixes,
+and a checkpoint stores the tensors in this order after a header that
+holds the config, so the file needs no index of its own. Feature
+mean/variance stats ride along as non-trainable buffers under "norm.*".
+A model is built from a {name: array} dict, drawn by ``init_tensors`` or
+read from a checkpoint, and its layers hold those arrays as they are given.
 
 Each layer call records one tape node (``layers``). Beam search runs
 ``IncrementalDecoder``, which calls the array code of the same layer
@@ -36,7 +37,7 @@ from .layers import (NEG_FILL, Dense, DecoderBlock, EncoderBlock, Embedding, Lay
 from .tensor import Tensor
 
 CKPT_MAGIC = b"CKPT"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 class _ModelBase:
@@ -58,10 +59,6 @@ class _ModelBase:
         if feats.shape[-1] != self.cfg.feat_dim:
             raise ShapeError(f"feature dim {feats.shape[-1]} does not match config {self.cfg.feat_dim}")
         return ((feats - self.norm_mean) / self.norm_std).astype(np.float32)
-
-    def parameter_groups(self) -> dict[str, list[str]]:
-        names = list(self.parameters())
-        return {"dense": [n for n in names if n.startswith("dense.")], "all": names}
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -94,11 +91,6 @@ class CtcModel(_ModelBase):
     @property
     def blank_id(self) -> int:
         return self.cfg.vocab
-
-    def top_lstm_names(self, k: int) -> list[str]:
-        """Names of the k (at most cfg.layers) LSTM layers nearest the output."""
-        top = tuple(f"lstm.{i}." for i in range(self.cfg.layers - k, self.cfg.layers))
-        return [n for n in self.params if n.startswith(top)]
 
     def encode(self, feats: np.ndarray) -> Tensor:
         """Padded features [T,B,D] -> the top LSTM's hidden states [T,B,hidden]."""
@@ -142,12 +134,6 @@ class LasModel(_ModelBase):
     @property
     def eos_id(self) -> int:
         return self.cfg.vocab + 1
-
-    def parameter_groups(self) -> dict[str, list[str]]:
-        groups = super().parameter_groups()
-        groups["decoder"] = [n for n in groups["all"]
-                             if n.startswith(("decoder.", "dec_norm.", "embed.", "dense."))]
-        return groups
 
     def _pe_slice(self, length: int) -> np.ndarray:
         if length > self._pe.shape[0]:
@@ -264,7 +250,7 @@ def build_model(cfg, seed: int = 0):
 
 def tensor_shapes(cfg) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every tensor of the model a config builds, in
-    ``named_tensors`` order (the order checkpoints store them in)."""
+    ``named_tensors`` order, which is the order checkpoints store them in."""
     shapes = {}
 
     def dense(name, d_in, d_out):
@@ -336,8 +322,8 @@ def init_tensors(cfg, seed: int = 0) -> dict[str, np.ndarray]:
 
 
 # -- checkpoints ---------------------------------------------------------------
-# layout: magic, u32 version, u32 header_len, header json,
-#         concatenated NDT1 tensor blocks, index json, u64 index offset
+# layout: magic, u32 version, u32 header_len, header json, then one NDT1 block
+#         per tensor in tensor_shapes(header config) order, then end of file
 
 class Checkpoint:
     def __init__(self, config, tensors: dict[str, np.ndarray], step: int = 0,
@@ -363,25 +349,15 @@ def save_checkpoint(path, model, step: int = 0, rng_state: dict | None = None) -
     header_bytes = json.dumps(header, sort_keys=True).encode()
     tensors = model.named_tensors()
     with atomic_write(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        index = {}
-        for name, arr in tensors.items():
-            index[name] = fh.tell()
-            T.write_array(fh, arr)
-        index_bytes = json.dumps(index, sort_keys=True).encode()
-        index_pos = fh.tell()
-        fh.write(index_bytes)
-        fh.write(struct.pack("<Q", index_pos))
+        fh.write(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(header_bytes)) + header_bytes)
+        for name in tensor_shapes(model.cfg):
+            T.write_array(fh, tensors[name])
 
 
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
-    size = path.stat().st_size
     with open(path, "rb") as fh:
         try:
             if fh.read(4) != CKPT_MAGIC:
@@ -390,31 +366,17 @@ def load_checkpoint(path) -> Checkpoint:
             if version != CKPT_VERSION:
                 raise DataError(f"{path}: unsupported checkpoint version {version}")
             header = json.loads(fh.read(header_len))
-            blocks_start = fh.tell()
-            fh.seek(size - 8)
-            (index_pos,) = struct.unpack("<Q", fh.read(8))
-            if not blocks_start <= index_pos <= size - 8:
-                raise DataError(f"{path}: index offset {index_pos} out of range")
-            fh.seek(index_pos)
-            index = json.loads(fh.read(size - 8 - index_pos))
-            if not isinstance(header, dict) or not isinstance(index, dict):
-                raise DataError(f"{path}: header and index must be JSON objects")
+            if not isinstance(header, dict):
+                raise DataError(f"{path}: header must be a JSON object")
             cfg = model_config_from_dict(header.get("model"))
-            shapes = tensor_shapes(cfg)
-            if set(index) != set(shapes):
-                raise DataError(f"{path}: tensor names do not match the header's {cfg.kind} config: "
-                                f"{sorted(set(index) ^ set(shapes))[:5]}")
             tensors = {}
-            for name, offset in index.items():
-                if type(offset) is not int or not blocks_start <= offset < index_pos:
-                    raise DataError(f"{path}: tensor {name!r} offset {offset!r} out of range")
-                fh.seek(offset)
+            for name, shape in tensor_shapes(cfg).items():
                 tensors[name] = T.read_array(fh)
-                if fh.tell() > index_pos:
-                    raise DataError(f"{path}: tensor {name!r} runs into the index")
-                if tensors[name].shape != shapes[name]:
+                if tensors[name].shape != shape:
                     raise DataError(f"{path}: tensor {name!r} shape {tensors[name].shape} does not match "
-                                    f"the header's {cfg.kind} config: {shapes[name]}")
+                                    f"the header's {cfg.kind} config: {shape}")
+            if fh.read(1):
+                raise DataError(f"{path}: bytes after the last tensor of the header's {cfg.kind} config")
         except (struct.error, ValueError, NumericError) as exc:
             raise DataError(f"{path}: corrupt checkpoint: {exc}") from exc
     return Checkpoint(cfg, tensors, step=header.get("step", 0), rng_state=header.get("rng_state"))

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import struct
 
@@ -6,6 +8,7 @@ import pytest
 
 from asrlab import config as C
 from asrlab import models as M
+from asrlab import tensor as T
 from asrlab.errors import DataError, ShapeError
 from asrlab.losses import cross_entropy, ctc_loss
 from asrlab.tensor import Tape
@@ -103,19 +106,6 @@ def test_las_step0_logits_ignore_later_prefix_tokens():
     assert not np.allclose(l1[0, 1], l2[0, 1])
 
 
-def test_parameter_groups_nesting():
-    ctc = small_ctc()
-    g = ctc.parameter_groups()
-    assert set(g["dense"]) == {"dense.w", "dense.b"}
-    assert set(g["dense"]) < set(g["all"])
-
-    las = small_las()
-    g = las.parameter_groups()
-    assert set(g["dense"]) < set(g["decoder"]) < set(g["all"])
-    assert "embed.table" in g["decoder"]
-    assert all(n.startswith(("decoder.", "dec_norm.", "embed.", "dense.")) for n in g["decoder"])
-
-
 ATTN = ["wq.w", "wq.b", "wk.w", "wk.b", "wv.w", "wv.b", "wo.w", "wo.b"]
 FF = ["ff.lin1.w", "ff.lin1.b", "ff.lin2.w", "ff.lin2.b"]
 
@@ -133,12 +123,6 @@ def test_parameter_names_and_order_are_pinned():
         + ["enc_norm.gamma", "enc_norm.beta", "embed.table"]
         + [f"decoder.0.{n}" for n in dec]
         + ["dec_norm.gamma", "dec_norm.beta", "dense.w", "dense.b"])
-
-
-def test_top_lstm_names():
-    ctc = small_ctc()
-    top1 = ctc.top_lstm_names(1)
-    assert top1 == ["lstm.1.w", "lstm.1.u", "lstm.1.b"]
 
 
 def test_checkpoint_round_trip_bit_identical(tmp_path):
@@ -171,14 +155,32 @@ def test_checkpoint_truncated_and_bad_magic(tmp_path):
         M.load_checkpoint(bad)
 
 
-def _move_dense_w(new_offset):
-    """Corrupt the index entry of dense.w: new_offset(offset, index_pos)."""
-    def corrupt(raw):
-        (index_pos,) = struct.unpack("<Q", raw[-8:])
-        index = json.loads(raw[index_pos:-8])
-        index["dense.w"] = new_offset(index["dense.w"], index_pos)
-        return raw[:index_pos] + json.dumps(index).encode() + raw[-8:]
-    return corrupt
+def _block_offsets(raw):
+    """Name -> byte offset of each tensor block of a checkpoint file."""
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    cfg = C.model_config_from_dict(json.loads(raw[12:12 + header_len])["model"])
+    fh = io.BytesIO(raw)
+    fh.seek(12 + header_len)
+    offsets = {}
+    for name in M.tensor_shapes(cfg):
+        offsets[name] = fh.tell()
+        T.read_array(fh)
+    return offsets
+
+
+def _swap_dense_w_dims(raw):
+    """dense.w's block claims the transposed shape: same byte count, a shape the header disagrees with."""
+    offset = _block_offsets(raw)["dense.w"] + 8  # past the block's magic and rank
+    rows, cols = struct.unpack("<2I", raw[offset:offset + 8])
+    return raw[:offset] + struct.pack("<2I", cols, rows) + raw[offset + 8:]
+
+
+def _as_version_1(raw):
+    """The same tensors in the version 1 layout: the blocks followed by a
+    JSON name -> offset index and the u64 offset of that index."""
+    index = json.dumps(_block_offsets(raw), sort_keys=True).encode()
+    v1 = raw[:4] + struct.pack("<I", 1) + raw[8:].replace(b'"version": 2', b'"version": 1', 1)
+    return v1 + index + struct.pack("<Q", len(v1))
 
 
 def _edit_model_config(**changes):
@@ -194,18 +196,17 @@ def _edit_model_config(**changes):
 
 
 @pytest.mark.parametrize("model, corrupt", [
-    (small_ctc, _move_dense_w(lambda off, end: end + 4)),
-    (small_ctc, _move_dense_w(lambda off, end: -4)),
-    (small_ctc, _move_dense_w(lambda off, end: str(off))),
-    (small_ctc, _move_dense_w(lambda off, end: float(off))),
-    (small_ctc, _move_dense_w(lambda off, end: off + 4)),
+    (small_ctc, lambda raw: raw + b"\0"),
+    (small_las, _swap_dense_w_dims),
+    (small_ctc, lambda raw: raw[:-3]),
+    (small_ctc, _as_version_1),
     (small_ctc, lambda raw: raw.replace(b'"layers"', b'"layerz"', 1)),
     (small_ctc, _edit_model_config(hidden=0)),
     (small_ctc, _edit_model_config(layers=-1)),
     (small_las, _edit_model_config(dim=64, heads=3)),
     (small_ctc, _edit_model_config(vocab="200")),
-], ids=["offset-past-blocks", "offset-negative", "offset-string", "offset-float",
-        "offset-mid-block", "unknown-config-field", "hidden-zero", "layers-negative",
+], ids=["bytes-after-last-tensor", "block-shape-disagrees-with-header", "cut-mid-block", "version-1",
+        "unknown-config-field", "hidden-zero", "layers-negative",
         "heads-not-dividing-dim", "vocab-string"])
 def test_checkpoint_corruption_raises_data_error(tmp_path, model, corrupt):
     path = tmp_path / "m.ckpt"
@@ -247,6 +248,12 @@ def test_seeded_initialization_is_pinned(tmp_path, preset, digest):
     # the values of a seed-0 desk checkpoint: initial values, their draw order, names and shapes
     M.save_checkpoint(tmp_path / "init.ckpt", M.build_model(preset(), seed=0))
     assert checkpoint_digest(tmp_path / "init.ckpt") == digest
+
+
+def test_checkpoint_file_layout_is_pinned(tmp_path):
+    # the bytes of a seed-0 desk checkpoint: a layout change shows here while the value digests hold
+    M.save_checkpoint(tmp_path / "init.ckpt", M.build_model(C.ctc_desk(), seed=0))
+    assert hashlib.sha256((tmp_path / "init.ckpt").read_bytes()).hexdigest() == "5af1a438914149e4759aa04efe872728d6eac782612eb7a09a3359ec788f4bc5"
 
 
 @pytest.mark.parametrize("change", [{"layers": 9}, {"hidden": 32}], ids=["layers-2-to-9", "hidden-64-to-32"])
