@@ -119,12 +119,18 @@ def adam_step(params: dict, grads: list, state: AdamState, cfg: TrainConfig) -> 
 # -- data plumbing ---------------------------------------------------------------
 
 class EncodedDataset:
-    """(features, token ids) of each utterance of a manifest, resident in memory."""
+    """(features, token ids) of each utterance of a manifest, resident in
+    memory; every utterance has the first one's feature dim."""
 
     def __init__(self, manifest: Manifest, tok: SubwordModel):
         self.items = [(manifest.features(utt), tok.encode(utt.text)) for utt in manifest]
         if not self.items:
             raise DataError("empty manifest")
+        dim = self.feature_dim()
+        for utt, (feats, _) in zip(manifest, self.items):
+            if feats.shape[1] != dim:
+                raise DataError(f"utterance {utt.id!r}: {feats.shape[1]}-d features, "
+                                f"the manifest's first utterance has {dim}")
 
     def __len__(self):
         return len(self.items)

@@ -132,11 +132,13 @@ def save_json_config(path, cfg) -> None:
 
 
 def load_json_config(path, cls):
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not JSON: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read config {path}: {exc}") from exc
+    except ValueError as exc:  # undecodable bytes or bad JSON
+        raise DataError(f"{path}: not JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise DataError(f"{path}: config must be a JSON object")
     unknown = set(d) - {f.name for f in fields(cls)}

@@ -3,7 +3,8 @@
 Manifest rows are {id, text, domain, speaker_id, wav, features?, duration_s}
 with file paths stored relative to the manifest's directory. Every field
 is a string except duration_s, a finite number; a row that breaks this, or
-an utterance whose feature or WAV file cannot be read, raises DataError.
+an utterance whose feature or WAV file cannot be read or whose feature
+array is not [frames, dim], raises DataError.
 """
 
 from __future__ import annotations
@@ -89,9 +90,12 @@ class Manifest:
             return signal.extract_features(self.waveform(utt))
         path = self.root / utt.features
         try:
-            return tensor.load_array(path)
+            feats = tensor.load_array(path)
         except (OSError, NumericError) as exc:
             raise DataError(f"utterance {utt.id!r}: cannot read features {path}: {exc}") from exc
+        if feats.ndim != 2:
+            raise DataError(f"utterance {utt.id!r}: features {path} have shape {feats.shape}, not [frames, dim]")
+        return feats
 
     def check_unique_ids(self) -> None:
         seen = set()

@@ -102,11 +102,8 @@ def evaluate_manifest(manifest, nbests: list[NBestList], lm=None, weights=None) 
     """
     from .lm import rescore  # local import; lm layer already imports decode
 
-    refs = {}
-    for utt in manifest:
-        if utt.id in refs:
-            raise DataError(f"duplicate id {utt.id!r} in manifest")
-        refs[utt.id] = utt.text
+    manifest.check_unique_ids()
+    refs = {utt.id: utt.text for utt in manifest}
     seen = set()
     for nb in nbests:
         if nb.utt_id in seen:
@@ -147,8 +144,16 @@ def write_report(path, report: dict) -> None:
 
 
 def read_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            report = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read report {path}: {exc}") from exc
+    except ValueError as exc:  # undecodable bytes or bad JSON
+        raise DataError(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(report, dict):
+        raise DataError(f"{path}: report must be a JSON object")
+    return report
 
 
 def format_table(variants: dict[str, dict]) -> str:

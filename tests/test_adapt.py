@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from asrlab import ttssim
 from asrlab.data import Manifest
 from asrlab.errors import DataError, UsageError
 from asrlab.losses import ctc_loss
-from asrlab.tensor import Tensor
+from asrlab.tensor import Tensor, load_array, save_array
 from asrlab.tokenizer import train_bpe
 from oracle_utils import checkpoint_digest, reference_attention, reference_dense, reference_lstm_forward
 
@@ -83,6 +84,11 @@ def test_train_presets_take_overrides():
     cfg = C.finetune_defaults(seed=3, lr=5e-4, epochs=2)
     assert (cfg.lr, cfg.seed, cfg.epochs) == (5e-4, 3, 2)
     assert C.pretrain_defaults(lr=0.0).lr == 0.0
+
+
+def test_missing_json_train_config_raises_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot read config"):
+        C.load_json_config(tmp_path / "absent.json", C.TrainConfig)
 
 
 def test_json_train_config_round_trips(tmp_path):
@@ -430,6 +436,22 @@ def test_dense_only_finetune_freezes_complement_las(tmp_path):
         assert "dense.w" in changed, policy
         if policy == "decoder-only":
             assert not any(n.startswith(("encoder.", "enc_norm.", "input_proj.")) for n in changed)
+
+
+@pytest.mark.parametrize("edit", [lambda f: f[:, :59], lambda f: f[:, 0]], ids=["59-dim", "1-d"])
+def test_a_bad_feature_array_fails_pretrain_and_finetune_with_data_error(tmp_path, edit):
+    man, tok = _tiny_setup(tmp_path, n=4)
+    bad = man.utterances[2]
+    path = man.root / bad.features
+    save_array(path, np.ascontiguousarray(edit(load_array(path))))
+    M.save_checkpoint(tmp_path / "pre.ckpt", M.build_model(C.CtcConfig(feat_dim=60, hidden=8, layers=1,
+                                                                       vocab=tok.size), seed=1))
+    model = M.load_checkpoint(tmp_path / "pre.ckpt").build_model()
+    with pytest.raises(DataError, match=f"utterance {re.escape(repr(bad.id))}"):
+        A.pretrain(model, man, tok, _tiny_cfg(), tmp_path / "m.ckpt")
+    with pytest.raises(DataError, match=f"utterance {re.escape(repr(bad.id))}"):
+        A.finetune(tmp_path / "pre.ckpt", man, tok, A.FreezePolicy.parse("dense-only"), _tiny_cfg(),
+                   tmp_path / "ft.ckpt")
 
 
 def test_finetune_feature_dim_mismatch(tmp_path):

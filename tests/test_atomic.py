@@ -1,9 +1,89 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from asrlab import atomic
 from asrlab import config as C
 from asrlab import models as M
 from asrlab import tensor as T
 from asrlab.atomic import atomic_write
+
+
+def in_place_writes(source: str) -> list[int]:
+    """Lines of the calls in source that write a file other than through
+    atomic_write: the builtin open or any .open with a mode holding w, a, x
+    or + (or a mode that is not a literal), and any .write_text or
+    .write_bytes. A wave module's open is allowed on a handle that a
+    ``with atomic_write(...) as handle`` of the same module bound."""
+    tree = ast.parse(source)
+    wave = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name == "wave"}
+    handles = {item.optional_vars.id for node in ast.walk(tree) if isinstance(node, ast.With)
+               for item in node.items if isinstance(item.optional_vars, ast.Name)
+               and isinstance(item.context_expr, ast.Call) and isinstance(item.context_expr.func, ast.Name)
+               and item.context_expr.func.id == "atomic_write"}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+            continue
+        if isinstance(func, ast.Attribute) and func.attr == "open" and isinstance(func.value, ast.Name) \
+                and func.value.id in wave:
+            if args and isinstance(args[0], ast.Name) and args[0].id in handles:
+                continue
+            mode_at = 1
+        elif isinstance(func, ast.Name) and func.id == "open":
+            mode_at = 1
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            mode_at = 0  # Path.open(mode)
+        else:
+            continue
+        mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                    args[mode_at] if len(args) > mode_at else None)
+        if mode is None:
+            continue  # the default mode reads
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wax+"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_package_writes_files_only_through_atomic_write():
+    package = Path(atomic.__file__).parent
+    found = {path.name: in_place_writes(path.read_text()) for path in sorted(package.glob("*.py"))
+             if path.name != "atomic.py"}
+    assert len(found) > 10
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_in_place_writes_finds_every_plain_write():
+    source = """
+import wave
+import wave as _wave
+from pathlib import Path
+
+def writes(path, mode):
+    open(path, "w")
+    open(path, mode="ab")
+    open(path, "r+")
+    Path(path).open("x")
+    Path(path).write_text("t")
+    path.write_bytes(b"")
+    open(path, mode)
+    wave.open(str(path), "wb")
+
+def reads(path):
+    open(path)
+    open(path, "rb")
+    Path(path).open()
+    _wave.open(str(path), "rb")
+    with atomic_write(path, "wb") as raw, _wave.open(raw, "wb") as fh:
+        pass
+"""
+    assert in_place_writes(source) == list(range(7, 15))
 
 
 def test_atomic_write_creates_parents_and_replaces(tmp_path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from asrlab import signal
+from asrlab import signal, tensor
 from asrlab.data import Manifest
 from asrlab.errors import DataError
 
@@ -50,6 +50,14 @@ def test_missing_feature_file_raises_data_error_naming_the_utterance(tmp_path):
         man.features(man.utterances[0])
     (tmp_path / "absent.ndt").write_bytes(b"NDT1\x01")  # truncated
     with pytest.raises(DataError, match="utterance 'u1'"):
+        man.features(man.utterances[0])
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 3, 2)], ids=["1-d", "3-d"])
+def test_feature_array_that_is_not_frames_by_dim_raises_data_error_naming_the_utterance(tmp_path, shape):
+    tensor.save_array(tmp_path / "u1.ndt", np.zeros(shape, dtype=np.float32))
+    man = Manifest.read(_manifest(tmp_path, features="u1.ndt"))
+    with pytest.raises(DataError, match=r"utterance 'u1': .* not \[frames, dim\]"):
         man.features(man.utterances[0])
 
 

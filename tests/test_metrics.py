@@ -78,14 +78,10 @@ def test_corpus_pooled_wer():
     assert np.isclose(c.wer, 0.2)
 
 
-class _FakeManifest(list):
-    pass
-
-
 def _manifest(rows):
-    from asrlab.data import Utterance
-    return [Utterance(id=i, text=t, domain="d", speaker_id="s", wav="w", duration_s=1.0)
-            for i, t in rows]
+    from asrlab.data import Manifest, Utterance
+    return Manifest([Utterance(id=i, text=t, domain="d", speaker_id="s", wav="w", duration_s=1.0)
+                     for i, t in rows], root=".")
 
 
 def test_evaluate_manifest_basic_and_id_checks():
@@ -122,6 +118,18 @@ def test_report_round_trip(tmp_path):
     path = tmp_path / "report.json"
     MT.write_report(path, report)
     assert MT.read_report(path) == report
+
+
+@pytest.mark.parametrize("content", [None, '{"test_wer": ', b"\xff\xfe", "[0.5]"],
+                         ids=["missing", "not-json", "not-utf8", "not-an-object"])
+def test_unreadable_report_raises_data_error(tmp_path, content):
+    path = tmp_path / "report.json"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    with pytest.raises(DataError, match="report"):
+        MT.read_report(path)
 
 
 def test_format_table_and_csv(tmp_path):
