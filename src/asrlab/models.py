@@ -250,7 +250,7 @@ def build_model(cfg, seed: int = 0):
 
 def tensor_shapes(cfg) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every tensor of the model a config builds, in
-    ``named_tensors`` order, which is the order checkpoints store them in."""
+    ``named_tensors`` order (the order checkpoints store them in)."""
     shapes = {}
 
     def dense(name, d_in, d_out):
@@ -349,7 +349,10 @@ def save_checkpoint(path, model, step: int = 0, rng_state: dict | None = None) -
     header_bytes = json.dumps(header, sort_keys=True).encode()
     tensors = model.named_tensors()
     with atomic_write(path, "wb") as fh:
-        fh.write(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(header_bytes)) + header_bytes)
+        fh.write(CKPT_MAGIC)
+        fh.write(struct.pack("<I", CKPT_VERSION))
+        fh.write(struct.pack("<I", len(header_bytes)))
+        fh.write(header_bytes)
         for name in tensor_shapes(model.cfg):
             T.write_array(fh, tensors[name])
 
