@@ -52,23 +52,6 @@ def test_policy_group_selection():
     assert top1 == {"dense.w", "dense.b", "lstm.2.w", "lstm.2.u", "lstm.2.b"}
 
 
-def test_policy_name_sets_nest():
-    ctc = M.build_model(C.CtcConfig(feat_dim=6, hidden=8, layers=2, vocab=5))
-    dense, top1, full = (set(A.FreezePolicy.parse(p).trainable_names(ctc)) for p in ("dense-only", "dense-top1", "full"))
-    assert dense == {"dense.w", "dense.b"}
-    assert top1 - dense == {"lstm.1.w", "lstm.1.u", "lstm.1.b"}
-    assert dense < top1 < full
-    assert A.FreezePolicy.parse("full").trainable_names(ctc) == list(ctc.parameters())
-
-    las = M.build_model(C.LasConfig(feat_dim=6, dim=8, ff_dim=16, heads=2, enc_blocks=2, dec_blocks=1, vocab=5))
-    dense, decoder, full = (set(A.FreezePolicy.parse(p).trainable_names(las))
-                            for p in ("dense-only", "decoder-only", "full"))
-    assert dense == {"dense.w", "dense.b"}
-    assert dense < decoder < full == set(las.parameters())
-    assert "embed.table" in decoder
-    assert all(n.startswith(("decoder.", "dec_norm.", "embed.", "dense.")) for n in decoder)
-
-
 def test_dense_top_k_beyond_the_model_layers_rejected():
     model = M.build_model(C.CtcConfig(feat_dim=6, hidden=8, layers=2, vocab=5))
     top2 = A.FreezePolicy.parse("dense-top2").trainable_names(model)

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from asrlab import adapt as A
 from asrlab import config as C
 from asrlab import models as M
 from asrlab import tensor as T
@@ -106,6 +107,24 @@ def test_las_step0_logits_ignore_later_prefix_tokens():
     assert not np.allclose(l1[0, 1], l2[0, 1])
 
 
+def trainable(model, policy):
+    return set(A.FreezePolicy.parse(policy).trainable_names(model))
+
+
+def test_parameter_groups_nesting():
+    ctc = small_ctc()
+    assert trainable(ctc, "dense-only") == {"dense.w", "dense.b"}
+    assert trainable(ctc, "dense-only") < trainable(ctc, "dense-top1") < trainable(ctc, "full")
+    assert A.FreezePolicy.parse("full").trainable_names(ctc) == list(ctc.parameters())
+
+    las = small_las()
+    dense, decoder, full = (trainable(las, p) for p in ("dense-only", "decoder-only", "full"))
+    assert dense == {"dense.w", "dense.b"}
+    assert dense < decoder < full == set(las.parameters())
+    assert "embed.table" in decoder
+    assert all(n.startswith(("decoder.", "dec_norm.", "embed.", "dense.")) for n in decoder)
+
+
 ATTN = ["wq.w", "wq.b", "wk.w", "wk.b", "wv.w", "wv.b", "wo.w", "wo.b"]
 FF = ["ff.lin1.w", "ff.lin1.b", "ff.lin2.w", "ff.lin2.b"]
 
@@ -123,6 +142,12 @@ def test_parameter_names_and_order_are_pinned():
         + ["enc_norm.gamma", "enc_norm.beta", "embed.table"]
         + [f"decoder.0.{n}" for n in dec]
         + ["dec_norm.gamma", "dec_norm.beta", "dense.w", "dense.b"])
+
+
+def test_top_lstm_names():
+    ctc = small_ctc()
+    top1 = trainable(ctc, "dense-top1") - trainable(ctc, "dense-only")
+    assert top1 == {"lstm.1.w", "lstm.1.u", "lstm.1.b"}
 
 
 def test_checkpoint_round_trip_bit_identical(tmp_path):
