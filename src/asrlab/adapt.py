@@ -2,7 +2,9 @@
 
 Fine-tuning updates exactly the parameters a freeze policy selects by
 tensor-name prefix; every other tensor in the output checkpoint is
-bit-identical to the input checkpoint. Dense-only works for both
+bit-identical to the input checkpoint: a model built from a checkpoint
+shares its read-only arrays, and ``train_model`` copies only the
+trainable ones, once, before training them. Dense-only works for both
 architectures, decoder-only requires an encoder-decoder model,
 dense-plus-top-k unfreezes the k LSTM layers nearest the output of a CTC
 model.
@@ -191,9 +193,16 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
     fired, the utterances CTC skipped as inadmissible, whether the encoder
     output was reused, the wall time and its split into forward, loss,
     backward and optimizer time, and the real (unpadded) frames trained on
-    per second of wall time."""
+    per second of wall time.
+
+    Adam updates each trained array in place, so a trainable tensor whose
+    array is read-only (a checkpoint's) is first copied, once; frozen
+    tensors keep the arrays they hold."""
     model.set_trainable(trainable)
     params = {n: p for n, p in model.parameters().items() if n in set(trainable)}
+    for p in params.values():
+        if not p.data.flags.writeable:
+            p.data = p.data.copy()
     state = AdamState()
     rng = np.random.default_rng(cfg.seed)
     batches = _bucket_batches(dataset, cfg.batch_size)
@@ -260,7 +269,7 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
             step += 1
 
     if log_path is not None:
-        with atomic_write(log_path) as fh:
+        with atomic_write(log_path, encoding="utf-8") as fh:
             for row in log:
                 fh.write(json.dumps(row) + "\n")
     return log, rng.bit_generator.state

@@ -127,13 +127,13 @@ def finetune_defaults(seed: int = 0, **overrides) -> TrainConfig:
 
 
 def save_json_config(path, cfg) -> None:
-    with atomic_write(path) as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
 
 
 def load_json_config(path, cls):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc

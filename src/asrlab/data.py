@@ -50,29 +50,33 @@ class Manifest:
         path = Path(path)
         if not path.exists():
             raise DataError(f"manifest not found: {path}")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: manifest is not UTF-8 text: {exc}") from exc
         utts = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    utt = Utterance(**json.loads(line))
-                except (json.JSONDecodeError, TypeError) as exc:
-                    raise DataError(f"{path}:{lineno}: bad manifest row: {exc}") from exc
-                bad = [name for name in ("id", "text", "domain", "speaker_id", "wav")
-                       if not isinstance(getattr(utt, name), str)]
-                if utt.features is not None and not isinstance(utt.features, str):
-                    bad.append("features")
-                if type(utt.duration_s) not in (int, float) or not math.isfinite(utt.duration_s):
-                    bad.append("duration_s")
-                if bad:
-                    raise DataError(f"{path}:{lineno}: utterance {utt.id!r}: bad {', '.join(bad)}")
-                utts.append(utt)
+        for lineno, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                utt = Utterance(**json.loads(line))
+            except (json.JSONDecodeError, TypeError) as exc:
+                raise DataError(f"{path}:{lineno}: bad manifest row: {exc}") from exc
+            bad = [name for name in ("id", "text", "domain", "speaker_id", "wav")
+                   if not isinstance(getattr(utt, name), str)]
+            if utt.features is not None and not isinstance(utt.features, str):
+                bad.append("features")
+            if type(utt.duration_s) not in (int, float) or not math.isfinite(utt.duration_s):
+                bad.append("duration_s")
+            if bad:
+                raise DataError(f"{path}:{lineno}: utterance {utt.id!r}: bad {', '.join(bad)}")
+            utts.append(utt)
         return cls(utts, path.parent)
 
     def write(self, path) -> None:
-        with atomic_write(path) as fh:
+        with atomic_write(path, encoding="utf-8") as fh:
             for utt in self.utterances:
                 row = {k: v for k, v in asdict(utt).items() if v is not None}
                 fh.write(json.dumps(row, sort_keys=True) + "\n")

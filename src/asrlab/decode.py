@@ -226,7 +226,7 @@ def las_beam(model: LasModel, feats: np.ndarray, tok: SubwordModel, beam: int = 
 # -- N-best serialization -------------------------------------------------------------
 
 def write_nbest(path, nbests: list[NBestList]) -> None:
-    with atomic_write(path) as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         for nb in nbests:
             row = {"id": nb.utt_id, "hyps": []}
             for h in nb.hyps:
@@ -243,19 +243,23 @@ def read_nbest(path) -> list[NBestList]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"n-best file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: n-best file is not UTF-8 text: {exc}") from exc
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(row["id"], str):
-                    raise DataError(f"utterance id {row['id']!r} is not a string")
-                out.append(NBestList(row["id"], [_hypothesis(h) for h in row["hyps"]]))
-            except (json.JSONDecodeError, KeyError, TypeError, DataError) as exc:
-                raise DataError(f"{path}:{lineno}: bad n-best row: {exc}") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+            if not isinstance(row["id"], str):
+                raise DataError(f"utterance id {row['id']!r} is not a string")
+            out.append(NBestList(row["id"], [_hypothesis(h) for h in row["hyps"]]))
+        except (json.JSONDecodeError, KeyError, TypeError, DataError) as exc:
+            raise DataError(f"{path}:{lineno}: bad n-best row: {exc}") from exc
     return out
 
 

@@ -92,7 +92,7 @@ class NGramLm:
             "total_unigrams": self.total_unigrams,
             "counts": {" ".join(h): dict(c) for h, c in self.counts.items()},
         }
-        with atomic_write(path) as fh:
+        with atomic_write(path, encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
 
     @classmethod
@@ -101,7 +101,7 @@ class NGramLm:
         if not path.exists():
             raise DataError(f"LM file not found: {path}")
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
             if payload["version"] != LM_VERSION:
                 raise DataError(f"unsupported LM version {payload['version']}")

@@ -138,14 +138,14 @@ def evaluate_manifest(manifest, nbests: list[NBestList], lm=None, weights=None) 
 # -- report files --------------------------------------------------------------------
 
 def write_report(path, report: dict) -> None:
-    with atomic_write(path) as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_report(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read report {path}: {exc}") from exc
@@ -177,7 +177,7 @@ def format_table(variants: dict[str, dict]) -> str:
 
 
 def write_csv(path, variants: dict[str, dict]) -> None:
-    with atomic_write(path, newline="") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "test_wer", "rescored_wer", "oracle_wer"])
         for name, rep in variants.items():

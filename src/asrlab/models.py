@@ -13,6 +13,9 @@ holds the config, so the file needs no index of its own. Feature
 mean/variance stats ride along as non-trainable buffers under "norm.*".
 A model is built from a {name: array} dict, drawn by ``init_tensors`` or
 read from a checkpoint, and its layers hold those arrays as they are given.
+A checkpoint's arrays are read-only, so a model built from one shares
+them with the checkpoint; training copies a tensor before its first
+update (``adapt.train_model``), and a frozen one is never copied.
 
 Each layer call records one tape node (``layers``). Beam search runs
 ``IncrementalDecoder``, which calls the array code of the same layer
@@ -334,9 +337,10 @@ class Checkpoint:
         self.rng_state = rng_state
 
     def build_model(self):
-        """A model holding copies of the tensors: training updates a model's
-        arrays in place, and the checkpoint's stay as they were read."""
-        return _model(self.config, {name: arr.copy() for name, arr in self.tensors.items()})
+        """A model holding the checkpoint's own arrays, uncopied. A checkpoint
+        that load_checkpoint read has read-only arrays, so an in-place write
+        raises ValueError and the checkpoint stays as it was read."""
+        return _model(self.config, self.tensors)
 
 
 def save_checkpoint(path, model, step: int = 0, rng_state: dict | None = None) -> None:
@@ -358,6 +362,8 @@ def save_checkpoint(path, model, step: int = 0, rng_state: dict | None = None) -
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at path, each of its arrays read-only; DataError for a
+    missing or corrupt file."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
@@ -375,6 +381,7 @@ def load_checkpoint(path) -> Checkpoint:
             tensors = {}
             for name, shape in tensor_shapes(cfg).items():
                 tensors[name] = T.read_array(fh)
+                tensors[name].flags.writeable = False
                 if tensors[name].shape != shape:
                     raise DataError(f"{path}: tensor {name!r} shape {tensors[name].shape} does not match "
                                     f"the header's {cfg.kind} config: {shape}")

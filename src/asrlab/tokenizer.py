@@ -108,7 +108,7 @@ class SubwordModel:
             "merges": [list(m) for m in self.merges],
             "vocab": self.vocab,
         }
-        with atomic_write(path) as fh:
+        with atomic_write(path, encoding="utf-8") as fh:
             json.dump(payload, fh, ensure_ascii=False)
 
     @classmethod
@@ -117,7 +117,7 @@ class SubwordModel:
         if not path.exists():
             raise DataError(f"tokenizer model not found: {path}")
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
             if payload["version"] != MODEL_VERSION:
                 raise DataError(f"unsupported tokenizer version {payload['version']}")

@@ -296,6 +296,17 @@ def test_training_a_model_built_from_a_checkpoint_leaves_the_checkpoint_as_read(
     assert all(ckpt.tensors[n].tobytes() == read[n].tobytes() for n in read)
 
 
+def test_dense_only_training_copies_only_the_dense_tensors_of_a_checkpoint(tmp_path):
+    M.save_checkpoint(tmp_path / "m.ckpt", _MODELS["ctc"]())
+    ckpt = M.load_checkpoint(tmp_path / "m.ckpt")
+    model = ckpt.build_model()
+    rng = np.random.default_rng(0)
+    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in [(8, [0, 1]), (9, [2, 3, 1])]])
+    A.train_model(model, items, _tiny_cfg(epochs=2, lr=1e-2), A.FreezePolicy("dense-only").trainable_names(model))
+    shared = {name for name, arr in model.named_tensors().items() if np.shares_memory(arr, ckpt.tensors[name])}
+    assert shared == {name for name in ckpt.tensors if not name.startswith("dense.")}
+
+
 def test_pretrain_deterministic_checkpoints(tmp_path):
     man, tok = _tiny_setup(tmp_path, n=16)
     cfg = _tiny_cfg(epochs=1, spec_augment=True)

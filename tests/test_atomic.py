@@ -86,6 +86,53 @@ def reads(path):
     assert in_place_writes(source) == list(range(7, 15))
 
 
+def text_opens_without_encoding(source: str) -> list[int]:
+    """Lines of the builtin open and atomic_write calls in source that open a
+    file in text mode (the default mode, a mode without b, or a mode that is
+    not a literal) and pass no encoding keyword."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("open", "atomic_write")):
+            continue
+        mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                    node.args[1] if len(node.args) > 1 else None)
+        binary = isinstance(mode, ast.Constant) and isinstance(mode.value, str) and "b" in mode.value
+        if not binary and not any(kw.arg == "encoding" for kw in node.keywords):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_package_opens_text_files_with_an_encoding():
+    package = Path(atomic.__file__).parent
+    found = {path.name: text_opens_without_encoding(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py")) if path.name != "atomic.py"}
+    assert len(found) > 10
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_text_opens_without_encoding_finds_every_bare_text_open():
+    source = """
+def bare(path, mode):
+    open(path)
+    open(path, "r")
+    open(path, mode="w")
+    open(path, mode)
+    atomic_write(path)
+    atomic_write(path, newline="")
+
+def fine(path):
+    open(path, encoding="utf-8")
+    open(path, "rb")
+    open(path, mode="rb")
+    atomic_write(path, "wb")
+    atomic_write(path, newline="", encoding="utf-8")
+    Path(path).open("rb")
+    _wave.open(str(path), "rb")
+"""
+    assert text_opens_without_encoding(source) == list(range(3, 9))
+
+
 def test_atomic_write_creates_parents_and_replaces(tmp_path):
     path = tmp_path / "a" / "b" / "out.txt"
     with atomic_write(path) as fh:

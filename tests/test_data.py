@@ -37,6 +37,12 @@ def test_manifest_row_with_a_bad_field_raises_data_error(tmp_path, change):
         Manifest.read(_manifest(tmp_path, **change))
 
 
+def test_manifest_that_is_not_utf8_raises_data_error(tmp_path):
+    (tmp_path / "manifest.jsonl").write_bytes(b'{"id": "\xff"}\n')
+    with pytest.raises(DataError, match="manifest.jsonl: manifest is not UTF-8 text"):
+        Manifest.read(tmp_path / "manifest.jsonl")
+
+
 def test_manifest_row_with_good_fields_reads(tmp_path):
     for change in ({}, {"duration_s": 2}, {"features": "u1.ndt"}):
         (utt,) = Manifest.read(_manifest(tmp_path, **change))

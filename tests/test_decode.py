@@ -349,6 +349,13 @@ def test_read_nbest_bad_row_raises_data_error(tmp_path, row):
         D.read_nbest(path)
 
 
+def test_read_nbest_of_a_file_that_is_not_utf8_raises_data_error(tmp_path):
+    path = tmp_path / "nbest.jsonl"
+    path.write_bytes(b'{"id": "\xff"}\n')
+    with pytest.raises(DataError, match="nbest.jsonl: n-best file is not UTF-8 text"):
+        D.read_nbest(path)
+
+
 def test_read_nbest_keeps_a_hypothesis_with_no_mass(tmp_path):
     path = tmp_path / "nbest.jsonl"
     D.write_nbest(path, [D.NBestList("u1", [D.Hypothesis((), "a", -1.0), D.Hypothesis((), "b", -np.inf)])])

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,33 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     rebuilt = ckpt.build_model()
     for name, arr in rebuilt.named_tensors().items():
         assert np.array_equal(arr, model.named_tensors()[name]), name
+
+
+def test_checkpoint_tensors_are_read_only(tmp_path):
+    path = tmp_path / "m.ckpt"
+    M.save_checkpoint(path, small_ctc())
+    ckpt = M.load_checkpoint(path)
+    assert not any(arr.flags.writeable for arr in ckpt.tensors.values())
+    with pytest.raises(ValueError, match="read-only"):
+        ckpt.tensors["dense.w"][0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ckpt.build_model().parameters()["lstm.0.w"].data += 1.0
+
+
+def test_building_a_model_from_a_checkpoint_copies_no_tensor(tmp_path):
+    path = tmp_path / "m.ckpt"
+    M.save_checkpoint(path, M.build_model(C.ctc_desk(), seed=0))
+    ckpt = M.load_checkpoint(path)
+    tensor_bytes = sum(arr.nbytes for arr in ckpt.tensors.values())
+    tracemalloc.start()
+    try:
+        model = ckpt.build_model()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tensor_bytes > 300_000
+    assert peak < 0.05 * tensor_bytes, (peak, tensor_bytes)
+    assert all(arr is ckpt.tensors[name] for name, arr in model.named_tensors().items())
 
 
 def test_checkpoint_truncated_and_bad_magic(tmp_path):
