@@ -48,8 +48,8 @@ class Manifest:
     @classmethod
     def read(cls, path) -> "Manifest":
         path = Path(path)
-        if not path.exists():
-            raise DataError(f"manifest not found: {path}")
+        if not path.is_file():
+            raise DataError(f"manifest not found or not a file: {path}")
         try:
             with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()

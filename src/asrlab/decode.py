@@ -241,8 +241,8 @@ def write_nbest(path, nbests: list[NBestList]) -> None:
 
 def read_nbest(path) -> list[NBestList]:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"n-best file not found: {path}")
+    if not path.is_file():
+        raise DataError(f"n-best file not found or not a file: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()

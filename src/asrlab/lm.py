@@ -98,8 +98,8 @@ class NGramLm:
     @classmethod
     def load(cls, path) -> "NGramLm":
         path = Path(path)
-        if not path.exists():
-            raise DataError(f"LM file not found: {path}")
+        if not path.is_file():
+            raise DataError(f"LM file not found or not a file: {path}")
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)

@@ -363,10 +363,10 @@ def save_checkpoint(path, model, step: int = 0, rng_state: dict | None = None) -
 
 def load_checkpoint(path) -> Checkpoint:
     """The checkpoint at path, each of its arrays read-only; DataError for a
-    missing or corrupt file."""
+    path that is not a file, or a corrupt file."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"checkpoint not found: {path}")
+    if not path.is_file():
+        raise DataError(f"checkpoint not found or not a file: {path}")
     with open(path, "rb") as fh:
         try:
             if fh.read(4) != CKPT_MAGIC:

@@ -114,8 +114,8 @@ class SubwordModel:
     @classmethod
     def load(cls, path) -> "SubwordModel":
         path = Path(path)
-        if not path.exists():
-            raise DataError(f"tokenizer model not found: {path}")
+        if not path.is_file():
+            raise DataError(f"tokenizer model not found or not a file: {path}")
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)

@@ -1,6 +1,10 @@
 import ast
+import os
+import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from asrlab import atomic
@@ -8,6 +12,26 @@ from asrlab import config as C
 from asrlab import models as M
 from asrlab import tensor as T
 from asrlab.atomic import atomic_write
+from asrlab.data import Manifest
+from asrlab.decode import read_nbest
+from asrlab.errors import DataError
+from asrlab.lm import NGramLm
+from asrlab.tokenizer import SubwordModel
+
+PROC_FD = Path("/proc/self/fd")
+
+
+def settled_descriptors() -> int:
+    """The count of this process's open descriptors once the file that the
+    last replace displaced has been closed."""
+    join_reclaim()
+    return len(os.listdir(PROC_FD))
+
+
+def join_reclaim() -> None:
+    if atomic._reclaim is not None:
+        atomic._reclaim.join(timeout=30)
+        assert not atomic._reclaim.is_alive()
 
 
 def in_place_writes(source: str) -> list[int]:
@@ -171,3 +195,100 @@ def test_checkpoint_save_failing_midway_keeps_old_file(tmp_path, monkeypatch):
         M.save_checkpoint(path, M.build_model(C.ctc_desk(vocab=20), seed=1))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+@pytest.mark.skipif(not PROC_FD.is_dir(), reason="needs /proc/self/fd")
+def test_replacing_a_file_leaks_no_descriptor(tmp_path):
+    path = tmp_path / "out.bin"
+    start = settled_descriptors()
+    for i in range(50):
+        with atomic_write(path, "wb") as fh:
+            fh.write(bytes([i]) * 4096)
+    assert settled_descriptors() == start
+    assert path.read_bytes() == bytes([49]) * 4096
+
+
+def test_the_replaced_file_is_closed_off_the_writing_thread(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write("old")
+    old_inode = path.stat().st_ino
+    closes = []
+    close = os.close
+
+    def recording_close(fd):
+        closes.append((os.fstat(fd).st_ino, threading.current_thread() is threading.main_thread()))
+        close(fd)
+
+    monkeypatch.setattr(os, "close", recording_close)
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write("new")
+    join_reclaim()
+    assert closes == [(old_inode, False)]
+    assert not atomic._reclaim.daemon
+    assert path.read_text(encoding="utf-8") == "new"
+
+
+@pytest.mark.skipif(not PROC_FD.is_dir(), reason="needs /proc/self/fd")
+def test_writers_on_many_threads_keep_one_close_in_flight(tmp_path):
+    start = settled_descriptors()
+    in_flight = []
+
+    def writer(k):
+        for i in range(25):
+            with atomic_write(tmp_path / f"{k}.txt", encoding="utf-8") as fh:
+                in_flight.append(sum(t.name == "atomic_write-reclaim" for t in threading.enumerate()))
+                fh.write(f"{k} {i}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(in_flight) == 100 and max(in_flight) <= 1
+    assert settled_descriptors() == start
+    assert sorted(p.read_text(encoding="utf-8") for p in tmp_path.iterdir()) == [f"{k} 24" for k in range(4)]
+
+
+@pytest.mark.skipif(not PROC_FD.is_dir(), reason="needs /proc/self/fd")
+def test_a_failed_replace_leaves_the_target_and_no_temp_file_or_descriptor(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    with atomic_write(target / "kept.txt", encoding="utf-8") as fh:
+        fh.write("kept")
+    start = settled_descriptors()
+    with pytest.raises(OSError):
+        with atomic_write(target, encoding="utf-8") as fh:
+            fh.write("new")
+    assert settled_descriptors() == start
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert [p.name for p in target.iterdir()] == ["kept.txt"]
+    assert (target / "kept.txt").read_text(encoding="utf-8") == "kept"
+
+
+def test_a_reader_holding_the_old_checkpoint_keeps_reading_it(tmp_path):
+    path = tmp_path / "m.ckpt"
+    M.save_checkpoint(path, M.build_model(C.ctc_desk(vocab=20), seed=0))
+    old = path.read_bytes()
+    new_model = M.build_model(C.ctc_desk(vocab=20), seed=1)
+    with open(path, "rb") as held:
+        M.save_checkpoint(path, new_model)
+        assert held.read() == old
+    loaded = M.load_checkpoint(path).tensors
+    assert loaded.keys() == new_model.named_tensors().keys()
+    for name, arr in new_model.named_tensors().items():
+        assert np.array_equal(loaded[name], arr), name
+    assert path.read_bytes() != old
+
+
+@pytest.mark.parametrize("read", [M.load_checkpoint, Manifest.read, read_nbest, NGramLm.load, SubwordModel.load],
+                         ids=["checkpoint", "manifest", "nbest", "lm", "tokenizer"])
+def test_every_reader_raises_data_error_for_a_path_that_is_not_a_file(tmp_path, read):
+    with pytest.raises(DataError, match="not a file"):
+        read(tmp_path)
