@@ -30,10 +30,10 @@ import numpy as np
 from .atomic import atomic_write
 from .config import TrainConfig
 from .data import Manifest
-from .errors import DataError, DivergenceError, SkippedUtteranceWarning, UsageError
+from .errors import DataError, DivergenceError, NumericError, SkippedUtteranceWarning, UsageError
 from .losses import cross_entropy, ctc_loss
 from .models import load_checkpoint, save_checkpoint
-from .signal import FeatureNormalizer, spec_augment
+from .signal import spec_augment
 from .tensor import Tape
 from .tokenizer import SubwordModel
 
@@ -238,7 +238,10 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
                     marks.append(time.perf_counter())
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
-                        loss = ctc_loss(lp, labels, lengths)
+                        try:
+                            loss = ctc_loss(lp, labels, lengths)
+                        except NumericError as exc:  # non-finite log-probs
+                            raise DivergenceError(f"non-finite loss at step {step}") from exc
                     for w in caught:
                         if issubclass(w.category, SkippedUtteranceWarning):
                             skipped += 1
@@ -285,14 +288,8 @@ def epoch_mean_losses(log: list[dict], steps_per_epoch: int) -> list[float]:
 
 def pretrain(model, manifest: Manifest, tok: SubwordModel, cfg: TrainConfig,
              out_path, log_path=None) -> list[dict]:
-    """Train from scratch on a generic manifest; writes the checkpoint.
-
-    Fits the global feature normalizer on this manifest; fine-tuning
-    stages inherit it unchanged through the checkpoint.
-    """
+    """Train from scratch on a generic manifest; writes the checkpoint."""
     dataset = EncodedDataset(manifest, tok)
-    norm = FeatureNormalizer.fit(f for f, _ in dataset.items)
-    model.set_normalizer(norm.mean, norm.std)
     log, rng_state = train_model(model, dataset, cfg, FreezePolicy("full").trainable_names(model), log_path)
     save_checkpoint(out_path, model, step=len(log), rng_state=rng_state)
     return log

@@ -4,7 +4,7 @@ Manifest rows are {id, text, domain, speaker_id, wav, features?, duration_s}
 with file paths stored relative to the manifest's directory. Every field
 is a string except duration_s, a finite number; a row that breaks this, or
 an utterance whose feature or WAV file cannot be read or whose feature
-array is not [frames, dim], raises DataError.
+array is not [frames, dim] of finite values, raises DataError.
 """
 
 from __future__ import annotations
@@ -99,6 +99,8 @@ class Manifest:
             raise DataError(f"utterance {utt.id!r}: cannot read features {path}: {exc}") from exc
         if feats.ndim != 2:
             raise DataError(f"utterance {utt.id!r}: features {path} have shape {feats.shape}, not [frames, dim]")
+        if not np.all(np.isfinite(feats)):
+            raise DataError(f"utterance {utt.id!r}: features {path} hold non-finite values")
         return feats
 
     def check_unique_ids(self) -> None:

@@ -26,10 +26,11 @@ LN_EPS = 1e-5  # layer-norm variance floor
 
 
 class Dense:
-    """Affine projection y = x W + b on the trailing dim."""
+    """Affine projection y = x W + b on the trailing dim; without a
+    "{prefix}.b" tensor in params it is the linear map y = x W."""
 
     def __init__(self, params: dict[str, Tensor], prefix: str):
-        self.w, self.b = params[f"{prefix}.w"], params[f"{prefix}.b"]
+        self.w, self.b = params[f"{prefix}.w"], params.get(f"{prefix}.b")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """x [..., d_in] -> [..., d_out], as one 2-d product over the
@@ -37,7 +38,10 @@ class Dense:
         d_in, d_out = self.w.shape
         if x.shape[-1] != d_in:
             raise ShapeError(f"dense input dim {x.shape[-1]} does not match weight {self.w.shape}")
-        return (x.reshape(-1, d_in) @ self.w.data + self.b.data).reshape(x.shape[:-1] + (d_out,))
+        y = x.reshape(-1, d_in) @ self.w.data
+        if self.b is not None:
+            y = y + self.b.data
+        return y.reshape(x.shape[:-1] + (d_out,))
 
     def __call__(self, x: Tensor) -> Tensor:
         w, b = self.w, self.b
@@ -45,11 +49,11 @@ class Dense:
 
         def backward(g):
             g = g.reshape(-1, g.shape[-1])
-            return ((g @ w.data.T).reshape(x.shape) if x.requires_grad else None,
-                    x.data.reshape(-1, w.shape[0]).T @ g if w.requires_grad else None,
-                    g.sum(axis=0) if b.requires_grad else None)
+            grads = ((g @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+                     x.data.reshape(-1, w.shape[0]).T @ g if w.requires_grad else None)
+            return grads if b is None else grads + (g.sum(axis=0) if b.requires_grad else None,)
 
-        return T._finish(out, (x, w, b), backward)
+        return T._finish(out, (x, w) if b is None else (x, w, b), backward)
 
 
 class LstmLayer:

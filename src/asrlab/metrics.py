@@ -1,4 +1,5 @@
-"""Word error rate, N-best oracle WER, and evaluation reports.
+"""Word error rate, N-best oracle WER, paired bootstrap intervals, and
+evaluation reports.
 
 WER is the word-level Levenshtein distance divided by the reference
 word count; corpus WER pools edit counts over utterances (sum of errors
@@ -92,6 +93,33 @@ class CorpusWer:
         if self.ref_len == 0:
             raise DataError("no reference words accumulated")
         return self.errors / self.ref_len
+
+
+BOOTSTRAP_RESAMPLES = 10_000
+
+
+def paired_bootstrap(refs: dict[str, str], hyps_a: dict[str, str], hyps_b: dict[str, str],
+                     seed: int = 0) -> tuple[float, tuple[float, float], float]:
+    """Paired bootstrap of the corpus WER difference, system b minus system a
+    (Bisani and Ney, ICASSP 2004). Each of BOOTSTRAP_RESAMPLES resamples draws
+    as many utterances as there are references, with replacement, from
+    default_rng(seed), and pools both systems' errors over the same draw.
+    Returns (the difference on the whole set, its 95% percentile interval,
+    the fraction of resamples in which b has the lower WER). refs and both
+    hypothesis dicts are keyed by utterance id and must hold the same ids."""
+    if not refs or set(hyps_a) != set(refs) or set(hyps_b) != set(refs):
+        raise DataError("paired bootstrap needs one hypothesis per system for each reference id")
+    counts = []  # per utterance: errors of a, errors of b, reference words
+    for utt_id in sorted(refs):
+        a, b = wer(refs[utt_id], hyps_a[utt_id]), wer(refs[utt_id], hyps_b[utt_id])
+        counts.append((a.errors, b.errors, a.ref_len))
+    counts = np.array(counts, dtype=np.int64)
+    draws = np.random.default_rng(seed).integers(0, len(counts), size=(BOOTSTRAP_RESAMPLES, len(counts)))
+    errs_a, errs_b, ref_len = (counts[:, c][draws].sum(axis=1) for c in range(3))
+    deltas = (errs_b - errs_a) / ref_len
+    total_a, total_b, total_len = counts.sum(axis=0)
+    low, high = np.percentile(deltas, [2.5, 97.5])
+    return float((total_b - total_a) / total_len), (float(low), float(high)), float(np.mean(deltas < 0))
 
 
 def evaluate_manifest(manifest, nbests: list[NBestList], lm=None, weights=None) -> dict:

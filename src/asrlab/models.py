@@ -9,8 +9,7 @@ BOS/EOS appended after the subword table.
 shapes. Names follow "submodule.index.param" (e.g. "lstm.0.w",
 "decoder.1.cross_attn.wq.w"); freeze policies select by their prefixes,
 and a checkpoint stores the tensors in this order after a header that
-holds the config, so the file needs no index of its own. Feature
-mean/variance stats ride along as non-trainable buffers under "norm.*".
+holds the config, so the file needs no index of its own.
 A model is built from a {name: array} dict, drawn by ``init_tensors`` or
 read from a checkpoint, and its layers hold those arrays as they are given.
 A checkpoint's arrays are read-only, so a model built from one shares
@@ -40,7 +39,7 @@ from .layers import (NEG_FILL, Dense, DecoderBlock, EncoderBlock, Embedding, Lay
 from .tensor import Tensor
 
 CKPT_MAGIC = b"CKPT"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 
 class _ModelBase:
@@ -48,31 +47,19 @@ class _ModelBase:
         """Holds the arrays of tensors, a name -> array dict of every name in
         tensor_shapes(cfg), without copying them."""
         self.cfg = cfg
-        self.params = {name: Tensor(tensors[name], requires_grad=True)
-                       for name in tensor_shapes(cfg) if not name.startswith("norm.")}
-        self.norm_mean, self.norm_std = tensors["norm.mean"], tensors["norm.std"]
+        self.params = {name: Tensor(tensors[name], requires_grad=True) for name in tensor_shapes(cfg)}
 
-    def set_normalizer(self, mean: np.ndarray, std: np.ndarray) -> None:
-        if mean.shape != (self.cfg.feat_dim,) or std.shape != (self.cfg.feat_dim,):
-            raise ShapeError(f"normalizer dims {mean.shape} do not match feat_dim {self.cfg.feat_dim}")
-        self.norm_mean = mean.astype(np.float32)
-        self.norm_std = std.astype(np.float32)
-
-    def normalize(self, feats: np.ndarray) -> np.ndarray:
+    def _features(self, feats: np.ndarray) -> np.ndarray:
+        """feats as float32, checked against the config's feature dim."""
         if feats.shape[-1] != self.cfg.feat_dim:
             raise ShapeError(f"feature dim {feats.shape[-1]} does not match config {self.cfg.feat_dim}")
-        return ((feats - self.norm_mean) / self.norm_std).astype(np.float32)
+        return feats.astype(np.float32, copy=False)
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {"norm.mean": self.norm_mean, "norm.std": self.norm_std}
-
     def named_tensors(self) -> dict[str, np.ndarray]:
-        out = {name: p.data for name, p in self.parameters().items()}
-        out.update(self.buffers())
-        return out
+        return {name: p.data for name, p in self.params.items()}
 
     def set_trainable(self, names) -> None:
         """requires_grad only for the given parameter names."""
@@ -97,7 +84,7 @@ class CtcModel(_ModelBase):
 
     def encode(self, feats: np.ndarray) -> Tensor:
         """Padded features [T,B,D] -> the top LSTM's hidden states [T,B,hidden]."""
-        x = Tensor(self.normalize(feats))
+        x = Tensor(self._features(feats))
         for layer in self.lstms:
             x = layer.forward(x)
         return x
@@ -148,7 +135,7 @@ class LasModel(_ModelBase):
         t_len, batch, _ = feats.shape
         if lengths is None:
             lengths = np.full(batch, t_len, dtype=np.int64)
-        x = self.normalize(feats).transpose(1, 0, 2)  # [B,T,D]
+        x = self._features(feats).transpose(1, 0, 2)  # [B,T,D]
         h = self.input_proj(Tensor(np.ascontiguousarray(x)))
         h = T.mul(h, self.content_scale)
         pe = np.broadcast_to(self._pe_slice(t_len)[None], (batch, t_len, self.cfg.dim))
@@ -256,8 +243,10 @@ def tensor_shapes(cfg) -> dict[str, tuple[int, ...]]:
     ``named_tensors`` order (the order checkpoints store them in)."""
     shapes = {}
 
-    def dense(name, d_in, d_out):
-        shapes.update({f"{name}.w": (d_in, d_out), f"{name}.b": (d_out,)})
+    def dense(name, d_in, d_out, bias=True):
+        shapes[f"{name}.w"] = (d_in, d_out)
+        if bias:
+            shapes[f"{name}.b"] = (d_out,)
 
     def norm(name, dim):
         shapes.update({f"{name}.gamma": (dim,), f"{name}.beta": (dim,)})
@@ -274,7 +263,8 @@ def tensor_shapes(cfg) -> dict[str, tuple[int, ...]]:
         def block(name, attns, norms):
             for attn in attns:
                 for proj in ("wq", "wk", "wv", "wo"):
-                    dense(f"{name}.{attn}.{proj}", dim, dim)
+                    # softmax ignores a shift shared by every key of a query, so keys take no bias
+                    dense(f"{name}.{attn}.{proj}", dim, dim, bias=proj != "wk")
             dense(f"{name}.ff.lin1", dim, cfg.ff_dim)
             dense(f"{name}.ff.lin2", cfg.ff_dim, dim)
             for ln in norms:
@@ -291,7 +281,6 @@ def tensor_shapes(cfg) -> dict[str, tuple[int, ...]]:
         dense("dense", dim, cfg.output_dim)
     else:
         raise UsageError(f"unknown config type {type(cfg)!r}")
-    shapes["norm.mean"] = shapes["norm.std"] = (cfg.feat_dim,)
     return shapes
 
 
@@ -300,14 +289,14 @@ def initial_values(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator)
 
     Weights ("*.w", "*.u", "embed.table") are uniform in ±1/sqrt(fan_in),
     fan_in being the first dim (the second for the embedding table). Norm
-    scales ("*.gamma", "norm.std") are one and the rest zero, except the
+    scales ("*.gamma") are one and the rest zero, except the
     forget-gate quarter [H:2H] of an LSTM bias, which is one.
     """
     for name, shape in shapes.items():
         if name.endswith((".w", ".u", "embed.table")):
             bound = 1.0 / np.sqrt(shape[1] if name.endswith("table") else shape[0])
             yield name, rng.uniform(-bound, bound, size=shape)
-        elif name.endswith((".gamma", "norm.std")):
+        elif name.endswith(".gamma"):
             yield name, np.ones(shape)
         else:
             arr = np.zeros(shape)

@@ -3,9 +3,9 @@
 The pipeline is 16 kHz audio -> 20 ms Hann frames with 10 ms hop ->
 one-sided power spectrum of numpy's 512-point real FFT (frames
 zero-padded) -> triangular mel filterbank (HTK mel scale, 0-8 kHz) ->
-log -> stacking of 3 consecutive frames with a time stride of 3. Desk
-default is 20 mel bins (60-dim stacked features); the paper-shape
-preset uses 80 (240-dim).
+log -> stacking of 3 consecutive frames with a time stride of 3 ->
+per-utterance CMVN. Desk default is 20 mel bins (60-dim stacked
+features); the paper-shape preset uses 80 (240-dim).
 """
 
 from __future__ import annotations
@@ -138,8 +138,21 @@ class FrontendConfig:
 _FBANK_CACHE: dict[int, np.ndarray] = {}
 
 
+def cmvn(feats: np.ndarray) -> np.ndarray:
+    """Cepstral mean and variance normalization of one utterance (Viikki and
+    Laurila, Speech Communication 1998): each dim of feats [frames, dim] gets
+    zero mean and unit population std over the frames, the variance floored
+    at 1e-10. Any pool of such utterances has zero mean and unit variance
+    too, so a model needs no feature statistics of its own. Shifting by the
+    first frame first makes a constant dim (silence) exactly zero."""
+    shifted = feats - feats[0]
+    centered = shifted - shifted.mean(axis=0)
+    return centered / np.sqrt(np.maximum((centered * centered).mean(axis=0), 1e-10))
+
+
 def extract_features(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) -> np.ndarray:
-    """Waveform -> stacked log-mel FeatureMatrix [frames, mel_bins*stack_k]."""
+    """Waveform -> stacked log-mel FeatureMatrix [frames, mel_bins*stack_k],
+    normalized per utterance (``cmvn``)."""
     fb = _FBANK_CACHE.get(cfg.mel_bins)
     if fb is None:
         fb = mel_filterbank(cfg.mel_bins)
@@ -149,35 +162,7 @@ def extract_features(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()
     feats = stack(mels, cfg.stack_k, cfg.stack_stride)
     if not np.all(np.isfinite(feats)):
         raise DataError("non-finite features produced")
-    return feats.astype(np.float32)
-
-
-class FeatureNormalizer:
-    """Global per-dimension mean/variance normalization."""
-
-    def __init__(self, mean: np.ndarray, std: np.ndarray):
-        self.mean = np.asarray(mean, dtype=np.float32)
-        self.std = np.asarray(std, dtype=np.float32)
-
-    @classmethod
-    def fit(cls, feature_matrices) -> "FeatureNormalizer":
-        total = None
-        total_sq = None
-        count = 0
-        for f in feature_matrices:
-            f = np.asarray(f, dtype=np.float64)
-            if total is None:
-                total = f.sum(axis=0)
-                total_sq = (f * f).sum(axis=0)
-            else:
-                total += f.sum(axis=0)
-                total_sq += (f * f).sum(axis=0)
-            count += f.shape[0]
-        if count == 0:
-            raise DataError("cannot fit a normalizer on zero frames")
-        mean = total / count
-        var = np.maximum(total_sq / count - mean * mean, 1e-10)
-        return cls(mean, np.sqrt(var))
+    return cmvn(feats).astype(np.float32)
 
 
 # -- WAV files (16-bit PCM mono RIFF) ----------------------------------------------------

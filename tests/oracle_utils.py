@@ -83,13 +83,14 @@ def transpose(a, axes):
 
 
 def reference_dense(dense, x):
-    """`layers.Dense` spelled as the ops reshape, matmul, add and reshape;
-    the fused node must return the same output and gradients bit for bit."""
-    if x.ndim == 2:
-        return T.add(matmul(x, dense.w), dense.b)
+    """`layers.Dense` spelled as the ops reshape, matmul, add (when the layer
+    has a bias) and reshape; the fused node must return the same output and
+    gradients bit for bit."""
     d_in, d_out = dense.w.shape
-    y = T.add(matmul(reshape(x, (-1, d_in)), dense.w), dense.b)
-    return reshape(y, x.shape[:-1] + (d_out,))
+    y = matmul(x if x.ndim == 2 else reshape(x, (-1, d_in)), dense.w)
+    if dense.b is not None:
+        y = T.add(y, dense.b)
+    return y if x.ndim == 2 else reshape(y, x.shape[:-1] + (d_out,))
 
 
 def _split_heads(attn, x):

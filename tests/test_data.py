@@ -67,6 +67,16 @@ def test_feature_array_that_is_not_frames_by_dim_raises_data_error_naming_the_ut
         man.features(man.utterances[0])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+def test_feature_array_with_a_non_finite_value_raises_data_error_naming_the_utterance(tmp_path, value):
+    feats = np.zeros((4, 3), dtype=np.float32)
+    feats[2, 1] = value
+    tensor.save_array(tmp_path / "u1.ndt", feats)
+    man = Manifest.read(_manifest(tmp_path, features="u1.ndt"))
+    with pytest.raises(DataError, match="utterance 'u1': .* non-finite"):
+        man.features(man.utterances[0])
+
+
 @pytest.mark.parametrize("content", [None, b"", b"not a wav file at all"], ids=["missing", "empty", "not-riff"])
 def test_unreadable_wav_raises_data_error_naming_the_utterance(tmp_path, content):
     if content is not None:

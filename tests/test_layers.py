@@ -146,14 +146,18 @@ def test_fused_dense_matches_the_op_chain_bit_for_bit(dtype):
     rng = np.random.default_rng(15)
     for case in range(60):
         d_in, d_out = (int(n) for n in rng.integers(1, 9, size=2))
-        dense = L.Dense({"dense.w": Tensor(rng.normal(size=(d_in, d_out)).astype(dtype), requires_grad=True),
-                         "dense.b": Tensor(rng.normal(size=d_out).astype(dtype), requires_grad=True)}, "dense")
+        tensors = {"dense.w": Tensor(rng.normal(size=(d_in, d_out)).astype(dtype), requires_grad=True),
+                   "dense.b": Tensor(rng.normal(size=d_out).astype(dtype), requires_grad=True)}
+        if case % 4 == 3:  # no bias, like the attention key projections
+            del tensors["dense.b"]
+        dense = L.Dense(tensors, "dense")
+        params = list(tensors.values())
         lead = tuple(int(n) for n in rng.integers(1, 5, size=int(rng.integers(1, 4))))
         x = Tensor(rng.normal(size=lead + (d_in,)).astype(dtype), requires_grad=True)
-        _freeze_some([x, dense.w, dense.b], rng)
+        _freeze_some([x] + params, rng)
         out_weight = rng.normal(size=lead + (d_out,)).astype(dtype)
-        fused = _outputs_and_grads(dense, [dense.w, dense.b], [x], out_weight)
-        chain = _outputs_and_grads(lambda x: reference_dense(dense, x), [dense.w, dense.b], [x], out_weight)
+        fused = _outputs_and_grads(dense, params, [x], out_weight)
+        chain = _outputs_and_grads(lambda x: reference_dense(dense, x), params, [x], out_weight)
         _assert_same_bits(fused, chain, case)
 
 
@@ -165,7 +169,7 @@ def test_fused_attention_matches_the_op_chain_bit_for_bit(dtype):
         dim = heads * int(rng.integers(1, 5))
         batch, tq, tk = (int(n) for n in rng.integers(1, 6, size=3))
         attn = make_mha(dim, heads, rng, dtype)
-        params = [t for d in (attn.wq, attn.wk, attn.wv, attn.wo) for t in (d.w, d.b)]
+        params = [t for d in (attn.wq, attn.wk, attn.wv, attn.wo) for t in (d.w, d.b) if t is not None]
         q = Tensor(rng.normal(size=(batch, tq, dim)).astype(dtype), requires_grad=True)
         if case % 3 == 0:  # self-attention: one input feeds all three projections
             tk, inputs, mask = tq, [q, q, q], L.causal_mask(tq)
@@ -217,7 +221,7 @@ def test_mha_two_token_single_head_matches_hand_computation():
         return v @ lin.w.data + lin.b.data
 
     q = affine(attn.wq, x_data[0])
-    k = affine(attn.wk, x_data[0])
+    k = x_data[0] @ attn.wk.w.data  # keys take no bias
     v = affine(attn.wv, x_data[0])
     scores = q @ k.T / np.sqrt(2.0)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))

@@ -144,3 +144,41 @@ def test_format_table_and_csv(tmp_path):
     MT.write_csv(tmp_path / "r.csv", variants)
     text = (tmp_path / "r.csv").read_text()
     assert "CTC-Dense,0.4,0.38,0.29" in text
+
+
+# -- paired bootstrap ---------------------------------------------------------------
+
+REFS = {"u1": "a", "u2": "b c d"}
+
+
+def test_paired_bootstrap_of_identical_hypotheses_is_zero():
+    hyps = {"u1": "a x", "u2": "b d"}
+    assert MT.paired_bootstrap(REFS, hyps, dict(hyps)) == (0.0, (0.0, 0.0), 0.0)
+
+
+def test_paired_bootstrap_is_reproducible_under_a_seed():
+    a, b = {"u1": "a", "u2": "x c d"}, {"u1": "z", "u2": "b c d"}
+    assert MT.paired_bootstrap(REFS, a, b, seed=5) == MT.paired_bootstrap(REFS, a, b, seed=5)
+    assert MT.paired_bootstrap(REFS, a, b, seed=5) != MT.paired_bootstrap(REFS, a, b, seed=6)
+
+
+def test_paired_bootstrap_hand_computed_case():
+    # a errs once on u2 (3 words), b once on u1 (1 word): the pooled difference is (1 - 1) / 4 = 0.
+    # A draw of two utterances is {u1, u1} with chance 1/4 (delta (2 - 0) / 2 = 1), {u2, u2} with
+    # chance 1/4 (delta (0 - 2) / 6 = -1/3) and one of each otherwise (delta 0), so the 95%
+    # interval is [-1/3, 1] and b is better in about a quarter of the draws.
+    delta, (low, high), b_better = MT.paired_bootstrap(REFS, {"u1": "a", "u2": "x c d"},
+                                                       {"u1": "z", "u2": "b c d"})
+    assert delta == 0.0
+    assert (low, high) == (-1 / 3, 1.0)
+    assert abs(b_better - 0.25) <= 0.02
+
+
+@pytest.mark.parametrize("hyps_a, hyps_b", [
+    ({"u1": "a"}, {"u1": "a", "u2": "b c d"}),
+    ({"u1": "a", "u2": "b c d"}, {"u1": "a", "u3": "b c d"}),
+    ({"u1": "a", "u2": "b c d", "u3": "e"}, {"u1": "a", "u2": "b c d", "u3": "e"}),
+], ids=["missing-in-a", "other-id-in-b", "extra-in-both"])
+def test_paired_bootstrap_with_mismatched_ids_raises_data_error(hyps_a, hyps_b):
+    with pytest.raises(DataError):
+        MT.paired_bootstrap(REFS, hyps_a, hyps_b)

@@ -126,7 +126,7 @@ def test_parameter_groups_nesting():
     assert all(n.startswith(("decoder.", "dec_norm.", "embed.", "dense.")) for n in decoder)
 
 
-ATTN = ["wq.w", "wq.b", "wk.w", "wk.b", "wv.w", "wv.b", "wo.w", "wo.b"]
+ATTN = ["wq.w", "wq.b", "wk.w", "wv.w", "wv.b", "wo.w", "wo.b"]
 FF = ["ff.lin1.w", "ff.lin1.b", "ff.lin2.w", "ff.lin2.b"]
 
 
@@ -151,9 +151,16 @@ def test_top_lstm_names():
     assert top1 == {"lstm.1.w", "lstm.1.u", "lstm.1.b"}
 
 
+@pytest.mark.parametrize("preset", [C.ctc_desk, C.las_desk], ids=["ctc-desk", "las-desk"])
+def test_every_tensor_of_a_model_is_a_parameter(preset):
+    # nothing a model holds is a fitted buffer: the full policy trains every tensor a checkpoint stores
+    cfg = preset()
+    model = M.build_model(cfg)
+    assert A.FreezePolicy("full").trainable_names(model) == list(M.tensor_shapes(cfg))
+
+
 def test_checkpoint_round_trip_bit_identical(tmp_path):
     model = small_ctc(seed=7)
-    model.set_normalizer(np.full(6, 2.0, np.float32), np.full(6, 3.0, np.float32))
     path = tmp_path / "m.ckpt"
     M.save_checkpoint(path, model, step=42, rng_state={"x": 1})
     ckpt = M.load_checkpoint(path)
@@ -228,12 +235,29 @@ def _swap_dense_w_dims(raw):
     return raw[:offset] + struct.pack("<2I", cols, rows) + raw[offset + 8:]
 
 
+def _as_version(raw, version):
+    """raw with its two version fields set to version, keeping the header's byte length."""
+    current = f'"version": {M.CKPT_VERSION}'.encode()
+    return raw[:4] + struct.pack("<I", version) + raw[8:].replace(current, f'"version": {version}'.encode(), 1)
+
+
 def _as_version_1(raw):
     """The same tensors in the version 1 layout: the blocks followed by a
     JSON name -> offset index and the u64 offset of that index."""
     index = json.dumps(_block_offsets(raw), sort_keys=True).encode()
-    v1 = raw[:4] + struct.pack("<I", 1) + raw[8:].replace(b'"version": 2', b'"version": 1', 1)
+    v1 = _as_version(raw, 1)
     return v1 + index + struct.pack("<Q", len(v1))
+
+
+def _as_version_2(raw):
+    """The same tensors in the version 2 layout: the blocks followed by the
+    global normalizer's "norm.mean" and "norm.std" blocks."""
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    feat_dim = json.loads(raw[12:12 + header_len])["model"]["feat_dim"]
+    norm = io.BytesIO()
+    T.write_array(norm, np.zeros(feat_dim, np.float32))
+    T.write_array(norm, np.ones(feat_dim, np.float32))
+    return _as_version(raw, 2) + norm.getvalue()
 
 
 def _edit_model_config(**changes):
@@ -248,26 +272,27 @@ def _edit_model_config(**changes):
     return corrupt
 
 
-@pytest.mark.parametrize("model, corrupt", [
-    (small_ctc, lambda raw: raw + b"\0"),
-    (small_las, _swap_dense_w_dims),
-    (small_ctc, lambda raw: raw[:-3]),
-    (small_ctc, _as_version_1),
-    (small_ctc, lambda raw: raw.replace(b'"layers"', b'"layerz"', 1)),
-    (small_ctc, _edit_model_config(hidden=0)),
-    (small_ctc, _edit_model_config(layers=-1)),
-    (small_las, _edit_model_config(dim=64, heads=3)),
-    (small_ctc, _edit_model_config(vocab="200")),
-], ids=["bytes-after-last-tensor", "block-shape-disagrees-with-header", "cut-mid-block", "version-1",
+@pytest.mark.parametrize("model, corrupt, message", [
+    (small_ctc, lambda raw: raw + b"\0", "bytes after the last tensor"),
+    (small_las, _swap_dense_w_dims, "shape"),
+    (small_ctc, lambda raw: raw[:-3], "corrupt checkpoint"),
+    (small_ctc, _as_version_1, "unsupported checkpoint version 1"),
+    (small_ctc, _as_version_2, "unsupported checkpoint version 2"),
+    (small_ctc, lambda raw: raw.replace(b'"layers"', b'"layerz"', 1), None),
+    (small_ctc, _edit_model_config(hidden=0), None),
+    (small_ctc, _edit_model_config(layers=-1), None),
+    (small_las, _edit_model_config(dim=64, heads=3), None),
+    (small_ctc, _edit_model_config(vocab="200"), None),
+], ids=["bytes-after-last-tensor", "block-shape-disagrees-with-header", "cut-mid-block", "version-1", "version-2",
         "unknown-config-field", "hidden-zero", "layers-negative",
         "heads-not-dividing-dim", "vocab-string"])
-def test_checkpoint_corruption_raises_data_error(tmp_path, model, corrupt):
+def test_checkpoint_corruption_raises_data_error(tmp_path, model, corrupt, message):
     path = tmp_path / "m.ckpt"
     M.save_checkpoint(path, model())
     raw = path.read_bytes()
     path.write_bytes(corrupt(raw))
     assert path.read_bytes() != raw
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=message):
         M.load_checkpoint(path)
 
 
@@ -277,10 +302,9 @@ def test_checkpoint_corruption_raises_data_error(tmp_path, model, corrupt):
 ], ids=["ctc-desk", "ctc-odd", "las-desk", "las-odd"])
 def test_tensor_shapes_name_every_tensor_of_the_built_model(cfg):
     # a listed name that no layer reads would get an all-zero gradient from a full-policy loss
-    # (attention key biases get rounding-level gradients only: softmax ignores a shift shared by all keys)
     model = M.build_model(cfg)
     params = model.parameters()
-    assert list(params) + ["norm.mean", "norm.std"] == list(M.tensor_shapes(cfg))
+    assert list(params) == list(M.tensor_shapes(cfg))
     feats = np.random.default_rng(0).normal(size=(12, 2, cfg.feat_dim)).astype(np.float32)
     with Tape() as tape:
         if cfg.kind == "ctc":
@@ -294,8 +318,8 @@ def test_tensor_shapes_name_every_tensor_of_the_built_model(cfg):
 
 
 @pytest.mark.parametrize("preset, digest", [
-    (C.ctc_desk, "981eb50bba7e5864b531ec2e53e8c7eac6e84167740eccb6ca19b0d9ff877e0b"),
-    (C.las_desk, "cb02913144294cf85582f0f37bf63a166b822e3ffc735b90833cd68b8f6b9ee9"),
+    (C.ctc_desk, "48c8d9429ef0d514237790599fea067072808c46b78db0c955008b27192ed900"),
+    (C.las_desk, "d5edd8a5825dc0835cb236d0f28d2f3b5fc76c925cb039db937b759e308e515a"),
 ], ids=["ctc-desk", "las-desk"])
 def test_seeded_initialization_is_pinned(tmp_path, preset, digest):
     # the values of a seed-0 desk checkpoint: initial values, their draw order, names and shapes
@@ -306,7 +330,7 @@ def test_seeded_initialization_is_pinned(tmp_path, preset, digest):
 def test_checkpoint_file_layout_is_pinned(tmp_path):
     # the bytes of a seed-0 desk checkpoint: a layout change shows here while the value digests hold
     M.save_checkpoint(tmp_path / "init.ckpt", M.build_model(C.ctc_desk(), seed=0))
-    assert hashlib.sha256((tmp_path / "init.ckpt").read_bytes()).hexdigest() == "5af1a438914149e4759aa04efe872728d6eac782612eb7a09a3359ec788f4bc5"
+    assert hashlib.sha256((tmp_path / "init.ckpt").read_bytes()).hexdigest() == "e9bb6c02937377033a9e19787f4bb71876d348a6b053f5797319a21e07923fca"
 
 
 @pytest.mark.parametrize("change", [{"layers": 9}, {"hidden": 32}], ids=["layers-2-to-9", "hidden-64-to-32"])

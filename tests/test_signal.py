@@ -3,7 +3,7 @@ import pytest
 
 from asrlab import signal as S
 from asrlab.errors import DataError, ShapeError
-from asrlab.ttssim import synth
+from asrlab.ttssim import NoiseSpec, degrade, synth
 
 
 def naive_dft(x):
@@ -176,21 +176,41 @@ def test_extract_features_matches_naive_dft_front_end(mel_bins):
     fb = S.mel_filterbank(mel_bins)
     for w in waves:
         power = one_sided_power(S.frame(w), S.N_FFT)
-        want = S.stack(np.log(power @ fb.T + S.LOG_FLOOR), cfg.stack_k, cfg.stack_stride)
+        stacked = S.stack(np.log(power @ fb.T + S.LOG_FLOOR), cfg.stack_k, cfg.stack_stride)
+        want = (stacked - stacked.mean(axis=0)) / stacked.std(axis=0)
         got = S.extract_features(w, cfg)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-5
 
 
-def test_feature_normalizer():
-    rng = np.random.default_rng(7)
-    mats = [rng.normal(loc=3.0, scale=2.0, size=(50, 4)) for _ in range(10)]
-    norm = S.FeatureNormalizer.fit(mats)
-    normed = np.concatenate([(m - norm.mean) / norm.std for m in mats])
-    assert np.allclose(normed.mean(axis=0), 0.0, atol=1e-3)
-    assert np.allclose(normed.std(axis=0), 1.0, atol=1e-3)
-    with pytest.raises(DataError):
-        S.FeatureNormalizer.fit([])
+def _clean_and_noisy(text, seed):
+    clean = synth(text)
+    return clean, degrade(clean, NoiseSpec(), np.random.default_rng(seed))
+
+
+def test_extract_features_are_cmvn_normalized_per_utterance():
+    # per dimension over one utterance's frames: zero mean and unit population std
+    for wave in _clean_and_noisy("turn left at main street", 3):
+        feats = S.extract_features(wave).astype(np.float64)
+        assert np.max(np.abs(feats.mean(axis=0))) <= 1e-6
+        assert np.max(np.abs(feats.std(axis=0) - 1.0)) <= 1e-5
+
+
+def test_silent_waveform_gives_finite_zero_features():
+    for n in (8000, 16000, 33333):
+        feats = S.extract_features(np.zeros(n, dtype=np.float32))
+        assert feats.dtype == np.float32 and np.all(np.isfinite(feats))
+        assert np.all(feats == 0.0)
+
+
+def test_cmvn_features_pool_to_zero_mean_unit_std():
+    # what a global normalizer fitted on CMVN features would hold: nothing to undo
+    texts = ["open the window", "call home", "set a timer for ten minutes", "play some music",
+             "navigate to one two three oak avenue", "what is the weather"]
+    waves = [w for i, text in enumerate(texts) for w in _clean_and_noisy(text, i)]
+    pooled = np.concatenate([S.extract_features(w) for w in waves]).astype(np.float64)
+    assert np.max(np.abs(pooled.mean(axis=0))) <= 1e-6
+    assert np.max(np.abs(pooled.std(axis=0) - 1.0)) <= 1e-6
 
 
 def test_wav_round_trip(tmp_path):
