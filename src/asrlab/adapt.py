@@ -240,8 +240,8 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
                         warnings.simplefilter("always")
                         try:
                             loss = ctc_loss(lp, labels, lengths)
-                        except NumericError as exc:  # non-finite log-probs
-                            raise DivergenceError(f"non-finite loss at step {step}") from exc
+                        except NumericError as exc:  # non-finite log-probs, or a CTC underflow
+                            raise DivergenceError(f"non-finite loss at step {step}: {exc}") from exc
                     for w in caught:
                         if issubclass(w.category, SkippedUtteranceWarning):
                             skipped += 1

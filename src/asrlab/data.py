@@ -4,7 +4,10 @@ Manifest rows are {id, text, domain, speaker_id, wav, features?, duration_s}
 with file paths stored relative to the manifest's directory. Every field
 is a string except duration_s, a finite number; a row that breaks this, or
 an utterance whose feature or WAV file cannot be read or whose feature
-array is not [frames, dim] of finite values, raises DataError.
+array is not [frames, dim] of finite values, raises DataError. Cached
+features hold the front end's per-utterance normalized output
+(``signal.extract_features``); an array whose frames do not average to
+zero in every dim, such as a raw log-mel cache, raises DataError too.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ import numpy as np
 from . import signal, tensor
 from .atomic import atomic_write
 from .errors import DataError, NumericError
+
+# the largest per-dim |mean| a cached feature array may have; the front end
+# leaves under 1e-6, while raw log-mel dims average far from zero
+CMVN_MEAN_TOLERANCE = 1e-3
 
 
 @dataclass
@@ -101,6 +108,9 @@ class Manifest:
             raise DataError(f"utterance {utt.id!r}: features {path} have shape {feats.shape}, not [frames, dim]")
         if not np.all(np.isfinite(feats)):
             raise DataError(f"utterance {utt.id!r}: features {path} hold non-finite values")
+        if len(feats) and np.max(np.abs(feats.mean(axis=0, dtype=np.float64))) > CMVN_MEAN_TOLERANCE:
+            raise DataError(f"utterance {utt.id!r}: features {path} are not normalized per utterance; "
+                            "rebuild the feature cache")
         return feats
 
     def check_unique_ids(self) -> None:

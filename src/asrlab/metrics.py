@@ -96,17 +96,20 @@ class CorpusWer:
 
 
 BOOTSTRAP_RESAMPLES = 10_000
+BOOTSTRAP_SEED = 0
+BOOTSTRAP_CHUNK = 1_000  # resamples drawn at once, so memory does not grow with BOOTSTRAP_RESAMPLES
 
 
-def paired_bootstrap(refs: dict[str, str], hyps_a: dict[str, str], hyps_b: dict[str, str],
-                     seed: int = 0) -> tuple[float, tuple[float, float], float]:
+def paired_bootstrap(refs: dict[str, str], hyps_a: dict[str, str],
+                     hyps_b: dict[str, str]) -> tuple[float, tuple[float, float], float]:
     """Paired bootstrap of the corpus WER difference, system b minus system a
     (Bisani and Ney, ICASSP 2004). Each of BOOTSTRAP_RESAMPLES resamples draws
     as many utterances as there are references, with replacement, from
-    default_rng(seed), and pools both systems' errors over the same draw.
-    Returns (the difference on the whole set, its 95% percentile interval,
-    the fraction of resamples in which b has the lower WER). refs and both
-    hypothesis dicts are keyed by utterance id and must hold the same ids."""
+    default_rng(BOOTSTRAP_SEED), and pools both systems' errors over the same
+    draw. Returns (the difference on the whole set, its 95% percentile
+    interval, the fraction of resamples in which b has the lower WER). refs
+    and both hypothesis dicts are keyed by utterance id and must hold the
+    same ids."""
     if not refs or set(hyps_a) != set(refs) or set(hyps_b) != set(refs):
         raise DataError("paired bootstrap needs one hypothesis per system for each reference id")
     counts = []  # per utterance: errors of a, errors of b, reference words
@@ -114,9 +117,13 @@ def paired_bootstrap(refs: dict[str, str], hyps_a: dict[str, str], hyps_b: dict[
         a, b = wer(refs[utt_id], hyps_a[utt_id]), wer(refs[utt_id], hyps_b[utt_id])
         counts.append((a.errors, b.errors, a.ref_len))
     counts = np.array(counts, dtype=np.int64)
-    draws = np.random.default_rng(seed).integers(0, len(counts), size=(BOOTSTRAP_RESAMPLES, len(counts)))
-    errs_a, errs_b, ref_len = (counts[:, c][draws].sum(axis=1) for c in range(3))
-    deltas = (errs_b - errs_a) / ref_len
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    deltas = []
+    for start in range(0, BOOTSTRAP_RESAMPLES, BOOTSTRAP_CHUNK):
+        draws = rng.integers(0, len(counts), size=(min(BOOTSTRAP_CHUNK, BOOTSTRAP_RESAMPLES - start), len(counts)))
+        errs_a, errs_b, ref_len = (counts[:, c][draws].sum(axis=1) for c in range(3))
+        deltas.append((errs_b - errs_a) / ref_len)
+    deltas = np.concatenate(deltas)
     total_a, total_b, total_len = counts.sum(axis=0)
     low, high = np.percentile(deltas, [2.5, 97.5])
     return float((total_b - total_a) / total_len), (float(low), float(high)), float(np.mean(deltas < 0))

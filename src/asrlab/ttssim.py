@@ -299,7 +299,9 @@ def lexicon_overlap(a: DomainGrammar, b: DomainGrammar) -> float:
 def build_dataset(grammar: DomainGrammar, n: int, out_dir, seed: int,
                   speakers: str = "single", noise: bool = False,
                   texts: list[str] | None = None) -> Manifest:
-    """Synthesize a manifest of n utterances with WAVs and cached features.
+    """Synthesize a manifest of n utterances with WAVs and cached features,
+    normalized per utterance by the front end. Caches written before the
+    front end normalized must be rebuilt: Manifest.features rejects them.
 
     speakers: "single" uses the fixed tts-1 profile for every utterance;
     "multi" samples a fresh profile per utterance. noise=True mixes in

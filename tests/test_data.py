@@ -77,6 +77,20 @@ def test_feature_array_with_a_non_finite_value_raises_data_error_naming_the_utte
         man.features(man.utterances[0])
 
 
+def test_raw_log_mel_feature_cache_raises_data_error_and_a_normalized_one_loads(tmp_path):
+    # a cache written before the front end normalized per utterance holds stacked log-mels
+    wave = 0.1 * np.random.default_rng(0).standard_normal(8000)
+    cfg = signal.FrontendConfig()
+    raw = signal.stack(signal.logmel(signal.power_spectrum(signal.frame(wave)), signal.mel_filterbank(cfg.mel_bins)),
+                       cfg.stack_k, cfg.stack_stride)
+    tensor.save_array(tmp_path / "u1.ndt", raw.astype(np.float32))
+    man = Manifest.read(_manifest(tmp_path, features="u1.ndt"))
+    with pytest.raises(DataError, match="utterance 'u1': .* not normalized per utterance"):
+        man.features(man.utterances[0])
+    tensor.save_array(tmp_path / "u1.ndt", signal.extract_features(wave))
+    np.testing.assert_array_equal(man.features(man.utterances[0]), signal.extract_features(wave))
+
+
 @pytest.mark.parametrize("content", [None, b"", b"not a wav file at all"], ids=["missing", "empty", "not-riff"])
 def test_unreadable_wav_raises_data_error_naming_the_utterance(tmp_path, content):
     if content is not None:

@@ -158,8 +158,19 @@ def test_paired_bootstrap_of_identical_hypotheses_is_zero():
 
 def test_paired_bootstrap_is_reproducible_under_a_seed():
     a, b = {"u1": "a", "u2": "x c d"}, {"u1": "z", "u2": "b c d"}
-    assert MT.paired_bootstrap(REFS, a, b, seed=5) == MT.paired_bootstrap(REFS, a, b, seed=5)
-    assert MT.paired_bootstrap(REFS, a, b, seed=5) != MT.paired_bootstrap(REFS, a, b, seed=6)
+    assert MT.paired_bootstrap(REFS, a, b) == MT.paired_bootstrap(REFS, a, b)
+
+
+@pytest.mark.parametrize("chunk", [7, MT.BOOTSTRAP_RESAMPLES], ids=["uneven-chunks", "one-chunk"])
+def test_paired_bootstrap_does_not_depend_on_its_chunk_size(monkeypatch, chunk):
+    rng = np.random.default_rng(3)
+    words = "a b c d e".split()
+    refs = {f"u{i}": " ".join(rng.choice(words, size=4)) for i in range(30)}
+    a = {k: " ".join(rng.choice(words, size=4)) for k in refs}
+    b = {k: " ".join(rng.choice(words, size=3)) for k in refs}
+    expected = MT.paired_bootstrap(refs, a, b)
+    monkeypatch.setattr(MT, "BOOTSTRAP_CHUNK", chunk)
+    assert MT.paired_bootstrap(refs, a, b) == expected
 
 
 def test_paired_bootstrap_hand_computed_case():
