@@ -114,7 +114,7 @@ class TrainConfig:
             if type(value) not in _VALUE_TYPES[f.type]:
                 raise DataError(f"training config {f.name} must be {f.type}, got {value!r}")
         # lr == 0 is allowed: it makes fine-tuning a provable no-op
-        if self.batch_size < 1 or self.lr < 0 or self.epochs < 0 or self.grad_clip <= 0:
+        if self.batch_size < 1 or self.lr < 0 or self.epochs < 0 or self.grad_clip <= 0 or self.seed < 0:
             raise DataError("invalid training config")
 
 

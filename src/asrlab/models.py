@@ -12,6 +12,10 @@ and a checkpoint stores the tensors in this order after a header that
 holds the config, so the file needs no index of its own.
 A model is built from a {name: array} dict, drawn by ``init_tensors`` or
 read from a checkpoint, and its layers hold those arrays as they are given.
+``init_tensors`` draws straight into float32 arrays through a small float64
+buffer; the one seeded uniform stream is cut into two contiguous halves,
+drawn on two threads from a PCG64 advanced to each half's start, so the
+values equal one sequential ``default_rng(seed).uniform`` draw bit for bit.
 A checkpoint's arrays are read-only, so a model built from one shares
 them with the checkpoint; training copies a tensor before its first
 update (``adapt.train_model``), and a frozen one is never copied.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import json
 import struct
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -284,33 +289,87 @@ def tensor_shapes(cfg) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def initial_values(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator):
-    """(name, float64 array) of each entry of shapes, in order, drawn from rng.
-
-    Weights ("*.w", "*.u", "embed.table") are uniform in ±1/sqrt(fan_in),
-    fan_in being the first dim (the second for the embedding table). Norm
-    scales ("*.gamma") are one and the rest zero, except the
-    forget-gate quarter [H:2H] of an LSTM bias, which is one.
-    """
-    for name, shape in shapes.items():
-        if name.endswith((".w", ".u", "embed.table")):
-            bound = 1.0 / np.sqrt(shape[1] if name.endswith("table") else shape[0])
-            yield name, rng.uniform(-bound, bound, size=shape)
-        elif name.endswith(".gamma"):
-            yield name, np.ones(shape)
-        else:
-            arr = np.zeros(shape)
-            if name.startswith("lstm.") and name.endswith(".b"):
-                hidden = shape[0] // 4
-                arr[hidden:2 * hidden] = 1.0
-            yield name, arr
+DRAW_CHUNK = 1 << 16  # float64 draws per fill buffer (512 kB)
+THREADED_DRAW_CHUNKS = 16  # a draw of fewer chunks than this runs on the calling thread
 
 
 def init_tensors(cfg, seed: int = 0) -> dict[str, np.ndarray]:
-    """Float32 initial values of every tensor of tensor_shapes(cfg), drawn
-    in that order from one default_rng(seed)."""
-    return {name: arr.astype(np.float32)
-            for name, arr in initial_values(tensor_shapes(cfg), np.random.default_rng(seed))}
+    """Float32 initial values of every tensor of tensor_shapes(cfg), equal bit
+    for bit to drawing them in that order from one default_rng(seed) with
+    ``rng.uniform(low, high, size).astype(np.float32)``.
+
+    Weights ("*.w", "*.u", "embed.table") are uniform in ±1/sqrt(fan_in),
+    fan_in being the first dim (the second for the embedding table). Norm
+    scales ("*.gamma") are one and the rest zero, except the forget-gate
+    quarter [H:2H] of an LSTM bias, which is one; these draw nothing.
+
+    Each tensor is allocated once, as float32. The weights' draws, laid end
+    to end, are one stream of uniform doubles, and PCG64 can jump ahead any
+    number of draws, so the stream is cut into two contiguous halves, each
+    drawn from PCG64(seed) advanced to its start, on its own thread. A half
+    is filled through a fixed float64 buffer with the arithmetic of
+    ``uniform`` (low + (high - low) * u, one 64-bit output per u) and cast
+    into place. A stream shorter than THREADED_DRAW_CHUNKS buffers is drawn
+    whole on the calling thread. UsageError for a seed that is not a
+    non-negative int.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise UsageError(f"seed must be a non-negative int, got {seed!r}")
+    seed = int(seed)
+    tensors, draws = {}, []
+    for name, shape in tensor_shapes(cfg).items():
+        if name.endswith((".w", ".u", "embed.table")):
+            bound = 1.0 / np.sqrt(shape[1] if name.endswith("table") else shape[0])
+            tensors[name] = np.empty(shape, np.float32)
+            draws.append((tensors[name].reshape(-1), -bound, bound))
+        elif name.endswith(".gamma"):
+            tensors[name] = np.ones(shape, np.float32)
+        else:
+            tensors[name] = np.zeros(shape, np.float32)
+            if name.startswith("lstm.") and name.endswith(".b"):
+                hidden = shape[0] // 4
+                tensors[name][hidden:2 * hidden] = 1.0
+    total = sum(flat.size for flat, _, _ in draws)
+    if total < THREADED_DRAW_CHUNKS * DRAW_CHUNK:
+        _draw_span(draws, seed, 0, total)
+        return tensors
+    failed = []
+
+    def second_half():
+        try:
+            _draw_span(draws, seed, total // 2, total)
+        except Exception as exc:  # raised again on the calling thread
+            failed.append(exc)
+
+    worker = threading.Thread(target=second_half)
+    worker.start()
+    try:
+        _draw_span(draws, seed, 0, total // 2)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    return tensors
+
+
+def _draw_span(draws, seed: int, start: int, stop: int) -> None:
+    """Draws [start, stop) of the uniform stream that fills draws, a list of
+    (flat float32 array, low, high) in stream order."""
+    bitgen = np.random.PCG64(seed)
+    bitgen.advance(start)
+    rng = np.random.Generator(bitgen)
+    # a chunk never spans two arrays, so the buffer need not outgrow the largest
+    buf = np.empty(min(DRAW_CHUNK, stop - start, max(flat.size for flat, _, _ in draws)))
+    offset = 0  # stream position of the current array's first value
+    for flat, low, high in draws:
+        first, end = max(start - offset, 0), min(stop - offset, flat.size)
+        offset += flat.size
+        for i in range(first, end, DRAW_CHUNK):
+            chunk = buf[:min(DRAW_CHUNK, end - i)]
+            rng.random(out=chunk)
+            chunk *= high - low
+            chunk += low
+            flat[i:i + len(chunk)] = chunk
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -27,6 +27,25 @@ def checkpoint_digest(path) -> str:
     return h.hexdigest()
 
 
+def reference_init_tensors(shapes, rng) -> dict:
+    """{name: float32 array} for each entry of shapes, in order, each weight
+    drawn whole from rng as float64 and cast; `models.init_tensors(cfg, seed)`
+    must equal this on tensor_shapes(cfg) and default_rng(seed) bit for bit."""
+    out = {}
+    for name, shape in shapes.items():
+        if name.endswith((".w", ".u", "embed.table")):
+            bound = 1.0 / np.sqrt(shape[1] if name.endswith("table") else shape[0])
+            out[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        elif name.endswith(".gamma"):
+            out[name] = np.ones(shape, np.float32)
+        else:
+            out[name] = np.zeros(shape, np.float32)
+            if name.startswith("lstm.") and name.endswith(".b"):
+                hidden = shape[0] // 4
+                out[name][hidden:2 * hidden] = 1.0
+    return out
+
+
 # -- generic tape ops: the op chains below are spelled in them -------------------
 
 def matmul(a, b):

@@ -87,9 +87,10 @@ def test_json_train_config_round_trips(tmp_path):
     '{"lr": true}',
     '{"spec_augment": 1}',
     '{"seed": null}',
+    '{"seed": -1}',
     '[16]',
     '{"lr": ',
-], ids=["unknown-key", "int-as-string", "int-as-float", "float-as-bool", "bool-as-int", "null",
+], ids=["unknown-key", "int-as-string", "int-as-float", "float-as-bool", "bool-as-int", "null", "negative-seed",
         "not-an-object", "not-json"])
 def test_json_train_config_bad_fields_raise_data_error(tmp_path, text):
     path = tmp_path / "train.json"

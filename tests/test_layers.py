@@ -7,14 +7,15 @@ from asrlab import models as M
 from asrlab import tensor as T
 from asrlab.errors import ShapeError
 from asrlab.tensor import Tape, Tensor
-from oracle_utils import gradient_check, reference_attention, reference_dense, reference_lstm_forward, tsum
+from oracle_utils import (gradient_check, reference_attention, reference_dense, reference_init_tensors,
+                          reference_lstm_forward, tsum)
 
 
 def drawn(cfg, prefix, rng, dtype=np.float64):
     """{name: Tensor} of the tensors of cfg's model under prefix, drawn from
-    rng by the models' initializer in tensor_shapes order."""
+    rng by the models' initializer rule in tensor_shapes order."""
     shapes = {n: s for n, s in M.tensor_shapes(cfg).items() if n.startswith(prefix + ".")}
-    return {n: Tensor(a.astype(dtype), requires_grad=True) for n, a in M.initial_values(shapes, rng)}
+    return {n: Tensor(a.astype(dtype), requires_grad=True) for n, a in reference_init_tensors(shapes, rng).items()}
 
 
 def make_lstm(d_in, hidden, rng, dtype=np.float64):

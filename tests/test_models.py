@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,10 +12,10 @@ from asrlab import adapt as A
 from asrlab import config as C
 from asrlab import models as M
 from asrlab import tensor as T
-from asrlab.errors import DataError, ShapeError
+from asrlab.errors import DataError, ShapeError, UsageError
 from asrlab.losses import cross_entropy, ctc_loss
 from asrlab.tensor import Tape
-from oracle_utils import checkpoint_digest
+from oracle_utils import checkpoint_digest, reference_init_tensors
 
 
 def small_ctc(seed=0):
@@ -325,6 +326,78 @@ def test_seeded_initialization_is_pinned(tmp_path, preset, digest):
     # the values of a seed-0 desk checkpoint: initial values, their draw order, names and shapes
     M.save_checkpoint(tmp_path / "init.ckpt", M.build_model(preset(), seed=0))
     assert checkpoint_digest(tmp_path / "init.ckpt") == digest
+
+
+# tensors of several draw chunks each, with the cut between the two threads' halves inside lstm.1.u
+SPAN_CUT = C.CtcConfig(feat_dim=40, hidden=300, layers=3, vocab=999)
+
+
+@pytest.mark.parametrize("cfg", [
+    C.ctc_desk(), C.CtcConfig(feat_dim=7, hidden=5, layers=3, vocab=4), C.las_desk(),
+    C.LasConfig(feat_dim=7, dim=12, ff_dim=5, heads=3, enc_blocks=3, dec_blocks=2, vocab=4),
+    SPAN_CUT, C.ctc_paper_shapes(), C.las_paper_shapes(),
+], ids=["ctc-desk", "ctc-odd", "las-desk", "las-odd", "span-cut", "ctc-paper", "las-paper"])
+def test_init_tensors_equal_one_sequential_draw(cfg):
+    got = M.init_tensors(cfg, seed=3)
+    want = reference_init_tensors(M.tensor_shapes(cfg), np.random.default_rng(3))
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        assert got[name].dtype == np.float32 and got[name].shape == arr.shape, name
+        assert got[name].tobytes() == arr.tobytes(), name
+
+
+def test_span_cut_config_draws_on_two_threads_and_cuts_inside_a_tensor():
+    sizes = [int(np.prod(s)) for n, s in M.tensor_shapes(SPAN_CUT).items() if n.endswith((".w", ".u"))]
+    total = sum(sizes)
+    assert total >= M.THREADED_DRAW_CHUNKS * M.DRAW_CHUNK
+    assert total // 2 not in np.cumsum(sizes)
+
+
+def test_a_failed_second_half_raises_on_the_calling_thread(monkeypatch):
+    draw_span = M._draw_span
+
+    def fail_second_half(draws, seed, start, stop):
+        if start > 0:
+            raise MemoryError("no room for the buffer")
+        draw_span(draws, seed, start, stop)
+
+    monkeypatch.setattr(M, "_draw_span", fail_second_half)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="no room"):
+        M.init_tensors(SPAN_CUT)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None], ids=["negative", "float", "bool", "str", "none"])
+def test_bad_seed_raises_usage_error(seed):
+    with pytest.raises(UsageError, match="seed"):
+        M.init_tensors(C.ctc_desk(), seed)
+    with pytest.raises(UsageError, match="seed"):
+        M.build_model(C.las_desk(), seed)
+
+
+def test_numpy_int_seed_draws_as_the_int():
+    assert M.init_tensors(C.ctc_desk(), np.int64(5))["lstm.0.w"].tobytes() == \
+        M.init_tensors(C.ctc_desk(), 5)["lstm.0.w"].tobytes()
+
+
+def test_paper_shape_draw_holds_no_more_than_its_tensors():
+    # two 512 kB fill buffers; drawing each weight whole in float64 first would add its largest draw, 20 MB
+    tracemalloc.start()
+    try:
+        tensors = M.init_tensors(C.las_paper_shapes(), seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tensor_bytes = sum(arr.nbytes for arr in tensors.values())
+    assert peak - tensor_bytes < 4 * 2**20, (peak, tensor_bytes)
+
+
+@pytest.mark.parametrize("preset", [C.ctc_desk, C.ctc_paper_shapes], ids=["desk", "paper"])
+def test_build_model_leaves_no_thread_running(preset):
+    before = threading.active_count()
+    M.build_model(preset(), seed=2)
+    assert threading.active_count() == before
 
 
 def test_checkpoint_file_layout_is_pinned(tmp_path):
