@@ -28,6 +28,8 @@ objects and holds no layer math of its own.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import threading
 from dataclasses import asdict
@@ -426,15 +428,27 @@ def load_checkpoint(path) -> Checkpoint:
             if not isinstance(header, dict):
                 raise DataError(f"{path}: header must be a JSON object")
             cfg = model_config_from_dict(header.get("model"))
-            tensors = {}
-            for name, shape in tensor_shapes(cfg).items():
-                tensors[name] = T.read_array(fh)
-                tensors[name].flags.writeable = False
-                if tensors[name].shape != shape:
-                    raise DataError(f"{path}: tensor {name!r} shape {tensors[name].shape} does not match "
-                                    f"the header's {cfg.kind} config: {shape}")
-            if fh.read(1):
+            shapes = tensor_shapes(cfg)
+            needed = sum(T.ndt_nbytes(shape) for shape in shapes.values())
+            held = os.fstat(fh.fileno()).st_size - fh.tell()
+            if held < needed:  # checked before a corrupt config can allocate
+                raise DataError(f"{path}: corrupt checkpoint: the header's {cfg.kind} config needs "
+                                f"{needed} bytes of tensors, the file holds {held}")
+            if held > needed:
                 raise DataError(f"{path}: bytes after the last tensor of the header's {cfg.kind} config")
+            # one block holds every tensor, read-only so that no view of it can be made writeable
+            block = np.empty(sum(math.prod(shape) for shape in shapes.values()), dtype=np.float32)
+            tensors, offset = {}, 0
+            for name, shape in shapes.items():
+                tensors[name] = block[offset:offset + math.prod(shape)].reshape(shape)
+                offset += tensors[name].size
+                try:
+                    T.read_array(fh, out=tensors[name])
+                except ShapeError as exc:
+                    raise DataError(f"{path}: tensor {name!r} does not match the header's {cfg.kind} "
+                                    f"config: {exc}") from exc
+                tensors[name].flags.writeable = False
+            block.flags.writeable = False
         except (struct.error, ValueError, NumericError) as exc:
             raise DataError(f"{path}: corrupt checkpoint: {exc}") from exc
     return Checkpoint(cfg, tensors, step=header.get("step", 0), rng_state=header.get("rng_state"))

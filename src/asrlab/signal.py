@@ -36,9 +36,7 @@ def frame(samples: np.ndarray, win: int = WIN_SAMPLES, hop: int = HOP_SAMPLES) -
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1 or len(samples) < win:
         raise DataError(f"waveform too short to frame: {samples.shape} < {win} samples")
-    count = 1 + (len(samples) - win) // hop
-    idx = np.arange(count)[:, None] * hop + np.arange(win)[None, :]
-    return samples[idx] * hann_window(win)
+    return np.lib.stride_tricks.sliding_window_view(samples, win)[::hop] * hann_window(win)
 
 
 # -- power spectrum ------------------------------------------------------------

@@ -252,7 +252,14 @@ def write_array(fh, arr: np.ndarray) -> None:
     fh.write(arr.astype("<f4", copy=False))
 
 
-def read_array(fh) -> np.ndarray:
+def ndt_nbytes(shape) -> int:
+    """Bytes of the NDT1 block of an array of this shape."""
+    return 8 + 4 * len(shape) + 4 * math.prod(shape)
+
+
+def read_array(fh, out: np.ndarray | None = None) -> np.ndarray:
+    """The next NDT1 block of fh, read into out (a float32 array, ShapeError
+    unless the block has its shape) or into a new array."""
     magic = fh.read(4)
     if magic != NDT_MAGIC:
         raise NumericError(f"bad tensor magic {magic!r}")
@@ -261,11 +268,14 @@ def read_array(fh) -> np.ndarray:
         dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
     except struct.error as exc:
         raise NumericError(f"truncated tensor header: {exc}") from exc
-    start = fh.tell()
-    if fh.seek(0, 2) - start < 4 * math.prod(dims):  # checked before a corrupt shape can allocate
-        raise NumericError("truncated tensor payload")
-    fh.seek(start)
-    out = np.empty(dims, dtype="<f4")
+    if out is None:
+        start = fh.tell()
+        if fh.seek(0, 2) - start < 4 * math.prod(dims):  # checked before a corrupt shape can allocate
+            raise NumericError("truncated tensor payload")
+        fh.seek(start)
+        out = np.empty(dims, dtype="<f4")
+    elif dims != out.shape:
+        raise ShapeError(f"block shape {dims} is not {out.shape}")
     if fh.readinto(out) != out.nbytes:
         raise NumericError("truncated tensor payload")
     return out

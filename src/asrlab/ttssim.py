@@ -7,11 +7,11 @@ cross-fades between neighbours. The single-speaker profile "tts-1" is a
 repo-wide constant; multi-speaker sets sample a fresh profile per
 utterance. Noise injection mixes white Gaussian noise at a sampled SNR.
 
-Each enveloped phoneme segment depends only on (character, voice), so it
-is computed once and kept in a read-only cache of one entry per
-character of the charset plus space: a single-voice corpus synthesizes
-each character on its first use only, and a multi-speaker one reuses the
-characters that repeat within an utterance.
+A character's first formant takes one of 6 levels and its second one of
+6, and the pitch tone is the same for every character, so 13 sinusoids
+give every segment of a voice. They are computed once per voice and kept
+read-only in a small cache; ``synth`` sums each distinct character's
+segment from them once per call.
 
 Three word grammars (generic / address / voicesearch) generate the text
 corpora; the target-domain lexicons are mostly disjoint from the generic
@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,61 +69,69 @@ _F1_GRID = np.array([300.0, 580.0, 860.0, 1140.0, 1420.0, 1700.0])
 _F2_GRID = np.array([2100.0, 2466.0, 2878.0, 3341.0, 3861.0, 4447.0])
 
 
-def char_formants(ch: str) -> tuple[float, float]:
-    idx = CHARSET.index(ch)
-    return float(_F1_GRID[idx % 6]), float(_F2_GRID[idx // 6])
-
-
 def _harmonic(freq: float, pitch: float) -> float:
     return max(1.0, round(freq / pitch)) * pitch
 
 
-@functools.lru_cache(maxsize=len(CHARSET) + 1)
-def _phoneme(ch: str, profile: SpeakerProfile) -> np.ndarray:
-    """The enveloped segment of one character (or space) in one voice,
-    read-only because the cache hands the same array to every caller."""
+class _Voice(NamedTuple):
+    f1: np.ndarray        # [6, n_ph] first-formant tone at each _F1_GRID level
+    f2: np.ndarray        # [6, n_ph] second-formant tone at each _F2_GRID level
+    pitch: np.ndarray     # [n_ph] the pitch tone, shared by every character
+    envelope: np.ndarray  # [n_ph] linear fade in and out over CROSSFADE_S
+
+
+@functools.lru_cache(maxsize=2)
+def _voice(profile: SpeakerProfile) -> _Voice:
+    """The tones and envelope of one voice, formants snapped to harmonics of
+    its pitch; read-only because the cache hands them to every caller."""
     n_ph = int(round(PHONEME_S * profile.rate_scale * SAMPLE_RATE))
     n_fade = int(CROSSFADE_S * SAMPLE_RATE)
     t = np.arange(n_ph) / SAMPLE_RATE
+
+    def tone(amp: float, freq: float) -> np.ndarray:
+        return amp * np.sin(2 * np.pi * freq * t)
+
+    def formant_tones(amp: float, grid: np.ndarray) -> np.ndarray:
+        return np.stack([tone(amp, _harmonic(float(f) * profile.formant_scale, profile.pitch_hz))
+                         for f in grid])
 
     ramp_in = np.linspace(0.0, 1.0, n_fade, endpoint=False)
     envelope = np.ones(n_ph)
     envelope[:n_fade] = ramp_in
     envelope[-n_fade:] = ramp_in[::-1]
-
-    if ch == " ":
-        seg = np.zeros(n_ph)
-    else:
-        f1, f2 = char_formants(ch)
-        f1 = _harmonic(f1 * profile.formant_scale, profile.pitch_hz)
-        f2 = _harmonic(f2 * profile.formant_scale, profile.pitch_hz)
-        seg = (0.18 * np.sin(2 * np.pi * f1 * t)
-               + 0.12 * np.sin(2 * np.pi * f2 * t)
-               + 0.06 * np.sin(2 * np.pi * profile.pitch_hz * t))
-    seg = seg * envelope
-    seg.flags.writeable = False
-    return seg
+    voice = _Voice(formant_tones(0.18, _F1_GRID), formant_tones(0.12, _F2_GRID),
+                   tone(0.06, profile.pitch_hz), envelope)
+    for arr in voice:
+        arr.flags.writeable = False
+    return voice
 
 
-def synth(text: str, profile: SpeakerProfile = TTS1) -> np.ndarray:
-    """Render text to a 16 kHz waveform, deterministic in (text, profile)."""
+def _check_text(text: str) -> None:
     if not text:
         raise DataError("cannot synthesize empty text")
     for ch in text:
         if ch != " " and ch not in CHARSET:
             raise DataError(f"unsupported character {ch!r}")
 
-    pieces = [_phoneme(ch, profile) for ch in text]
-    n_ph = len(pieces[0])
-    n_fade = int(CROSSFADE_S * SAMPLE_RATE)
 
-    # overlap-add adjacent phonemes across the fade region
-    hop = n_ph - n_fade
-    total = hop * (len(pieces) - 1) + n_ph
-    out = np.zeros(total)
-    for i, seg in enumerate(pieces):
-        start = i * hop
-        out[start:start + n_ph] += seg
+def synth(text: str, profile: SpeakerProfile = TTS1) -> np.ndarray:
+    """Render text to a 16 kHz waveform, deterministic in (text, profile)."""
+    _check_text(text)
+    voice = _voice(profile)
+    n_ph = len(voice.envelope)
+    hop = n_ph - int(CROSSFADE_S * SAMPLE_RATE)
+
+    segments = {}
+    for ch in set(text) - {" "}:
+        k = CHARSET.index(ch)
+        segments[ch] = (voice.f1[k % 6] + voice.f2[k // 6] + voice.pitch) * voice.envelope
+
+    # overlap-add adjacent phonemes across the fade region; a space adds
+    # nothing, as out never holds -0.0 for a zero segment to turn into +0.0
+    out = np.zeros(hop * (len(text) - 1) + n_ph)
+    for i, ch in enumerate(text):
+        if ch != " ":
+            out[i * hop:i * hop + n_ph] += segments[ch]
     return np.clip(out, -1.0, 1.0).astype(np.float32)
 
 
@@ -178,7 +187,8 @@ class DomainGrammar:
         if token == "<smallnum>":
             return str(rng.integers(1, 100))
         if token.startswith("<"):
-            return str(rng.choice(self.slots[token[1:-1]]))
+            words = self.slots[token[1:-1]]
+            return words[int(rng.integers(0, len(words)))]
         return token
 
     def sample_one(self, rng: np.random.Generator) -> str:
@@ -309,15 +319,17 @@ def build_dataset(grammar: DomainGrammar, n: int, out_dir, seed: int,
     """
     if speakers not in ("single", "multi"):
         raise DataError(f"unknown speakers mode {speakers!r}")
-    out_dir = Path(out_dir)
-    (out_dir / "wav").mkdir(parents=True, exist_ok=True)
-    (out_dir / "feat").mkdir(parents=True, exist_ok=True)
-    noise_spec = NoiseSpec() if noise else None
-
     if texts is None:
         texts = sample_text(grammar, n, seed) if n > 0 else []
     elif len(texts) != n:
         raise DataError(f"got {len(texts)} texts for n={n}")
+    for text in texts:  # before any file is written, so a bad text leaves no partial dataset
+        _check_text(text)
+
+    out_dir = Path(out_dir)
+    (out_dir / "wav").mkdir(parents=True, exist_ok=True)
+    (out_dir / "feat").mkdir(parents=True, exist_ok=True)
+    noise_spec = NoiseSpec() if noise else None
 
     utts = []
     mix_seeds = np.random.SeedSequence([seed, 1]).spawn(max(n, 1))

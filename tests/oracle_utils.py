@@ -8,7 +8,9 @@ import itertools
 import numpy as np
 
 from asrlab import models as M
+from asrlab import signal as S
 from asrlab import tensor as T
+from asrlab import ttssim as TS
 from asrlab.decode import Hypothesis, dedup_by_text
 from asrlab.errors import ShapeError, UsageError
 from asrlab.layers import NEG_FILL
@@ -44,6 +46,44 @@ def reference_init_tensors(shapes, rng) -> dict:
                 hidden = shape[0] // 4
                 out[name][hidden:2 * hidden] = 1.0
     return out
+
+
+def reference_synth(text, profile) -> np.ndarray:
+    """`ttssim.synth` computed afresh per character: three sinusoids of the
+    character's formants and the pitch, enveloped, then overlap-added, a
+    space as a segment of zeros. synth must equal this bit for bit."""
+    n_ph = int(round(TS.PHONEME_S * profile.rate_scale * S.SAMPLE_RATE))
+    n_fade = int(TS.CROSSFADE_S * S.SAMPLE_RATE)
+    t = np.arange(n_ph) / S.SAMPLE_RATE
+    ramp_in = np.linspace(0.0, 1.0, n_fade, endpoint=False)
+    envelope = np.ones(n_ph)
+    envelope[:n_fade] = ramp_in
+    envelope[-n_fade:] = ramp_in[::-1]
+
+    def phoneme(ch):
+        if ch == " ":
+            return np.zeros(n_ph) * envelope
+        idx = TS.CHARSET.index(ch)
+        f1 = TS._harmonic(float(TS._F1_GRID[idx % 6]) * profile.formant_scale, profile.pitch_hz)
+        f2 = TS._harmonic(float(TS._F2_GRID[idx // 6]) * profile.formant_scale, profile.pitch_hz)
+        return (0.18 * np.sin(2 * np.pi * f1 * t)
+                + 0.12 * np.sin(2 * np.pi * f2 * t)
+                + 0.06 * np.sin(2 * np.pi * profile.pitch_hz * t)) * envelope
+
+    hop = n_ph - n_fade
+    out = np.zeros(hop * (len(text) - 1) + n_ph)
+    for i, ch in enumerate(text):
+        out[i * hop:i * hop + n_ph] += phoneme(ch)
+    return np.clip(out, -1.0, 1.0).astype(np.float32)
+
+
+def reference_frame(samples, win=S.WIN_SAMPLES, hop=S.HOP_SAMPLES) -> np.ndarray:
+    """`signal.frame` as an index gather: [frames, win] sample indices, then
+    the Hann window."""
+    samples = np.asarray(samples, dtype=np.float64)
+    count = 1 + (len(samples) - win) // hop
+    idx = np.arange(count)[:, None] * hop + np.arange(win)[None, :]
+    return samples[idx] * S.hann_window(win)
 
 
 # -- generic tape ops: the op chains below are spelled in them -------------------

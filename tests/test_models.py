@@ -185,6 +185,19 @@ def test_checkpoint_tensors_are_read_only(tmp_path):
         ckpt.build_model().parameters()["lstm.0.w"].data += 1.0
 
 
+def test_checkpoint_tensors_are_views_of_one_read_only_block(tmp_path):
+    path = tmp_path / "m.ckpt"
+    M.save_checkpoint(path, small_las())
+    ckpt = M.load_checkpoint(path)
+    block = ckpt.tensors["dense.w"].base
+    assert not block.flags.writeable
+    assert block.size == sum(arr.size for arr in ckpt.tensors.values())
+    for arr in ckpt.tensors.values():
+        assert arr.base is block
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+
+
 def test_building_a_model_from_a_checkpoint_copies_no_tensor(tmp_path):
     path = tmp_path / "m.ckpt"
     M.save_checkpoint(path, M.build_model(C.ctc_desk(), seed=0))
@@ -284,9 +297,10 @@ def _edit_model_config(**changes):
     (small_ctc, _edit_model_config(layers=-1), None),
     (small_las, _edit_model_config(dim=64, heads=3), None),
     (small_ctc, _edit_model_config(vocab="200"), None),
+    (small_ctc, _edit_model_config(hidden=10**6), "needs"),
 ], ids=["bytes-after-last-tensor", "block-shape-disagrees-with-header", "cut-mid-block", "version-1", "version-2",
         "unknown-config-field", "hidden-zero", "layers-negative",
-        "heads-not-dividing-dim", "vocab-string"])
+        "heads-not-dividing-dim", "vocab-string", "config-larger-than-file"])
 def test_checkpoint_corruption_raises_data_error(tmp_path, model, corrupt, message):
     path = tmp_path / "m.ckpt"
     M.save_checkpoint(path, model())

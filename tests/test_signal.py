@@ -4,6 +4,7 @@ import pytest
 from asrlab import signal as S
 from asrlab.errors import DataError, ShapeError
 from asrlab.ttssim import NoiseSpec, degrade, synth
+from oracle_utils import reference_frame
 
 
 def naive_dft(x):
@@ -25,6 +26,12 @@ def test_frame_overlap_is_ten_ms():
     win = S.hann_window(320)
     # frame 1 starts at sample 160 -> 160-sample (10 ms) overlap with frame 0
     assert np.allclose(frames[1], w[160:480] * win)
+
+
+@pytest.mark.parametrize("extra", [0, 1, S.HOP_SAMPLES - 1, S.HOP_SAMPLES, 16000])
+def test_frame_equals_index_gather(extra):
+    w = np.random.default_rng(extra).uniform(-1.0, 1.0, S.WIN_SAMPLES + extra).astype(np.float32)
+    assert S.frame(w).tobytes() == reference_frame(w).tobytes()
 
 
 def test_frame_too_short():

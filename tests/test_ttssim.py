@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from asrlab import ttssim as TS
 from asrlab.data import Manifest
 from asrlab.errors import DataError
 from asrlab.tensor import save_array
+from oracle_utils import reference_synth
 
 
 def test_sample_text_address_shape():
@@ -120,28 +123,82 @@ def test_manifest_round_trip(tmp_path):
     reread.check_unique_ids()
 
 
+_VOICES = [TS.TTS1,
+           TS.SpeakerProfile(pitch_hz=91.3, formant_scale=0.9, rate_scale=0.8, seed=1, name="slow"),
+           TS.SpeakerProfile(pitch_hz=247.5, formant_scale=1.1, rate_scale=1.2, seed=2, name="fast")]
+
+
+@pytest.mark.parametrize("profile", _VOICES, ids=[v.name for v in _VOICES])
+@pytest.mark.parametrize("text", [TS.CHARSET, "z", "aaa  bb a", " lead and trail ", "0 0 0", " "],
+                         ids=["charset", "one-char", "repeats", "edge-spaces", "digits", "space"])
+def test_synth_equals_per_character_synthesis(profile, text):
+    assert TS.synth(text, profile).tobytes() == reference_synth(text, profile).tobytes()
+
+
+def test_synth_equals_per_character_synthesis_on_sampled_voices():
+    rng = np.random.default_rng(5)
+    for text in TS.sample_text(TS.ADDRESS, 8, seed=6):
+        profile = TS.sample_profile(rng, "spk")
+        assert TS.synth(text, profile).tobytes() == reference_synth(text, profile).tobytes(), (text, profile)
+
+
 @pytest.mark.parametrize("speakers", ["single", "multi"])
-def test_build_dataset_writes_the_bytes_of_uncached_synthesis(tmp_path, speakers, monkeypatch):
+def test_build_dataset_writes_the_bytes_of_uncached_synthesis(tmp_path, speakers):
     n, seed = 5, 4
     man = TS.build_dataset(TS.ADDRESS, n, tmp_path / "d", seed=seed, speakers=speakers, noise=False)
-    monkeypatch.setattr(TS, "_phoneme", TS._phoneme.__wrapped__)  # every segment computed afresh
     mix_seeds = np.random.SeedSequence([seed, 1]).spawn(n)
     for i, u in enumerate(man):
         profile = (TS.TTS1 if speakers == "single"
                    else TS.sample_profile(np.random.default_rng(mix_seeds[i]), u.speaker_id))
-        wave = TS.synth(u.text, profile)
+        wave = reference_synth(u.text, profile)
         S.write_wav(tmp_path / "ref.wav", wave)
-        save_array(tmp_path / "ref.ndt", S.extract_features(wave, S.FrontendConfig()))
+        save_array(tmp_path / "ref.ndt", S.extract_features(wave))
         assert (tmp_path / "ref.wav").read_bytes() == (tmp_path / "d" / u.wav).read_bytes(), u.id
         assert (tmp_path / "ref.ndt").read_bytes() == (tmp_path / "d" / u.features).read_bytes(), u.id
 
 
-def test_cached_phoneme_segments_are_read_only():
+def test_cached_voice_tones_are_read_only():
+    voice = TS._voice(TS.TTS1)
+    assert TS._voice(TS.TTS1) is voice
+    for arr in voice:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
     wave = TS.synth("ab a", TS.TTS1)
-    seg = TS._phoneme("a", TS.TTS1)
-    assert TS._phoneme("a", TS.TTS1) is seg
-    assert not seg.flags.writeable
-    with pytest.raises(ValueError):
-        seg[0] = 1.0
+    assert not any(np.shares_memory(wave, arr) for arr in voice)
     wave[:] = 0.0  # the output is the caller's own array
     assert TS.synth("ab a", TS.TTS1).any()
+
+
+@pytest.mark.parametrize("grammar, n, seed, speakers, noise, digest", [
+    (TS.GENERIC, 6, 11, "multi", True, "321ac7dd5f1df51992393945ea76539c6f22b40eae0a24181857a42735fc917e"),
+    (TS.ADDRESS, 6, 12, "single", False, "04cd494e7998ad699c819fb3b951d391fe797face9fd84bb85fcaa202d43a0fd"),
+    (TS.VOICESEARCH, 6, 13, "multi", False, "5d6c9a07ac4051e8fd29213a63677ad50c3b6fc05fd25e49bc7a7d00d72deab1"),
+], ids=["generic-multi-noisy", "address-single", "voicesearch-multi"])
+def test_build_dataset_bytes_are_pinned(tmp_path, grammar, n, seed, speakers, noise, digest):
+    man = TS.build_dataset(grammar, n, tmp_path / "d", seed=seed, speakers=speakers, noise=noise)
+    h = hashlib.sha256()
+    for u in man:
+        h.update((tmp_path / "d" / u.wav).read_bytes())
+        h.update((tmp_path / "d" / u.features).read_bytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("grammar, seed, digest", [
+    (TS.GENERIC, 21, "23f628a62b8d52b2826eb8fd1c9233f4c1252aded56e0457da538b7a151ab16e"),
+    (TS.ADDRESS, 22, "72f36d1531fad4e27047906ef4a080d53d8e27875e0fd8a57052e7ecb66f261a"),
+    (TS.VOICESEARCH, 23, "7403a6c56fd7e50feb7410985e46bfa3008f84ed0f533bd893a0418b212e2881"),
+], ids=["generic", "address", "voicesearch"])
+def test_sample_text_is_pinned(grammar, seed, digest):
+    texts = TS.sample_text(grammar, 500, seed)
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == digest
+
+
+def test_build_dataset_with_a_bad_text_writes_no_file(tmp_path):
+    out = tmp_path / "d"
+    (out / "wav").mkdir(parents=True)
+    with pytest.raises(DataError, match="'X'"):
+        TS.build_dataset(TS.ADDRESS, 3, out, seed=0, texts=["main road", "oak lane", "flat X"])
+    assert not any((out / "wav").iterdir())
+    assert not any((out / "feat").glob("*"))
+    assert not (out / "manifest.jsonl").exists()
