@@ -114,8 +114,7 @@ def ctc_prefix_beam(log_probs: np.ndarray, tok: SubwordModel, beam: int = 10) ->
     for lp in log_probs.astype(np.float64):
         n = len(prefixes)
         p_tot = np.logaddexp(pb, pnb)
-        cand_pb = np.full((n, width), LOG_ZERO)
-        cand_pb[:, blank] = p_tot + lp[blank]
+        stay = p_tot + lp[blank]  # blank-ending mass of each prefix kept as is; no other cell has any
         cand_pnb = p_tot[:, None] + lp
         has = np.flatnonzero(last >= 0)
         cand_pnb[has, last[has]] = pb[has] + lp[last[has]]
@@ -130,7 +129,10 @@ def ctc_prefix_beam(log_probs: np.ndarray, tok: SubwordModel, beam: int = 10) ->
             cand_pnb[child, blank] = np.logaddexp(cand_pnb[child, blank], cand_pnb[parent, cols])
             live[np.array(parent) * width + cols] = False
 
-        total = np.logaddexp(cand_pb, cand_pnb).ravel()
+        # logaddexp(-inf, y) is y + log1p(0), so only the blank column needs the logaddexp
+        total = cand_pnb + 0.0
+        total[:, blank] = np.logaddexp(stay, cand_pnb[:, blank])
+        total = total.ravel()
         ids = np.flatnonzero(live)
         cand = total[ids]
         k = min(beam, cand.size)
@@ -144,7 +146,7 @@ def ctc_prefix_beam(log_probs: np.ndarray, tok: SubwordModel, beam: int = 10) ->
         prefixes = [p for _, p, _ in ranked[:k]]
         rows, cols = np.divmod(keep, width)
         last = np.where(cols == blank, last[rows], cols)
-        pb = cand_pb.ravel()[keep]
+        pb = np.where(cols == blank, stay[rows], LOG_ZERO)
         pnb = cand_pnb.ravel()[keep]
 
     scores = np.logaddexp(pb, pnb)

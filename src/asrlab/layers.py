@@ -46,12 +46,14 @@ class Dense:
     def __call__(self, x: Tensor) -> Tensor:
         w, b = self.w, self.b
         out = Tensor(self.apply(x.data))
+        x_shape, dx_wanted, db_wanted = x.shape, x.requires_grad, b is not None and b.requires_grad
+        x_flat = x.data.reshape(-1, w.shape[0]) if w.requires_grad else None  # the input only for dW
 
         def backward(g):
             g = g.reshape(-1, g.shape[-1])
-            grads = ((g @ w.data.T).reshape(x.shape) if x.requires_grad else None,
-                     x.data.reshape(-1, w.shape[0]).T @ g if w.requires_grad else None)
-            return grads if b is None else grads + (g.sum(axis=0) if b.requires_grad else None,)
+            grads = ((g @ w.data.T).reshape(x_shape) if dx_wanted else None,
+                     None if x_flat is None else x_flat.T @ g)
+            return grads if b is None else grads + (g.sum(axis=0) if db_wanted else None,)
 
         return T._finish(out, (x, w) if b is None else (x, w, b), backward)
 
@@ -87,9 +89,12 @@ class LstmLayer:
             hs.append(o * tc)
             acts.append((i, f, g, o, tc))
         out = Tensor(np.stack(hs[1:]))
+        x_shape, x_dtype, dx_wanted = x.shape, x.dtype, x.requires_grad
+        dw_wanted, du_wanted, db_wanted = w.requires_grad, u.requires_grad, b.requires_grad
+        x_data = x.data if dw_wanted else None  # the input only for dW
 
         def backward(dout):
-            dx = np.empty_like(x.data) if x.requires_grad else None
+            dx = np.empty(x_shape, x_dtype) if dx_wanted else None
             dw = du = db = dz = dc_next = None
             for t in reversed(range(len(acts))):
                 i, f, g, o, tc = acts[t]
@@ -102,11 +107,11 @@ class LstmLayer:
                                      dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
                 if dx is not None:
                     dx[t] = dz @ w.data.T
-                if w.requires_grad:
-                    dw = _accumulate(dw, x.data[t].T @ dz)
-                if u.requires_grad:
+                if dw_wanted:
+                    dw = _accumulate(dw, x_data[t].T @ dz)
+                if du_wanted:
                     du = _accumulate(du, hs[t].T @ dz)
-                if b.requires_grad:
+                if db_wanted:
                     db = _accumulate(db, dz.sum(axis=0))
             return dx, dw, du, db
 
@@ -149,17 +154,21 @@ class LayerNorm:
         gamma, beta = self.gamma, self.beta
         y, xhat, inv = self._forward(x.data)
         out = Tensor(y)
+        dx_wanted, dgamma_wanted, dbeta_wanted = x.requires_grad, gamma.requires_grad, beta.requires_grad
+        inv = inv if dx_wanted else None  # each only for the gradients that read it
+        xhat = xhat if dx_wanted or dgamma_wanted else None
 
         def backward(g):
             dx = dgamma = dbeta = None
-            if x.requires_grad:
+            if dx_wanted:
+                n = g.shape[-1]
                 dxhat = g * gamma.data
-                m1 = dxhat.mean(axis=-1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+                m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n  # np.mean bit for bit, as in _forward
+                m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
                 dx = inv * (dxhat - m1 - xhat * m2)
-            if gamma.requires_grad:
+            if dgamma_wanted:
                 dgamma = (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0)
-            if beta.requires_grad:
+            if dbeta_wanted:
                 dbeta = g.reshape(-1, g.shape[-1]).sum(axis=0)
             return dx, dgamma, dbeta
 
@@ -233,11 +242,14 @@ class MultiHeadAttention:
 
     def weights(self, qh: np.ndarray, kh: np.ndarray, fill: np.ndarray | None = None) -> np.ndarray:
         """Softmax weights [B*h, Tq, Tk] of per-head queries and keys; fill,
-        NEG_FILL at a hidden key, is added to the scaled scores."""
-        scores = (qh @ kh.transpose(0, 2, 1)) * qh.dtype.type(self.scale)
+        NEG_FILL at a hidden key in the scores' dtype and broadcastable to
+        them, is added to the scaled scores. Scaling, fill and softmax work
+        in place on the one score array."""
+        scores = qh @ kh.transpose(0, 2, 1)
+        scores *= qh.dtype.type(self.scale)
         if fill is not None:
-            scores = scores + fill
-        return softmax_np(scores)
+            scores += fill
+        return softmax_np(scores, out=scores)
 
     def attend(self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Attention of projected queries q [B, Tq, dim] over projected keys
@@ -248,27 +260,35 @@ class MultiHeadAttention:
         if mask is not None:
             if mask.shape[-1] != tk or mask.shape[-2] not in (1, tq) or mask.ndim not in (2, 3):
                 raise ShapeError(f"mask shape {mask.shape} incompatible with ({tq}, {tk})")
-            expand = mask if mask.ndim == 2 else mask[:, None]
-            full = np.broadcast_to(expand, (batch, self.heads, tq, tk))
-            fill = np.where(full.reshape(batch * self.heads, tq, tk), NEG_FILL, 0.0).astype(q.dtype)
+            # a [Tq, Tk] mask broadcasts over every head as it is; a [B, Tq|1, Tk] one is repeated per head
+            hidden = mask if mask.ndim == 2 else np.repeat(mask, self.heads, axis=0)
+            fill = np.where(hidden, q.dtype.type(NEG_FILL), q.dtype.type(0.0))
         qh, kh, vh = self.split(q.data), self.split(k.data), self.split(v.data)
         w = self.weights(qh, kh, fill)
         out = Tensor(self.merge(w @ vh))
+        split, merge, scale = self.split, self.merge, q.dtype.type(self.scale)
+        dq_wanted, dk_wanted, dv_wanted = q.requires_grad, k.requires_grad, v.requires_grad
+        # each per-head operand only for the gradients that read it
+        vh = vh if dq_wanted or dk_wanted else None
+        kh = kh if dq_wanted else None
+        qh = qh if dk_wanted else None
 
         def backward(g):
-            g = self.split(g)
+            g = split(g)
             dq = dk = dv = None
-            if v.requires_grad:
-                dv = self.merge(w.transpose(0, 2, 1) @ g)
-            if q.requires_grad or k.requires_grad:
+            if dv_wanted:
+                dv = merge(w.transpose(0, 2, 1) @ g)
+            if dq_wanted or dk_wanted:
                 # the softmax, scale and bmm rules of the generic ops, in their order and operand
                 # layout, so the gradients equal those of the op chain bit for bit
-                dw = g @ vh.transpose(0, 2, 1)
-                ds = ((dw - np.sum(dw * w, axis=-1, keepdims=True)) * w) * q.dtype.type(self.scale)
-                if q.requires_grad:
-                    dq = self.merge(ds @ kh)
-                if k.requires_grad:
-                    dk = self.merge((qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1))
+                ds = g @ vh.transpose(0, 2, 1)
+                ds -= np.sum(ds * w, axis=-1, keepdims=True)
+                ds *= w
+                ds *= scale
+                if dq_wanted:
+                    dq = merge(ds @ kh)
+                if dk_wanted:
+                    dk = merge((qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1))
             return dq, dk, dv
 
         return T._finish(out, (q, k, v), backward)

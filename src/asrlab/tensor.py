@@ -1,16 +1,20 @@
 """Dense tensors with a reverse-mode gradient tape.
 
 Values live in numpy arrays (float32 for training, float64 for gradient
-checks). Differentiable ops record themselves, with their parents, on the
-currently active Tape. ``Tape.backward(loss, wrt)`` replays the record in
-reverse and returns the gradient of a scalar loss with respect to each
-tensor in ``wrt``; no tensor holds a gradient, so nothing carries over
-from one backward pass to the next.
+checks). Differentiable ops record themselves on the currently active
+Tape. ``Tape.backward(loss, wrt)`` replays the record in reverse and
+returns the gradient of a scalar loss with respect to each tensor in
+``wrt``; no tensor holds a gradient, so nothing carries over from one
+backward pass to the next.
 
-The tape is the only graph state: it holds each recorded output with its
-parents and backward rule, and a tensor knows nothing of the tape it was
-recorded on, so a step's activations are freed as soon as its tape and
-outputs go out of scope.
+The tape is the only graph state, and it holds no tensor: a node is the
+serial key of its output, the key, ``requires_grad`` flag and dtype of
+each parent, and the backward rule. A rule keeps only the arrays it reads
+(an operand of ``mul`` only when the other operand needs a gradient, the
+sign mask of ``relu``, the shapes of ``add``), so an intermediate that no
+rule reads is freed as soon as the forward pass drops it, and the rest of
+a step's activations when its tape goes out of scope. A tensor knows
+nothing of the tape it was recorded on.
 
 The ops here are the glue between layers: add, mul, relu and
 log-softmax. A layer records its whole forward pass as one node of its
@@ -21,6 +25,7 @@ every backward rule stays auditable.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from contextlib import contextmanager
@@ -31,6 +36,7 @@ from .atomic import atomic_write
 from .errors import NumericError, ShapeError, UsageError
 
 _ACTIVE_TAPES: list["Tape | None"] = []  # None: no_tape() is in force
+_KEYS = itertools.count()  # Tensor keys: serial, never reused, unlike id() of a freed object
 
 
 class Tape:
@@ -38,11 +44,17 @@ class Tape:
 
     Creation order is a topological order (an op's inputs always exist
     before its output), so backward is a single reverse sweep that
-    touches each node exactly once.
+    touches each node exactly once. Nodes name tensors by key and hold
+    none of them, so the tape keeps alive only what the backward rules
+    captured.
+
+    A parent's ``requires_grad`` and dtype are read when its op is
+    recorded: backward gives a parent a gradient as it stood then, in
+    that dtype, whatever the flag says by the time backward runs.
     """
 
     def __init__(self):
-        self._nodes = []  # (out_tensor, parents, backward_fn)
+        self._nodes = []  # (out key, ((parent key, requires_grad, dtype), ...), backward_fn)
 
     def __enter__(self):
         _ACTIVE_TAPES.append(self)
@@ -55,30 +67,31 @@ class Tape:
     def record(self, out: "Tensor", parents, backward_fn) -> None:
         """backward_fn maps the gradient of out to one gradient per parent,
         in order, or None for a parent it skips."""
-        self._nodes.append((out, parents, backward_fn))
+        self._nodes.append((out.key, tuple((p.key, p.requires_grad, p.data.dtype) for p in parents),
+                            backward_fn))
 
     def backward(self, loss: "Tensor", wrt) -> list:
         """Gradients of a scalar loss with respect to each tensor in wrt, in
         order; zeros for a tensor the loss does not reach or that does not
-        require grad."""
+        require grad when the ops it feeds were recorded."""
         if loss.data.size != 1:
             raise UsageError("backward requires a scalar loss")
-        grads = {id(loss): np.ones_like(loss.data)}  # keyed by id: the tape keeps every tensor alive
-        for out, parents, backward_fn in reversed(self._nodes):
-            g = grads.pop(id(out), None)
+        grads = {loss.key: np.ones_like(loss.data)}
+        for out_key, parents, backward_fn in reversed(self._nodes):
+            g = grads.pop(out_key, None)
             if g is None:
                 continue
-            for p, gp in zip(parents, backward_fn(g), strict=True):
-                if gp is None or not p.requires_grad:
+            for (key, requires_grad, dtype), gp in zip(parents, backward_fn(g), strict=True):
+                if gp is None or not requires_grad:
                     continue
-                acc = grads.get(id(p))
+                acc = grads.get(key)
                 if acc is None:
-                    grads[id(p)] = gp.astype(p.data.dtype, copy=True)
+                    grads[key] = gp.astype(dtype, copy=True)
                 else:
                     acc += gp
-        if id(loss) in grads:  # the sweep never reached loss
+        if loss.key in grads:  # the sweep never reached loss
             raise UsageError("backward target was not produced on this tape")
-        return [grads[id(p)] if id(p) in grads else np.zeros_like(p.data) for p in wrt]
+        return [grads[p.key] if p.key in grads else np.zeros_like(p.data) for p in wrt]
 
     def __len__(self):
         return len(self._nodes)
@@ -95,9 +108,10 @@ def no_tape():
 
 
 class Tensor:
-    """A dense n-d float array, optionally tracked for gradients."""
+    """A dense n-d float array, optionally tracked for gradients; ``key``
+    names it on a tape."""
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "key")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else None)
@@ -105,6 +119,7 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = requires_grad
+        self.key = next(_KEYS)
 
     # -- introspection -------------------------------------------------
     @property
@@ -174,9 +189,10 @@ def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     _check_broadcast(a, b, "add")
     out = Tensor(a.data + b.data)
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _finish(out, (a, b), backward)
 
@@ -186,9 +202,13 @@ def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a)
     _check_broadcast(a, b, "mul")
     out = Tensor(a.data * b.data)
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None  # each operand only for the other's gradient
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
+                None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
     return _finish(out, (a, b), backward)
 
@@ -198,9 +218,10 @@ def mul(a: Tensor, b) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     y = np.maximum(a.data, 0.0)
     out = Tensor(y)
+    positive = a.data > 0
 
     def backward(g):
-        return (g * (a.data > 0),)
+        return (g * positive,)
 
     return _finish(out, (a,), backward)
 
@@ -218,11 +239,14 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _finish(out, (a,), backward)
 
 
-def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted softmax on a raw array."""
+def softmax_np(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Max-subtracted softmax on a raw array, into out (out=x works in
+    place) or a new array."""
     m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.subtract(x, m, out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Independent brute-force oracles, reference loops and op chains, the
-finite-difference gradient check and the checkpoint value digest shared by
-test modules."""
+finite-difference gradient check, the checkpoint value digest and the
+tracemalloc peak probe shared by test modules."""
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 
@@ -27,6 +28,17 @@ def checkpoint_digest(path) -> str:
         h.update(name.encode() + repr(shape).encode() + ckpt.tensors[name].astype("<f4").tobytes())
     h.update(repr((ckpt.step, ckpt.rng_state, ckpt.config)).encode())
     return h.hexdigest()
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc saw allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def reference_init_tensors(shapes, rng) -> dict:

@@ -119,6 +119,31 @@ def test_prefix_beam_matches_reference_at_desk_shape():
         assert_same_nbest(D.ctc_prefix_beam(lp, tok, beam=8), reference_prefix_beam(lp, tok, beam=8))
 
 
+def test_prefix_beam_output_is_pinned():
+    """Tokens and the float64 bits of every score of ctc_prefix_beam on
+    seeded log-probs, at beams 1, 3 and 8, hashed: small widths with and
+    without tied totals, and the desk width of 201 in float32. The
+    reference comparisons above allow 1e-9; this digest sees a change in
+    the order of the beam's float64 operations."""
+    small = train_bpe(["ab ba cd dc"], vocab_size=5)
+    desk = train_bpe(ttssim.sample_text(ttssim.ADDRESS, 300, seed=0), vocab_size=200, charset=ttssim.CHARSET)
+    rng = np.random.default_rng(23)
+    cases = []
+    for width in (3, 6):
+        lp = T.log_softmax_np(rng.normal(scale=2.0, size=(12, width)), axis=-1)
+        cases += [(small, lp), (small, np.round(lp, 1))]
+    for t_len in (40, 90):
+        logits = rng.normal(scale=2.0, size=(t_len, 201))
+        logits[np.arange(t_len), rng.integers(0, 201, size=t_len)] += 8.0
+        cases.append((desk, T.log_softmax_np(logits.astype(np.float32), axis=-1)))
+    digest = hashlib.sha256()
+    for i, (tok, lp) in enumerate(cases):
+        for beam in (1, 3, 8):
+            for h in D.ctc_prefix_beam(lp, tok, beam=beam):
+                digest.update(repr((i, beam, h.tokens)).encode() + struct.pack("<d", h.am_score))
+    assert digest.hexdigest() == "077916c8b5f4f7f9de1716f893c33d34a3ebd84e6073dff3a88082c9606c095c"
+
+
 @pytest.mark.parametrize("log_probs, error", [
     (np.zeros(4), ShapeError),
     (np.zeros((2, 3, 4)), ShapeError),

@@ -3,7 +3,6 @@ import io
 import json
 import struct
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +13,8 @@ from asrlab import models as M
 from asrlab import tensor as T
 from asrlab.errors import DataError, ShapeError, UsageError
 from asrlab.losses import cross_entropy, ctc_loss
-from asrlab.tensor import Tape
-from oracle_utils import checkpoint_digest, reference_init_tensors
+from asrlab.tensor import Tape, Tensor
+from oracle_utils import checkpoint_digest, reference_init_tensors, traced_peak
 
 
 def small_ctc(seed=0):
@@ -84,6 +83,52 @@ def test_las_step_tape_size_is_fixed():
                 cross_entropy(model.decode_logits(*model.encode(feats), prefix), np.roll(prefix, -1, axis=1))
             sizes.append(len(tape))
     assert sizes == [53] * 4
+
+
+def _desk_step_loss(model, rng, batch=4, t_len=30, length=6):
+    """The loss of one training step of a desk model on a seeded padded batch."""
+    feats = rng.normal(size=(t_len, batch, model.cfg.feat_dim)).astype(np.float32)
+    lengths = np.linspace(t_len, t_len // 2, batch).astype(np.int64)
+    if model.cfg.kind == "ctc":
+        return ctc_loss(model.forward(feats), [[1, 2, 3]] * batch, lengths)
+    prefix = rng.integers(0, model.cfg.vocab, size=(batch, length))
+    prefix[:, 0] = model.bos_id
+    return cross_entropy(model.decode_logits(*model.encode(feats, lengths), prefix), np.roll(prefix, -1, axis=1))
+
+
+def _tensors_held(tape) -> list:
+    """Every Tensor that a tape's nodes or the closure cells of their backward
+    rules reference, looking one level into tuples and lists."""
+    held = []
+    for node in tape._nodes:
+        for obj in (*node, *(cell.cell_contents for cell in node[-1].__closure__ or ())):
+            held += [x for x in (obj if isinstance(obj, (tuple, list)) else (obj,)) if isinstance(x, Tensor)]
+    return held
+
+
+@pytest.mark.parametrize("preset", [C.ctc_desk, C.las_desk], ids=["ctc-desk", "las-desk"])
+def test_a_step_tape_holds_no_tensor_but_the_parameters(preset):
+    model = M.build_model(preset(), seed=0)
+    with Tape() as tape:
+        _desk_step_loss(model, np.random.default_rng(6))
+    params = {id(p) for p in model.parameters().values()}
+    assert len(tape) > 3
+    assert [t.shape for t in _tensors_held(tape) if id(t) not in params] == []
+
+
+def test_las_desk_step_traced_peak_is_bounded():
+    # forward, loss and backward over 16 utterances of up to 120 frames: 35.7 MiB traced when the
+    # tape held every output and parent Tensor and the rules captured whole Tensors, 23.0 MiB since
+    model = M.build_model(C.las_desk(), seed=0)
+
+    def step():
+        with Tape() as tape:
+            loss = _desk_step_loss(model, np.random.default_rng(7), batch=16, t_len=120, length=14)
+            return tape.backward(loss, list(model.parameters().values()))
+
+    grads, peak = traced_peak(step)
+    assert all(np.isfinite(g).all() for g in grads)
+    assert peak < 26 * 2**20, peak / 2**20
 
 
 def test_las_forward_shapes_and_bos_check():
@@ -203,12 +248,7 @@ def test_building_a_model_from_a_checkpoint_copies_no_tensor(tmp_path):
     M.save_checkpoint(path, M.build_model(C.ctc_desk(), seed=0))
     ckpt = M.load_checkpoint(path)
     tensor_bytes = sum(arr.nbytes for arr in ckpt.tensors.values())
-    tracemalloc.start()
-    try:
-        model = ckpt.build_model()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    model, peak = traced_peak(ckpt.build_model)
     assert tensor_bytes > 300_000
     assert peak < 0.05 * tensor_bytes, (peak, tensor_bytes)
     assert all(arr is ckpt.tensors[name] for name, arr in model.named_tensors().items())
@@ -397,12 +437,7 @@ def test_numpy_int_seed_draws_as_the_int():
 
 def test_paper_shape_draw_holds_no_more_than_its_tensors():
     # two 512 kB fill buffers; drawing each weight whole in float64 first would add its largest draw, 20 MB
-    tracemalloc.start()
-    try:
-        tensors = M.init_tensors(C.las_paper_shapes(), seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    tensors, peak = traced_peak(lambda: M.init_tensors(C.las_paper_shapes(), seed=1))
     tensor_bytes = sum(arr.nbytes for arr in tensors.values())
     assert peak - tensor_bytes < 4 * 2**20, (peak, tensor_bytes)
 

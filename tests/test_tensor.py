@@ -8,7 +8,7 @@ import pytest
 
 from asrlab import tensor as T
 from asrlab.errors import NumericError, ShapeError, UsageError
-from asrlab.layers import Embedding
+from asrlab.layers import Dense, Embedding
 from asrlab.tensor import Tape, Tensor
 from oracle_utils import bmm, gradient_check, matmul, reference_sigmoid, reshape, softmax, transpose, tsum
 
@@ -275,6 +275,53 @@ def test_step_activations_are_freed_without_the_cycle_collector():
         assert activation() is None
     finally:
         gc.enable()
+
+
+def _dense(rng, bias_trains=True):
+    return Dense({"d.w": Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+                  "d.b": Tensor(rng.normal(size=3), requires_grad=bias_trains)}, "d")
+
+
+def test_an_intermediate_no_rule_reads_is_freed_before_backward():
+    rng = np.random.default_rng(12)
+    dense = _dense(rng)
+    x = Tensor(rng.normal(size=(5, 4)))
+    gc.disable()
+    try:
+        with Tape() as tape:
+            y = dense(x)  # feeds only add, whose rule keeps shapes; Dense keeps its input, not its output
+            output = weakref.ref(y.data)
+            loss = tsum(T.add(y, 1.0))
+            del y
+            assert output() is None
+            dw, db = tape.backward(loss, [dense.w, dense.b])
+    finally:
+        gc.enable()
+    assert np.array_equal(dw, x.data.T @ np.ones((5, 3)))
+    assert np.array_equal(db, np.full(3, 5.0))
+
+
+def test_flipping_requires_grad_after_the_forward_leaves_the_gradients_as_recorded():
+    rng = np.random.default_rng(13)
+    dense = _dense(rng, bias_trains=False)
+    x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    weight, wrt = Tensor(rng.normal(size=3)), [x, dense.w, dense.b]
+
+    def grads(flip):
+        with Tape() as tape:
+            loss = tsum(T.mul(T.relu(dense(x)), weight))
+        for t in wrt if flip else ():
+            t.requires_grad = not t.requires_grad
+        try:
+            return tape.backward(loss, wrt)
+        finally:
+            for t in wrt if flip else ():
+                t.requires_grad = not t.requires_grad
+
+    want, got = grads(flip=False), grads(flip=True)
+    assert want[0].any() and want[1].any() and not want[2].any()  # the bias was frozen when recorded
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_no_tape_records_nothing_inside_a_live_tape():
