@@ -81,16 +81,13 @@ class FreezePolicy:
 # -- Adam ---------------------------------------------------------------------
 
 class AdamState:
-    def __init__(self):
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        self.step = 0
+    """Adam's step count and moments: one zeroed m and v per trained array,
+    made once, like the array."""
 
-    def slot(self, name: str, shape, dtype):
-        if name not in self.m:
-            self.m[name] = np.zeros(shape, dtype=dtype)
-            self.v[name] = np.zeros(shape, dtype=dtype)
-        return self.m[name], self.v[name]
+    def __init__(self, params: dict):
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.step = 0
 
 
 def adam_step(params: dict, grads: list, state: AdamState, cfg: TrainConfig) -> float:
@@ -109,7 +106,7 @@ def adam_step(params: dict, grads: list, state: AdamState, cfg: TrainConfig) -> 
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     for (name, p), g in zip(params.items(), grads):
-        m, v = state.slot(name, p.data.shape, p.data.dtype)
+        m, v = state.m[name], state.v[name]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -120,30 +117,23 @@ def adam_step(params: dict, grads: list, state: AdamState, cfg: TrainConfig) -> 
 
 # -- data plumbing ---------------------------------------------------------------
 
-class EncodedDataset:
-    """(features, token ids) of each utterance of a manifest, resident in
-    memory; every utterance has the first one's feature dim."""
-
-    def __init__(self, manifest: Manifest, tok: SubwordModel):
-        self.items = [(manifest.features(utt), tok.encode(utt.text)) for utt in manifest]
-        if not self.items:
-            raise DataError("empty manifest")
-        dim = self.feature_dim()
-        for utt, (feats, _) in zip(manifest, self.items):
-            if feats.shape[1] != dim:
-                raise DataError(f"utterance {utt.id!r}: {feats.shape[1]}-d features, "
-                                f"the manifest's first utterance has {dim}")
-
-    def __len__(self):
-        return len(self.items)
-
-    def feature_dim(self) -> int:
-        return self.items[0][0].shape[1]
+def encode_utterances(manifest: Manifest, tok: SubwordModel, feat_dim: int) -> list[tuple[np.ndarray, list[int]]]:
+    """(features, token ids) of each utterance of a manifest, in manifest
+    order; every utterance must have feat_dim-d features."""
+    items = []
+    for utt in manifest:
+        feats = manifest.features(utt)
+        if feats.shape[1] != feat_dim:
+            raise DataError(f"utterance {utt.id!r}: {feats.shape[1]}-d features, the model expects {feat_dim}")
+        items.append((feats, tok.encode(utt.text)))
+    if not items:
+        raise DataError("empty manifest")
+    return items
 
 
-def _bucket_batches(dataset: EncodedDataset, batch_size: int) -> list[list[int]]:
+def _bucket_batches(items: list, batch_size: int) -> list[list[int]]:
     """Length-sorted index buckets; batch order is shuffled per epoch."""
-    order = sorted(range(len(dataset)), key=lambda i: (dataset.items[i][0].shape[0], i))
+    order = sorted(range(len(items)), key=lambda i: (items[i][0].shape[0], i))
     return [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
 
 
@@ -186,9 +176,10 @@ def _augment(feats: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 # -- the train loop -----------------------------------------------------------------
 
-def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: list[str],
+def train_model(model, items: list, cfg: TrainConfig, trainable: list[str],
                 log_path=None) -> tuple[list[dict], dict]:
-    """Adam-train the selected parameters; returns (step log, final rng state).
+    """Adam-train the selected parameters on (features, token ids) items;
+    returns (step log, final rng state).
     A step row holds the loss, the grad norm before clipping, whether the clip
     fired, the utterances CTC skipped as inadmissible, whether the encoder
     output was reused, the wall time and its split into forward, loss,
@@ -197,15 +188,18 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
 
     Adam updates each trained array in place, so a trainable tensor whose
     array is read-only (a checkpoint's) is first copied, once; frozen
-    tensors keep the arrays they hold."""
+    tensors keep the arrays they hold. Adam's moments are made once, after
+    those copies.
+    Nothing of a step (its gradients, loss, encoder and head outputs, tape)
+    outlives it, but an encoder output kept for reuse."""
     model.set_trainable(trainable)
     params = {n: p for n, p in model.parameters().items() if n in set(trainable)}
     for p in params.values():
         if not p.data.flags.writeable:
             p.data = p.data.copy()
-    state = AdamState()
+    state = AdamState(params)
     rng = np.random.default_rng(cfg.seed)
-    batches = _bucket_batches(dataset, cfg.batch_size)
+    batches = _bucket_batches(items, cfg.batch_size)
     is_ctc = model.cfg.kind == "ctc"
     encoded = {}  # batch index -> encoder output, kept only while it cannot change
 
@@ -217,7 +211,7 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
             feats_list = []
             labels = []
             for i in idxs:
-                f, ids = dataset.items[i]
+                f, ids = items[i]
                 if cfg.spec_augment:
                     f = _augment(f, rng)
                 feats_list.append(f)
@@ -234,12 +228,12 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
                     if not cfg.spec_augment and not enc[0].requires_grad:
                         encoded[bi] = enc
                 if is_ctc:
-                    lp = model.log_probs(*enc)
+                    head = model.log_probs(*enc)
                     marks.append(time.perf_counter())
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
                         try:
-                            loss = ctc_loss(lp, labels, lengths)
+                            loss = ctc_loss(head, labels, lengths)
                         except NumericError as exc:  # non-finite log-probs, or a CTC underflow
                             raise DivergenceError(f"non-finite loss at step {step}: {exc}") from exc
                     for w in caught:
@@ -249,9 +243,9 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
                             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
                 else:
                     prefix, target, mask = _las_targets(labels, model.bos_id, model.eos_id)
-                    logits = model.decode_logits(*enc, prefix)
+                    head = model.decode_logits(*enc, prefix)
                     marks.append(time.perf_counter())
-                    loss = cross_entropy(logits, target, mask, smoothing=cfg.label_smoothing)
+                    loss = cross_entropy(head, target, mask, smoothing=cfg.label_smoothing)
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
                     raise DivergenceError(f"non-finite loss at step {step}")
@@ -260,6 +254,7 @@ def train_model(model, dataset: EncodedDataset, cfg: TrainConfig, trainable: lis
                 marks.append(time.perf_counter())
             grad_norm = adam_step(params, grads, state, cfg)
             marks.append(time.perf_counter())
+            del tape, grads, loss, enc, head
             # parts are differences of rounded offsets, so they add up to wall_ms
             ms = [round(1000 * (m - marks[0]), 1) for m in marks]
             row = {"step": step, "loss": round(loss_val, 6), "lr": cfg.lr,
@@ -289,8 +284,8 @@ def epoch_mean_losses(log: list[dict], steps_per_epoch: int) -> list[float]:
 def pretrain(model, manifest: Manifest, tok: SubwordModel, cfg: TrainConfig,
              out_path, log_path=None) -> list[dict]:
     """Train from scratch on a generic manifest; writes the checkpoint."""
-    dataset = EncodedDataset(manifest, tok)
-    log, rng_state = train_model(model, dataset, cfg, FreezePolicy("full").trainable_names(model), log_path)
+    items = encode_utterances(manifest, tok, model.cfg.feat_dim)
+    log, rng_state = train_model(model, items, cfg, FreezePolicy("full").trainable_names(model), log_path)
     save_checkpoint(out_path, model, step=len(log), rng_state=rng_state)
     return log
 
@@ -302,9 +297,7 @@ def finetune(ckpt_path, manifest: Manifest, tok: SubwordModel, policy: FreezePol
     ckpt = load_checkpoint(ckpt_path)
     model = ckpt.build_model()
     trainable = policy.trainable_names(model)
-    dataset = EncodedDataset(manifest, tok)
-    if dataset.feature_dim() != model.cfg.feat_dim:
-        raise DataError(f"manifest features {dataset.feature_dim()}-d, model expects {model.cfg.feat_dim}")
-    log, rng_state = train_model(model, dataset, cfg, trainable, log_path)
+    items = encode_utterances(manifest, tok, model.cfg.feat_dim)
+    log, rng_state = train_model(model, items, cfg, trainable, log_path)
     save_checkpoint(out_path, model, step=ckpt.step + len(log), rng_state=rng_state)
     return log

@@ -9,6 +9,7 @@ desk-scale training.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .atomic import atomic_write
@@ -63,12 +64,13 @@ class LasConfig:
 
 
 def ctc_desk(vocab: int = 200, feat_dim: int = 60) -> CtcConfig:
-    return CtcConfig(feat_dim=feat_dim, hidden=64, layers=2, vocab=vocab)
+    """The desk CTC shape: CtcConfig's defaults."""
+    return CtcConfig(feat_dim=feat_dim, vocab=vocab)
 
 
 def las_desk(vocab: int = 200, feat_dim: int = 60) -> LasConfig:
-    return LasConfig(feat_dim=feat_dim, dim=64, ff_dim=128, heads=2,
-                     enc_blocks=2, dec_blocks=1, vocab=vocab)
+    """The desk LAS shape: LasConfig's defaults."""
+    return LasConfig(feat_dim=feat_dim, vocab=vocab)
 
 
 def ctc_paper_shapes() -> CtcConfig:
@@ -113,9 +115,22 @@ class TrainConfig:
             value = getattr(self, f.name)
             if type(value) not in _VALUE_TYPES[f.type]:
                 raise DataError(f"training config {f.name} must be {f.type}, got {value!r}")
-        # lr == 0 is allowed: it makes fine-tuning a provable no-op
-        if self.batch_size < 1 or self.lr < 0 or self.epochs < 0 or self.grad_clip <= 0 or self.seed < 0:
-            raise DataError("invalid training config")
+            if f.type == "float" and not math.isfinite(value):
+                raise DataError(f"training config {f.name} must be finite, got {value!r}")
+        in_range = {
+            "batch_size": self.batch_size >= 1,
+            "lr": self.lr >= 0,  # lr == 0 is allowed: it makes fine-tuning a provable no-op
+            "beta1": 0 <= self.beta1 < 1,  # 1 would zero Adam's bias correction
+            "beta2": 0 <= self.beta2 < 1,
+            "eps": self.eps >= 0,
+            "epochs": self.epochs >= 0,
+            "grad_clip": self.grad_clip > 0,
+            "seed": self.seed >= 0,
+            "label_smoothing": 0 <= self.label_smoothing <= 1,
+        }
+        for name, ok in in_range.items():
+            if not ok:
+                raise DataError(f"training config {name} out of range, got {getattr(self, name)!r}")
 
 
 def pretrain_defaults(seed: int = 0, **overrides) -> TrainConfig:

@@ -189,6 +189,9 @@ def tune_weights(dev_nbests: list[NBestList], dev_refs: dict[str, str], lm: NGra
     empty = [nb.utt_id for nb in dev_nbests if not nb.hyps]
     if not dev_nbests or empty:
         raise DataError(f"tune_weights needs a non-empty dev set of non-empty n-best lists (empty: {empty[:5]})")
+    missing = [nb.utt_id for nb in dev_nbests if nb.utt_id not in dev_refs]
+    if missing:
+        raise DataError(f"tune_weights: no reference for {len(missing)} dev utterances, among them {missing[:3]}")
     cache = [(nb, [lm.score(h.text) for h in nb.hyps], [len(h.text.split()) for h in nb.hyps])
              for nb in dev_nbests]
     scored: dict[tuple[int, int], tuple[int, int]] = {}  # (utt, hyp) -> (errors, ref_len)

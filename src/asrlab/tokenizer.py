@@ -38,10 +38,13 @@ def _apply_merge(symbols: list[str], pair: tuple[str, str]) -> list[str]:
 
 
 class SubwordModel:
-    def __init__(self, charset: list[str], merges: list[tuple[str, str]], vocab: list[str]):
+    """Ids index the vocabulary: the charset, the marker, then one token per
+    merge, in merge order."""
+
+    def __init__(self, charset: list[str], merges: list[tuple[str, str]]):
         self.charset = list(charset)
         self.merges = [tuple(m) for m in merges]
-        self.vocab = list(vocab)
+        self.vocab = self.charset + [MARKER] + [a + b for a, b in self.merges]
         self.token_to_id = {tok: i for i, tok in enumerate(self.vocab)}
         self.merge_rank = {pair: i for i, pair in enumerate(self.merges)}
         self._charset_set = set(self.charset)
@@ -121,7 +124,10 @@ class SubwordModel:
                 payload = json.load(fh)
             if payload["version"] != MODEL_VERSION:
                 raise DataError(f"unsupported tokenizer version {payload['version']}")
-            return cls(payload["charset"], [tuple(m) for m in payload["merges"]], payload["vocab"])
+            model = cls(payload["charset"], payload["merges"])
+            if payload["vocab"] != model.vocab:
+                raise DataError(f"{path}: stored vocab is not the charset, marker and merges the file holds")
+            return model
         except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSONDecodeError is a ValueError
             raise DataError(f"{path}: bad tokenizer file: {exc!r}") from exc
 
@@ -167,10 +173,9 @@ def train_bpe(corpus, vocab_size: int, charset: str | None = None) -> SubwordMod
         for pair in zip(symbols, symbols[1:]):
             pairs[pair] += freqs[i]
             where[pair].add(i)
-    vocab = list(base)
     merges: list[tuple[str, str]] = []
 
-    while len(vocab) < vocab_size and pairs:
+    while len(base) + len(merges) < vocab_size and pairs:
         top = max(pairs.values())
         if top < 2:
             break
@@ -186,6 +191,5 @@ def train_bpe(corpus, vocab_size: int, charset: str | None = None) -> SubwordMod
                 pairs[pair] += freqs[i]
                 where[pair].add(i)
         merges.append(best)
-        vocab.append(best[0] + best[1])
 
-    return SubwordModel(charset, merges, vocab)
+    return SubwordModel(charset, merges)

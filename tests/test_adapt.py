@@ -1,5 +1,7 @@
+import json
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -90,20 +92,30 @@ def test_json_train_config_round_trips(tmp_path):
     '{"seed": -1}',
     '[16]',
     '{"lr": ',
+    '{"lr": NaN}',
+    '{"grad_clip": Infinity}',
+    '{"beta1": 1.0}',
+    '{"beta2": 1.0}',
+    '{"beta1": -0.1}',
+    '{"eps": -1.0}',
+    '{"label_smoothing": 2.0}',
 ], ids=["unknown-key", "int-as-string", "int-as-float", "float-as-bool", "bool-as-int", "null", "negative-seed",
-        "not-an-object", "not-json"])
+        "not-an-object", "not-json", "nan-lr", "infinite-grad-clip", "beta1-one", "beta2-one", "negative-beta1",
+        "negative-eps", "label-smoothing-above-one"])
 def test_json_train_config_bad_fields_raise_data_error(tmp_path, text):
     path = tmp_path / "train.json"
     path.write_text(text)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError) as err:
         C.load_json_config(path, C.TrainConfig)
+    if text.endswith("}"):  # a one-field object: the error names the field
+        assert next(iter(json.loads(text))) in str(err.value)
 
 
 # -- Adam -----------------------------------------------------------------------
 
 def test_adam_zero_grads_no_update():
     p = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
-    state = A.AdamState()
+    state = A.AdamState({"p": p})
     before = p.data.copy()
     A.adam_step({"p": p}, [np.zeros(2, dtype=np.float32)], state, C.TrainConfig(lr=0.1))
     assert np.array_equal(p.data, before)
@@ -113,7 +125,7 @@ def test_adam_zero_grads_no_update():
 
 def test_adam_first_step_is_minus_lr():
     p = Tensor(np.array([0.0], dtype=np.float64), requires_grad=True)
-    state = A.AdamState()
+    state = A.AdamState({"p": p})
     assert A.adam_step({"p": p}, [np.array([1.0])], state, C.TrainConfig(lr=0.01, grad_clip=100.0)) == 1.0
     # bias-corrected m/sqrt(v) is 1 at step 1, so the move is ~ -lr
     assert np.isclose(p.data[0], -0.01, rtol=1e-6)
@@ -122,7 +134,7 @@ def test_adam_first_step_is_minus_lr():
 def test_adam_global_norm_clip():
     p = Tensor(np.zeros(4, dtype=np.float64), requires_grad=True)
     grad = np.full(4, 5.0)  # norm 10
-    state = A.AdamState()
+    state = A.AdamState({"p": p})
     norm = A.adam_step({"p": p}, [grad], state, C.TrainConfig(lr=1.0, beta1=0.0, beta2=0.0, eps=0.0, grad_clip=1.0))
     assert norm == 10.0  # reported before clipping
     # effective grad scaled by 0.1 -> m = g, v = g^2, update = -lr * sign(g)
@@ -155,16 +167,6 @@ def test_pretrain_loss_decreases(tmp_path):
     assert (tmp_path / "log.jsonl").exists()
 
 
-class _Items:
-    """A dataset of given (feats, ids) items."""
-
-    def __init__(self, items):
-        self.items = items
-
-    def __len__(self):
-        return len(self.items)
-
-
 @pytest.mark.parametrize("grad_clip", [1e-6, 1e6])
 def test_step_log_reports_grad_norm_clip_and_ctc_skips(grad_clip, monkeypatch):
     rng = np.random.default_rng(0)
@@ -173,7 +175,7 @@ def test_step_log_reports_grad_norm_clip_and_ctc_skips(grad_clip, monkeypatch):
     cfg = _tiny_cfg(epochs=2, grad_clip=grad_clip)
     with warnings.catch_warnings(record=True) as escaped:
         warnings.simplefilter("always")
-        log, _ = A.train_model(model, _Items(items), cfg, list(model.parameters()))
+        log, _ = A.train_model(model, items, cfg, list(model.parameters()))
     assert escaped == []  # the inadmissible utterance is counted, not warned about
     assert [row["ctc_skipped"] for row in log] == [1, 1]
     for row in log:
@@ -187,14 +189,14 @@ def test_step_log_reports_grad_norm_clip_and_ctc_skips(grad_clip, monkeypatch):
 
     monkeypatch.setattr(A, "ctc_loss", noisy_loss)
     with pytest.warns(RuntimeWarning, match="lattice underflow"):
-        log, _ = A.train_model(model, _Items(items), cfg, list(model.parameters()))
+        log, _ = A.train_model(model, items, cfg, list(model.parameters()))
     assert [row["ctc_skipped"] for row in log] == [1, 1]
 
 
 @pytest.mark.parametrize("family", ["ctc", "las"])
 def test_a_non_finite_tensor_fails_training_with_divergence_error_naming_the_step(family):
     rng = np.random.default_rng(0)
-    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in [(8, [0, 1]), (9, [2, 3, 1])]])
+    items = [(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in [(8, [0, 1]), (9, [2, 3, 1])]]
     model = _MODELS[family]()
     model.parameters()["dense.w"].data[0, 0] = np.nan
     with pytest.raises(DivergenceError, match="non-finite loss at step 0"):
@@ -222,8 +224,8 @@ def test_attention_key_biases_change_no_decoder_logit(monkeypatch):
     monkeypatch.setattr(M, "tensor_shapes", lambda cfg: _with_key_biases(shapes(cfg)))
     biased = M.build_model(cfg, seed=3)
     rng = np.random.default_rng(1)
-    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), list(rng.integers(0, 5, size=n)))
-                    for t, n in [(8, 2), (9, 3), (12, 4), (7, 1)]])
+    items = [(rng.normal(size=(t, 6)).astype(np.float32), list(rng.integers(0, 5, size=n)))
+             for t, n in [(8, 2), (9, 3), (12, 4), (7, 1)]]
     A.train_model(biased, items, _tiny_cfg(batch_size=2, epochs=3, lr=1e-2), list(biased.parameters()))
     keys = [name for name in biased.parameters() if name.endswith(".wk.b")]
     assert len(keys) == 2 + 2 * 2
@@ -248,7 +250,7 @@ def test_step_gradient_is_this_steps_gradient_only(make_model):
     # Adam must see the gradient of the current step alone: step 2 of a run
     # equals step 1 of a fresh run started from the weights after step 1
     rng = np.random.default_rng(0)
-    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in [(8, [0, 1]), (9, [2, 3, 1])]])
+    items = [(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in [(8, [0, 1]), (9, [2, 3, 1])]]
     model = make_model()
     two_steps, _ = A.train_model(model, items, _tiny_cfg(epochs=2), list(model.parameters()))
     model = make_model()
@@ -256,6 +258,31 @@ def test_step_gradient_is_this_steps_gradient_only(make_model):
     fresh, _ = A.train_model(model, items, _tiny_cfg(epochs=1, lr=0.0), list(model.parameters()))
     assert len(two_steps) == 2 and len(fresh) == 1
     assert two_steps[1]["grad_norm"] == fresh[0]["grad_norm"]
+
+
+@pytest.mark.parametrize("family", ["ctc", "las"])
+def test_a_steps_gradients_are_freed_before_the_next_forward(monkeypatch, family):
+    rng = np.random.default_rng(0)
+    items = [(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in [(8, [0, 1]), (9, [2, 3, 1])]]
+    model = _MODELS[family]()
+    adam_step, encode = A.adam_step, model.encode
+    grads, alive = [], []  # weak references to every step's gradients; how many live as each forward starts
+
+    def weakly_kept(params, step_grads, *args):
+        grads.extend(weakref.ref(g) for g in step_grads)
+        return adam_step(params, step_grads, *args)
+
+    def counted(*args):
+        alive.append(sum(ref() is not None for ref in grads))
+        return encode(*args)
+
+    monkeypatch.setattr(A, "adam_step", weakly_kept)
+    monkeypatch.setattr(model, "encode", counted)
+    cfg = _tiny_cfg(batch_size=1, epochs=2, spec_augment=True)  # SpecAugment on: every step encodes
+    log, _ = A.train_model(model, items, cfg, list(model.parameters()))
+    assert len(log) == len(alive) == 4
+    assert len(grads) == 4 * len(model.parameters())
+    assert alive == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("make_model", [
@@ -266,7 +293,7 @@ def test_step_gradient_is_this_steps_gradient_only(make_model):
 def test_step_log_splits_wall_time_and_counts_real_frames(make_model):
     rng = np.random.default_rng(0)
     lengths = (8, 5, 9)  # one batch per step: 22 real frames, 27 with padding
-    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in zip(lengths, ([0, 1], [2], [2, 3, 1]))])
+    items = [(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in zip(lengths, ([0, 1], [2], [2, 3, 1]))]
     model = make_model()
     log, _ = A.train_model(model, items, _tiny_cfg(epochs=3), list(model.parameters()))
     parts = ("forward_ms", "loss_ms", "backward_ms", "optimizer_ms")
@@ -297,8 +324,8 @@ _MODELS = {
 def test_frozen_encoder_output_is_reused_without_changing_a_bit(tmp_path, monkeypatch, family, policy,
                                                                 spec_augment, reuses):
     rng = np.random.default_rng(0)
-    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids)
-                    for t, ids in [(8, [0, 1]), (5, [2]), (9, [2, 3, 1]), (7, [4, 0]), (6, [1]), (10, [3, 3])]])
+    items = [(rng.normal(size=(t, 6)).astype(np.float32), ids)
+             for t, ids in [(8, [0, 1]), (5, [2]), (9, [2, 3, 1]), (7, [4, 0]), (6, [1]), (10, [3, 3])]]
     cfg = _tiny_cfg(batch_size=2, epochs=3, lr=1e-2, spec_augment=spec_augment)  # 3 batches, 9 steps
     cls = type(_MODELS[family]())
     encode, calls = cls.encode, []
@@ -338,7 +365,7 @@ def test_training_a_model_built_from_a_checkpoint_leaves_the_checkpoint_as_read(
     read = {name: arr.copy() for name, arr in ckpt.tensors.items()}
     model = ckpt.build_model()
     rng = np.random.default_rng(0)
-    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in [(8, [0, 1]), (9, [2, 3, 1])]])
+    items = [(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in [(8, [0, 1]), (9, [2, 3, 1])]]
     A.train_model(model, items, _tiny_cfg(epochs=2, lr=1e-2), list(model.parameters()))
     trained = model.named_tensors()
     assert all(not np.array_equal(trained[n], read[n]) for n in model.parameters())  # training moved every parameter
@@ -350,7 +377,7 @@ def test_dense_only_training_copies_only_the_dense_tensors_of_a_checkpoint(tmp_p
     ckpt = M.load_checkpoint(tmp_path / "m.ckpt")
     model = ckpt.build_model()
     rng = np.random.default_rng(0)
-    items = _Items([(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in [(8, [0, 1]), (9, [2, 3, 1])]])
+    items = [(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in [(8, [0, 1]), (9, [2, 3, 1])]]
     A.train_model(model, items, _tiny_cfg(epochs=2, lr=1e-2), A.FreezePolicy("dense-only").trainable_names(model))
     shared = {name for name, arr in model.named_tensors().items() if np.shares_memory(arr, ckpt.tensors[name])}
     assert shared == {name for name in ckpt.tensors if not name.startswith("dense.")}
@@ -495,13 +522,18 @@ def test_a_bad_feature_array_fails_pretrain_and_finetune_with_data_error(tmp_pat
                    tmp_path / "ft.ckpt")
 
 
-def test_finetune_feature_dim_mismatch(tmp_path):
+@pytest.mark.parametrize("stage", ["finetune", "pretrain"])
+def test_finetune_feature_dim_mismatch(tmp_path, stage):
     man, tok = _tiny_setup(tmp_path, n=8)
     model = M.build_model(C.CtcConfig(feat_dim=30, hidden=8, layers=1, vocab=tok.size), seed=1)
     M.save_checkpoint(tmp_path / "bad.ckpt", model)
-    with pytest.raises(DataError):
-        A.finetune(tmp_path / "bad.ckpt", man, tok, A.FreezePolicy.parse("dense-only"),
-                   _tiny_cfg(), tmp_path / "out.ckpt")
+    with pytest.raises(DataError, match=f"utterance {re.escape(repr(man.utterances[0].id))}: 60-d features, "
+                                        "the model expects 30"):
+        if stage == "pretrain":
+            A.pretrain(model, man, tok, _tiny_cfg(), tmp_path / "out.ckpt")
+        else:
+            A.finetune(tmp_path / "bad.ckpt", man, tok, A.FreezePolicy.parse("dense-only"),
+                       _tiny_cfg(), tmp_path / "out.ckpt")
 
 
 # -- training-run oracles ------------------------------------------------------------

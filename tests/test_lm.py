@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,15 @@ def test_tune_weights_empty_input_raises_data_error(nbests):
     model = LM.train_lm(["a b"], order=2)
     with pytest.raises(DataError):
         LM.tune_weights(nbests, {"u0": "a b"}, model, wer)
+
+
+def test_tune_weights_without_a_reference_raises_data_error_naming_the_first_three():
+    model = LM.train_lm(["a b"], order=2)
+    nbests = [_nbest(f"u{i}", [("a b", -1.0)]) for i in range(5)]
+    calls = []
+    with pytest.raises(DataError, match=re.escape("no reference for 4 dev utterances, among them ['u1', 'u2', 'u3']")):
+        LM.tune_weights(nbests, {"u0": "a b"}, model, lambda ref, hyp: calls.append(ref))
+    assert calls == []  # raised before the grid search scored anything
 
 
 def test_rescore_weights_validation():

@@ -98,8 +98,10 @@ def test_save_load_identical_encodings(tmp_path):
         assert back.encode(text) == model.encode(text)
 
 
-@pytest.mark.parametrize("text", ['{"version": 1, "charset": ', '["a", "b"]', '{"version": 1, "charset": ["a"], "vocab": ["a"]}'],
-                         ids=["not-json", "json-list", "missing-field"])
+@pytest.mark.parametrize("text", ['{"version": 1, "charset": ', '["a", "b"]', '{"version": 1, "charset": ["a"], "vocab": ["a"]}',
+                                  '{"version": 1, "charset": ["a", "b"], "merges": [["a", "b"]], '
+                                  '"vocab": ["b", "a", "\\u2581", "ab"]}'],
+                         ids=["not-json", "json-list", "missing-field", "swapped-vocab"])
 def test_load_bad_file_raises_data_error(tmp_path, text):
     (tmp_path / "bpe.json").write_text(text)
     with pytest.raises(DataError):
