@@ -90,28 +90,34 @@ class AdamState:
         self.step = 0
 
 
+# Kingma and Ba's Adam defaults (ICLR 2015); gradients are scaled down to global
+# norm GRAD_CLIP, a safety net against spikes that must not bind every step
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+GRAD_CLIP = 50.0
+
+
 def adam_step(params: dict, grads: list, state: AdamState, cfg: TrainConfig) -> float:
     """One Adam update over {name: Tensor} from this step's gradients (one
-    array per parameter, in params order) with cfg's lr, betas and eps;
-    grads are clipped to global norm cfg.grad_clip. Returns the global
-    grad norm before clipping."""
-    lr, beta1, beta2, eps = cfg.lr, cfg.beta1, cfg.beta2, cfg.eps
+    array per parameter, in params order) with cfg's lr; grads are clipped
+    to global norm GRAD_CLIP. Returns the global grad norm before clipping."""
     norm = np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads))
-    if norm > cfg.grad_clip:
-        scale = cfg.grad_clip / norm
+    if norm > GRAD_CLIP:
+        scale = GRAD_CLIP / norm
         grads = [g * scale for g in grads]
 
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for (name, p), g in zip(params.items(), grads):
         m, v = state.m[name], state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return float(norm)
 
 
@@ -258,7 +264,7 @@ def train_model(model, items: list, cfg: TrainConfig, trainable: list[str],
             # parts are differences of rounded offsets, so they add up to wall_ms
             ms = [round(1000 * (m - marks[0]), 1) for m in marks]
             row = {"step": step, "loss": round(loss_val, 6), "lr": cfg.lr,
-                   "grad_norm": grad_norm, "clipped": grad_norm > cfg.grad_clip, "ctc_skipped": skipped,
+                   "grad_norm": grad_norm, "clipped": grad_norm > GRAD_CLIP, "ctc_skipped": skipped,
                    "encoder_reused": reused,
                    "wall_ms": ms[-1], "frames_per_s": round(int(lengths.sum()) / (marks[-1] - marks[0]), 1)}
             for part, start, end in zip(("forward_ms", "loss_ms", "backward_ms", "optimizer_ms"), ms, ms[1:]):

@@ -3,7 +3,7 @@
 The "desk" presets are small enough to pretrain on a laptop CPU in
 minutes; the "paper-shapes" presets reproduce the published layer
 dimensions and exist for shape and checkpoint tests only, never for
-desk-scale training.
+desk-scale training. Desk models take the front end's FEATURE_DIM.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .atomic import atomic_write
 from .errors import DataError
+from .signal import FEATURE_DIM
 
 
 def _check_sizes(cfg, kind: str) -> None:
@@ -29,7 +30,7 @@ def _check_sizes(cfg, kind: str) -> None:
 @dataclass(frozen=True)
 class CtcConfig:
     kind: str = "ctc"
-    feat_dim: int = 60
+    feat_dim: int = FEATURE_DIM
     hidden: int = 64
     layers: int = 2
     vocab: int = 200  # CTC output width is vocab + 1 (blank last)
@@ -45,7 +46,7 @@ class CtcConfig:
 @dataclass(frozen=True)
 class LasConfig:
     kind: str = "las"
-    feat_dim: int = 60
+    feat_dim: int = FEATURE_DIM
     dim: int = 64
     ff_dim: int = 128
     heads: int = 2
@@ -63,14 +64,14 @@ class LasConfig:
         return self.vocab + 2
 
 
-def ctc_desk(vocab: int = 200, feat_dim: int = 60) -> CtcConfig:
+def ctc_desk(vocab: int = 200) -> CtcConfig:
     """The desk CTC shape: CtcConfig's defaults."""
-    return CtcConfig(feat_dim=feat_dim, vocab=vocab)
+    return CtcConfig(vocab=vocab)
 
 
-def las_desk(vocab: int = 200, feat_dim: int = 60) -> LasConfig:
+def las_desk(vocab: int = 200) -> LasConfig:
     """The desk LAS shape: LasConfig's defaults."""
-    return LasConfig(feat_dim=feat_dim, vocab=vocab)
+    return LasConfig(vocab=vocab)
 
 
 def ctc_paper_shapes() -> CtcConfig:
@@ -101,11 +102,7 @@ _VALUE_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}  # by ann
 class TrainConfig:
     batch_size: int = 16
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 5
-    grad_clip: float = 50.0  # safety net against spikes; must not bind every step
     seed: int = 0
     spec_augment: bool = True
     label_smoothing: float = 0.1  # LAS only
@@ -120,11 +117,7 @@ class TrainConfig:
         in_range = {
             "batch_size": self.batch_size >= 1,
             "lr": self.lr >= 0,  # lr == 0 is allowed: it makes fine-tuning a provable no-op
-            "beta1": 0 <= self.beta1 < 1,  # 1 would zero Adam's bias correction
-            "beta2": 0 <= self.beta2 < 1,
-            "eps": self.eps >= 0,
             "epochs": self.epochs >= 0,
-            "grad_clip": self.grad_clip > 0,
             "seed": self.seed >= 0,
             "label_smoothing": 0 <= self.label_smoothing <= 1,
         }

@@ -3,8 +3,9 @@
 Manifest rows are {id, text, domain, speaker_id, wav, features?, duration_s}
 with file paths stored relative to the manifest's directory. Every field
 is a string except duration_s, a finite number; a row that breaks this, or
-an utterance whose feature or WAV file cannot be read or whose feature
-array is not [frames, dim] of finite values, raises DataError. Cached
+an utterance whose feature or WAV file cannot be read, whose WAV is not
+sampled at ``signal.SAMPLE_RATE`` or whose feature array is not
+[frames, dim] of finite values, raises DataError. Cached
 features hold the front end's per-utterance normalized output
 (``signal.extract_features``); an array whose frames do not average to
 zero in every dim, such as a raw log-mel cache, raises DataError too.
@@ -90,9 +91,11 @@ class Manifest:
 
     def waveform(self, utt: Utterance) -> np.ndarray:
         try:
-            samples, _ = signal.read_wav(self.root / utt.wav)
+            samples, rate = signal.read_wav(self.root / utt.wav)
         except DataError as exc:
             raise DataError(f"utterance {utt.id!r}: {exc}") from exc
+        if rate != signal.SAMPLE_RATE:
+            raise DataError(f"utterance {utt.id!r}: {utt.wav} is sampled at {rate} Hz, not {signal.SAMPLE_RATE}")
         return samples
 
     def features(self, utt: Utterance) -> np.ndarray:

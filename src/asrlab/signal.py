@@ -2,16 +2,14 @@
 
 The pipeline is 16 kHz audio -> 20 ms Hann frames with 10 ms hop ->
 one-sided power spectrum of numpy's 512-point real FFT (frames
-zero-padded) -> triangular mel filterbank (HTK mel scale, 0-8 kHz) ->
-log -> stacking of 3 consecutive frames with a time stride of 3 ->
-per-utterance CMVN. Desk default is 20 mel bins (60-dim stacked
-features); the paper-shape preset uses 80 (240-dim).
+zero-padded) -> 20-bin triangular mel filterbank (HTK mel scale, 0-8 kHz)
+-> log -> stacking of 3 consecutive frames with a time stride of 3 ->
+per-utterance CMVN: FEATURE_DIM = 60 features, the desk models' input.
 """
 
 from __future__ import annotations
 
 import wave as _wave
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +21,10 @@ WIN_SAMPLES = 320   # 20 ms
 HOP_SAMPLES = 160   # 10 ms
 N_FFT = 512
 LOG_FLOOR = 1e-10
+MEL_BINS = 20
+STACK_K = 3        # frames per stack
+STACK_STRIDE = 3   # time downsampling of the stacks
+FEATURE_DIM = MEL_BINS * STACK_K
 
 
 # -- framing -----------------------------------------------------------------
@@ -83,7 +85,7 @@ def logmel(power: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
 
 # -- frame stacking --------------------------------------------------------------
 
-def stack(features: np.ndarray, k: int = 3, stride: int = 3) -> np.ndarray:
+def stack(features: np.ndarray, k: int = STACK_K, stride: int = STACK_STRIDE) -> np.ndarray:
     """Concatenate k consecutive frames, downsampling time by stride.
 
     The last window is right-padded by repeating the final frame.
@@ -122,18 +124,7 @@ def spec_augment(feats: np.ndarray, t_mask: int, f_mask: int, n_t: int, n_f: int
 
 # -- end-to-end front-end -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FrontendConfig:
-    mel_bins: int = 20
-    stack_k: int = 3
-    stack_stride: int = 3
-
-    @property
-    def feature_dim(self) -> int:
-        return self.mel_bins * self.stack_k
-
-
-_FBANK_CACHE: dict[int, np.ndarray] = {}
+_FILTERBANK = mel_filterbank(MEL_BINS)
 
 
 def cmvn(feats: np.ndarray) -> np.ndarray:
@@ -148,16 +139,12 @@ def cmvn(feats: np.ndarray) -> np.ndarray:
     return centered / np.sqrt(np.maximum((centered * centered).mean(axis=0), 1e-10))
 
 
-def extract_features(samples: np.ndarray, cfg: FrontendConfig = FrontendConfig()) -> np.ndarray:
-    """Waveform -> stacked log-mel FeatureMatrix [frames, mel_bins*stack_k],
+def extract_features(samples: np.ndarray) -> np.ndarray:
+    """Waveform -> stacked log-mel FeatureMatrix [frames, FEATURE_DIM],
     normalized per utterance (``cmvn``)."""
-    fb = _FBANK_CACHE.get(cfg.mel_bins)
-    if fb is None:
-        fb = mel_filterbank(cfg.mel_bins)
-        _FBANK_CACHE[cfg.mel_bins] = fb
     frames = frame(samples)
-    mels = logmel(power_spectrum(frames), fb)
-    feats = stack(mels, cfg.stack_k, cfg.stack_stride)
+    mels = logmel(power_spectrum(frames), _FILTERBANK)
+    feats = stack(mels)
     if not np.all(np.isfinite(feats)):
         raise DataError("non-finite features produced")
     return cmvn(feats).astype(np.float32)

@@ -266,6 +266,7 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
 # magic "NDT1", u32 rank, u32 dims[rank], little-endian f32 payload
 
 NDT_MAGIC = b"NDT1"
+MAX_RANK = 64  # numpy's most dimensions (NPY_MAXDIMS)
 
 
 def write_array(fh, arr: np.ndarray) -> None:
@@ -289,6 +290,8 @@ def read_array(fh, out: np.ndarray | None = None) -> np.ndarray:
         raise NumericError(f"bad tensor magic {magic!r}")
     try:
         (rank,) = struct.unpack("<I", fh.read(4))
+        if rank > MAX_RANK:  # checked before a corrupt rank can size the read of the dims
+            raise NumericError(f"tensor rank {rank} above numpy's {MAX_RANK}")
         dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
     except struct.error as exc:
         raise NumericError(f"truncated tensor header: {exc}") from exc
@@ -311,5 +314,9 @@ def save_array(path, arr: np.ndarray) -> None:
 
 
 def load_array(path) -> np.ndarray:
+    """The one NDT1 block that is the whole file at path."""
     with open(path, "rb") as fh:
-        return read_array(fh)
+        arr = read_array(fh)
+        if fh.read(1):
+            raise NumericError("bytes after the tensor block")
+    return arr

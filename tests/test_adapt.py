@@ -11,6 +11,7 @@ from asrlab import config as C
 from asrlab import decode as D
 from asrlab import layers as L
 from asrlab import models as M
+from asrlab import signal as S
 from asrlab import ttssim
 from asrlab.data import Manifest
 from asrlab.errors import DataError, DivergenceError, UsageError
@@ -71,6 +72,12 @@ def test_train_presets_take_overrides():
     assert C.pretrain_defaults(lr=0.0).lr == 0.0
 
 
+def test_desk_models_take_the_front_end_width():
+    wave = ttssim.synth("call home")
+    assert C.CtcConfig().feat_dim == C.LasConfig().feat_dim == S.extract_features(wave).shape[1]
+    assert C.ctc_desk().feat_dim == C.las_desk().feat_dim == S.FEATURE_DIM
+
+
 def test_missing_json_train_config_raises_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot read config"):
         C.load_json_config(tmp_path / "absent.json", C.TrainConfig)
@@ -93,6 +100,7 @@ def test_json_train_config_round_trips(tmp_path):
     '[16]',
     '{"lr": ',
     '{"lr": NaN}',
+    # fields TrainConfig no longer has: a file naming one is refused as unknown
     '{"grad_clip": Infinity}',
     '{"beta1": 1.0}',
     '{"beta2": 1.0}',
@@ -126,19 +134,22 @@ def test_adam_zero_grads_no_update():
 def test_adam_first_step_is_minus_lr():
     p = Tensor(np.array([0.0], dtype=np.float64), requires_grad=True)
     state = A.AdamState({"p": p})
-    assert A.adam_step({"p": p}, [np.array([1.0])], state, C.TrainConfig(lr=0.01, grad_clip=100.0)) == 1.0
+    assert A.adam_step({"p": p}, [np.array([1.0])], state, C.TrainConfig(lr=0.01)) == 1.0
     # bias-corrected m/sqrt(v) is 1 at step 1, so the move is ~ -lr
     assert np.isclose(p.data[0], -0.01, rtol=1e-6)
 
 
-def test_adam_global_norm_clip():
+def test_adam_global_norm_clip(monkeypatch):
+    monkeypatch.setattr(A, "GRAD_CLIP", 1.0)
     p = Tensor(np.zeros(4, dtype=np.float64), requires_grad=True)
     grad = np.full(4, 5.0)  # norm 10
     state = A.AdamState({"p": p})
-    norm = A.adam_step({"p": p}, [grad], state, C.TrainConfig(lr=1.0, beta1=0.0, beta2=0.0, eps=0.0, grad_clip=1.0))
+    norm = A.adam_step({"p": p}, [grad], state, C.TrainConfig(lr=1.0))
     assert norm == 10.0  # reported before clipping
-    # effective grad scaled by 0.1 -> m = g, v = g^2, update = -lr * sign(g)
-    assert np.allclose(state.m["p"], 0.5)
+    # effective grad g = 0.5: m = (1 - beta1) g, v = (1 - beta2) g^2, update ~ -lr * sign(g)
+    assert np.allclose(state.m["p"], 0.1 * 0.5)
+    assert np.allclose(state.v["p"], 0.001 * 0.25)
+    assert np.allclose(p.data, -1.0)
 
 
 # -- training loops ---------------------------------------------------------------
@@ -169,10 +180,11 @@ def test_pretrain_loss_decreases(tmp_path):
 
 @pytest.mark.parametrize("grad_clip", [1e-6, 1e6])
 def test_step_log_reports_grad_norm_clip_and_ctc_skips(grad_clip, monkeypatch):
+    monkeypatch.setattr(A, "GRAD_CLIP", grad_clip)
     rng = np.random.default_rng(0)
     items = [(rng.normal(size=(t, 6)).astype(np.float32), ids) for t, ids in [(8, [0, 1]), (3, [0, 1, 2, 3, 4]), (9, [2])]]
     model = M.build_model(C.CtcConfig(feat_dim=6, hidden=4, layers=1, vocab=5), seed=0)
-    cfg = _tiny_cfg(epochs=2, grad_clip=grad_clip)
+    cfg = _tiny_cfg(epochs=2)
     with warnings.catch_warnings(record=True) as escaped:
         warnings.simplefilter("always")
         log, _ = A.train_model(model, items, cfg, list(model.parameters()))

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from asrlab import signal, tensor
 from asrlab.data import Manifest
 from asrlab.errors import DataError
+from oracle_utils import traced_peak
 
 GOOD = {"id": "u1", "text": "hi there", "domain": "generic", "speaker_id": "s0", "wav": "u1.wav",
         "duration_s": 1.5}
@@ -57,6 +59,25 @@ def test_missing_feature_file_raises_data_error_naming_the_utterance(tmp_path):
     (tmp_path / "absent.ndt").write_bytes(b"NDT1\x01")  # truncated
     with pytest.raises(DataError, match="utterance 'u1'"):
         man.features(man.utterances[0])
+    tensor.save_array(tmp_path / "absent.ndt", np.zeros((3, 2), dtype=np.float32))
+    with open(tmp_path / "absent.ndt", "ab") as fh:
+        fh.write(b"\0" * 4)
+    with pytest.raises(DataError, match="utterance 'u1': .* bytes after the tensor block"):
+        man.features(man.utterances[0])
+
+
+def test_feature_file_with_a_corrupt_rank_raises_data_error_without_a_large_allocation(tmp_path):
+    tensor.save_array(tmp_path / "u1.ndt", np.zeros((3, 2), dtype=np.float32))
+    raw = bytearray((tmp_path / "u1.ndt").read_bytes())
+    raw[4:8] = struct.pack("<I", 2 ** 28)  # dims of 1 GiB
+    (tmp_path / "u1.ndt").write_bytes(raw)
+    man = Manifest.read(_manifest(tmp_path, features="u1.ndt"))
+
+    def load():
+        with pytest.raises(DataError, match="utterance 'u1'"):
+            man.features(man.utterances[0])
+    _, peak = traced_peak(load)
+    assert peak < 2 ** 20, peak
 
 
 @pytest.mark.parametrize("shape", [(5,), (4, 3, 2)], ids=["1-d", "3-d"])
@@ -80,9 +101,8 @@ def test_feature_array_with_a_non_finite_value_raises_data_error_naming_the_utte
 def test_raw_log_mel_feature_cache_raises_data_error_and_a_normalized_one_loads(tmp_path):
     # a cache written before the front end normalized per utterance holds stacked log-mels
     wave = 0.1 * np.random.default_rng(0).standard_normal(8000)
-    cfg = signal.FrontendConfig()
-    raw = signal.stack(signal.logmel(signal.power_spectrum(signal.frame(wave)), signal.mel_filterbank(cfg.mel_bins)),
-                       cfg.stack_k, cfg.stack_stride)
+    raw = signal.stack(signal.logmel(signal.power_spectrum(signal.frame(wave)), signal.mel_filterbank(signal.MEL_BINS)),
+                       signal.STACK_K, signal.STACK_STRIDE)
     tensor.save_array(tmp_path / "u1.ndt", raw.astype(np.float32))
     man = Manifest.read(_manifest(tmp_path, features="u1.ndt"))
     with pytest.raises(DataError, match="utterance 'u1': .* not normalized per utterance"):
@@ -100,6 +120,13 @@ def test_unreadable_wav_raises_data_error_naming_the_utterance(tmp_path, content
         man.features(man.utterances[0])
     with pytest.raises(DataError, match="u1.wav"):
         signal.read_wav(tmp_path / "u1.wav")
+
+
+def test_wav_at_another_sample_rate_raises_data_error_naming_the_utterance_and_the_rate(tmp_path):
+    signal.write_wav(tmp_path / "u1.wav", np.zeros(8000, dtype=np.float32), sample_rate=8000)
+    man = Manifest.read(_manifest(tmp_path))
+    with pytest.raises(DataError, match="utterance 'u1': u1.wav is sampled at 8000 Hz"):
+        man.features(man.utterances[0])
 
 
 def test_wav_features_are_extracted_when_no_feature_file_is_listed(tmp_path):

@@ -269,6 +269,22 @@ def test_checkpoint_truncated_and_bad_magic(tmp_path):
         M.load_checkpoint(bad)
 
 
+def test_checkpoint_with_a_corrupt_tensor_rank_raises_data_error_without_a_large_allocation(tmp_path):
+    path = tmp_path / "m.ckpt"
+    M.save_checkpoint(path, small_ctc())
+    raw = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    rank_at = 12 + header_len + 4  # past the first block's magic
+    raw[rank_at:rank_at + 4] = struct.pack("<I", 2 ** 28)  # dims of 1 GiB
+    path.write_bytes(raw)
+
+    def load():
+        with pytest.raises(DataError, match="corrupt checkpoint"):
+            M.load_checkpoint(path)
+    _, peak = traced_peak(load)
+    assert peak < 2 ** 20, peak
+
+
 def _block_offsets(raw):
     """Name -> byte offset of each tensor block of a checkpoint file."""
     (header_len,) = struct.unpack("<I", raw[8:12])

@@ -164,28 +164,26 @@ def test_spec_augment_masked_fraction_bound():
 def test_extract_features_deterministic_and_shapes():
     rng = np.random.default_rng(6)
     w = rng.uniform(-0.5, 0.5, size=8000).astype(np.float32)
-    cfg = S.FrontendConfig(mel_bins=20)
-    f1 = S.extract_features(w, cfg)
-    f2 = S.extract_features(w, cfg)
+    f1 = S.extract_features(w)
+    f2 = S.extract_features(w)
     assert np.array_equal(f1, f2)
     n_frames = 1 + (8000 - 320) // 160
-    assert f1.shape == (int(np.ceil(n_frames / 3)), 60)
+    assert f1.shape == (int(np.ceil(n_frames / S.STACK_STRIDE)), S.FEATURE_DIM)
+    assert S.FEATURE_DIM == S.MEL_BINS * S.STACK_K == 60
     assert f1.dtype == np.float32
 
 
-@pytest.mark.parametrize("mel_bins", [20, 80])
-def test_extract_features_matches_naive_dft_front_end(mel_bins):
+def test_extract_features_matches_naive_dft_front_end():
     """Feature tolerance: 1e-5 absolute against a naive-DFT front-end."""
     rng = np.random.default_rng(9)
     waves = [synth("turn left at main street"),
              rng.uniform(-0.5, 0.5, size=6000).astype(np.float32)]
-    cfg = S.FrontendConfig(mel_bins=mel_bins)
-    fb = S.mel_filterbank(mel_bins)
+    fb = S.mel_filterbank(S.MEL_BINS)
     for w in waves:
         power = one_sided_power(S.frame(w), S.N_FFT)
-        stacked = S.stack(np.log(power @ fb.T + S.LOG_FLOOR), cfg.stack_k, cfg.stack_stride)
+        stacked = S.stack(np.log(power @ fb.T + S.LOG_FLOOR), S.STACK_K, S.STACK_STRIDE)
         want = (stacked - stacked.mean(axis=0)) / stacked.std(axis=0)
-        got = S.extract_features(w, cfg)
+        got = S.extract_features(w)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-5
 
