@@ -67,8 +67,19 @@ def dedup_by_text(hyps: list[Hypothesis], limit: int) -> list[Hypothesis]:
 
 # -- CTC ------------------------------------------------------------------------
 
+def _ctc_log_probs(log_probs: np.ndarray, decoder: str) -> np.ndarray:
+    """log_probs as an array, checked to be finite one-utterance [T, V] log-probs with V >= 2."""
+    log_probs = np.asarray(log_probs)
+    if log_probs.ndim != 2 or log_probs.shape[1] < 2:
+        raise ShapeError(f"{decoder} wants [T, V] log-probs with V >= 2, got {log_probs.shape}")
+    if not np.all(np.isfinite(log_probs)):
+        raise NumericError(f"non-finite log-probs fed to {decoder}")
+    return log_probs
+
+
 def ctc_greedy(log_probs: np.ndarray, tok: SubwordModel) -> Hypothesis:
     """Per-frame argmax, collapse repeats, drop blanks."""
+    log_probs = _ctc_log_probs(log_probs, "ctc_greedy")
     blank = log_probs.shape[-1] - 1
     best = np.argmax(log_probs, axis=-1)
     score = float(np.take_along_axis(log_probs, best[:, None], axis=-1).sum())
@@ -99,11 +110,7 @@ def ctc_prefix_beam(log_probs: np.ndarray, tok: SubwordModel, beam: int = 10) ->
     """
     if beam < 1:
         raise UsageError("beam must be >= 1")
-    log_probs = np.asarray(log_probs)
-    if log_probs.ndim != 2 or log_probs.shape[1] < 2:
-        raise ShapeError(f"ctc_prefix_beam wants [T, V] log-probs with V >= 2, got {log_probs.shape}")
-    if not np.all(np.isfinite(log_probs)):
-        raise NumericError("non-finite log-probs fed to ctc_prefix_beam")
+    log_probs = _ctc_log_probs(log_probs, "ctc_prefix_beam")
     width = log_probs.shape[1]
     blank = width - 1
 
@@ -112,42 +119,35 @@ def ctc_prefix_beam(log_probs: np.ndarray, tok: SubwordModel, beam: int = 10) ->
     pb = np.zeros(1)
     pnb = np.full(1, LOG_ZERO)
     for lp in log_probs.astype(np.float64):
-        n = len(prefixes)
         p_tot = np.logaddexp(pb, pnb)
         stay = p_tot + lp[blank]  # blank-ending mass of each prefix kept as is; no other cell has any
-        cand_pnb = p_tot[:, None] + lp
-        has = np.flatnonzero(last >= 0)
-        cand_pnb[has, last[has]] = pb[has] + lp[last[has]]
-        cand_pnb[:, blank] = pnb + lp[last]  # the empty prefix has pnb = -inf
+        total = (p_tot[:, None] + lp).ravel()
+        lp_last = lp[last]
+        total[np.arange(len(last)) * width + last] = pb + lp_last  # the empty prefix's lands in a blank cell
+        repeat = pnb + lp_last  # non-blank-ending mass of each prefix kept as is; -inf for the empty prefix
 
         row = {p: i for i, p in enumerate(prefixes)}
         child = [i for i, p in enumerate(prefixes) if p and p[:-1] in row]
-        live = np.ones(n * width, dtype=bool)
+        dropped = [row[prefixes[i][:-1]] * width + prefixes[i][-1] for i in child]
         if child:
-            parent = [row[prefixes[i][:-1]] for i in child]
-            cols = last[child]
-            cand_pnb[child, blank] = np.logaddexp(cand_pnb[child, blank], cand_pnb[parent, cols])
-            live[np.array(parent) * width + cols] = False
-
+            repeat[child] = np.logaddexp(repeat[child], total[dropped])
+            total[dropped] = LOG_ZERO  # ranks below every live cell; the loop below skips it on a tie
         # logaddexp(-inf, y) is y + log1p(0), so only the blank column needs the logaddexp
-        total = cand_pnb + 0.0
-        total[:, blank] = np.logaddexp(stay, cand_pnb[:, blank])
-        total = total.ravel()
-        ids = np.flatnonzero(live)
-        cand = total[ids]
-        k = min(beam, cand.size)
-        kth = np.partition(cand, cand.size - k)[cand.size - k]
+        total[blank::width] = np.logaddexp(stay, repeat)
+        k = min(beam, total.size - len(dropped))
+        kth = np.partition(total, total.size - k)[total.size - k]
         ranked = []
-        for x in ids[cand >= kth].tolist():  # every cell tied with the k-th is ranked
-            i, c = divmod(x, width)
-            ranked.append((-total[x], prefixes[i] if c == blank else prefixes[i] + (c,), x))
-        ranked.sort(key=lambda r: r[:2])
+        for x in np.flatnonzero(total >= kth).tolist():  # every live cell tied with the k-th is ranked
+            if x not in dropped:
+                i, c = divmod(x, width)
+                ranked.append((-total[x], prefixes[i] if c == blank else prefixes[i] + (c,), x))
+        ranked.sort()  # by (-total, prefix): no two cells share a prefix
         keep = np.array([x for _, _, x in ranked[:k]])
         prefixes = [p for _, p, _ in ranked[:k]]
         rows, cols = np.divmod(keep, width)
         last = np.where(cols == blank, last[rows], cols)
         pb = np.where(cols == blank, stay[rows], LOG_ZERO)
-        pnb = cand_pnb.ravel()[keep]
+        pnb = np.where(cols == blank, repeat[rows], total[keep])
 
     scores = np.logaddexp(pb, pnb)
     hyps = [Hypothesis(p, tok.decode(list(p)), float(s)) for p, s in zip(prefixes, scores)]

@@ -6,11 +6,11 @@ A layer holds the tensors it is given: it is built from a model's flat
 shapes. The names and shapes, and the rule that draws initial values,
 live in ``models.tensor_shapes`` and ``models.init_tensors``.
 
-A layer is an array forward plus one tape node: ``apply`` computes on
-raw arrays, and calling the layer on Tensors runs that same code and
-records it as a single node with a hand-written backward rule. The
-incremental decoder (``models.IncrementalDecoder``) calls the layers'
-array code, so a model's forward pass is written once.
+A layer is an array forward plus one tape node: ``apply`` computes on raw
+arrays, and calling the layer on Tensors runs that same code and records it
+as one node with a hand-written backward rule, the generic ops' bit for bit
+but for the LSTM's. The incremental decoder (``models.IncrementalDecoder``)
+calls the layers' array code, so a model's forward pass is written once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .tensor import Tensor, sigmoid_np, softmax_np
+from .tensor import Tensor, softmax_np
 
 NEG_FILL = -1e9  # pre-softmax fill for masked attention positions
 LN_EPS = 1e-5  # layer-norm variance floor
@@ -61,11 +61,11 @@ class Dense:
 class LstmLayer:
     """Single LSTM layer; gate order i, f, g, o in the fused weight.
 
-    ``forward`` records the whole recurrence as one tape node whose
-    backward is backpropagation through time over the saved gate
-    activations and cell states. Each frame takes the sigmoid
-    (``tensor.sigmoid_np``, branch-free) twice, once over the contiguous
-    i|f slice of the gate pre-activations and once over o, and tanh over g.
+    ``forward`` records the whole recurrence as one tape node whose backward
+    is backpropagation through time. The input projection and the weight
+    gradients are each one product over all frames, so the frame loops do
+    only the recurrent work; each frame takes one tanh over the four gates,
+    using sigmoid(z) = (1 + tanh(z/2)) / 2 with z/2 folded into W, b and U.
     """
 
     def __init__(self, params: dict[str, Tensor], prefix: str):
@@ -77,53 +77,52 @@ class LstmLayer:
         every frame's hidden state, [T, B, hidden]."""
         H = self.hidden
         w, u, b = self.w, self.u, self.b
-        zero = np.zeros((x.shape[1], H), dtype=x.dtype)
-        hs, cs, acts = [zero], [zero], []  # hs[t], cs[t]: the state frame t starts from
-        for x_t in x.data:
-            z = x_t @ w.data + hs[-1] @ u.data + b.data
-            i_f = sigmoid_np(z[:, :2 * H])
-            i, f, o = i_f[:, :H], i_f[:, H:], sigmoid_np(z[:, 3 * H:])
-            g = np.tanh(z[:, 2 * H:3 * H])
-            cs.append(f * cs[-1] + i * g)
-            tc = np.tanh(cs[-1])
-            hs.append(o * tc)
-            acts.append((i, f, g, o, tc))
-        out = Tensor(np.stack(hs[1:]))
-        x_shape, x_dtype, dx_wanted = x.shape, x.dtype, x.requires_grad
-        dw_wanted, du_wanted, db_wanted = w.requires_grad, u.requires_grad, b.requires_grad
+        t_len, batch, d_in = x.shape
+        scale = np.full(4 * H, 0.5, dtype=w.dtype)  # tanh(z/2) / 2 + 1/2 is sigmoid(z) for i, f, o
+        scale[2 * H:3 * H] = 1.0  # and tanh(z) is g
+        shift = 1.0 - scale
+        gates = ((x.data.reshape(-1, d_in) @ w.data + b.data) * scale).reshape(t_len, batch, 4 * H)
+        u_half = u.data * scale
+        hs, cs = np.zeros((2, t_len + 1, batch, H), dtype=gates.dtype)  # the state frame t starts from
+        tcs = np.empty_like(hs[1:])  # tanh of each frame's cell state
+        for t in range(t_len):
+            z = gates[t]  # the input's share of the halved pre-activations, then i, f, g, o
+            z += hs[t] @ u_half
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            np.multiply(z[:, H:2 * H], cs[t], out=cs[t + 1])
+            cs[t + 1] += z[:, :H] * z[:, 2 * H:3 * H]
+            np.multiply(z[:, 3 * H:], np.tanh(cs[t + 1], out=tcs[t]), out=hs[t + 1])
+        out = Tensor(hs[1:])
+        dx_wanted, dw_wanted, du_wanted, db_wanted = (p.requires_grad for p in (x, w, u, b))
         x_data = x.data if dw_wanted else None  # the input only for dW
+        h_prev = hs[:-1] if du_wanted else None  # the states only for dU
 
         def backward(dout):
-            dx = np.empty(x_shape, x_dtype) if dx_wanted else None
-            dw = du = db = dz = dc_next = None
-            for t in reversed(range(len(acts))):
-                i, f, g, o, tc = acts[t]
-                dh = dout[t] if dz is None else dout[t] + dz @ u.data.T
-                dc = dh * o * (1.0 - tc * tc)
-                if dc_next is not None:
-                    dc = dc_next + dc
-                dc_next = dc * f
-                dz = np.concatenate([dc * g * i * (1.0 - i), dc * cs[t] * f * (1.0 - f),
-                                     dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
-                if dx is not None:
-                    dx[t] = dz @ w.data.T
-                if dw_wanted:
-                    dw = _accumulate(dw, x_data[t].T @ dz)
-                if du_wanted:
-                    du = _accumulate(du, hs[t].T @ dz)
-                if db_wanted:
-                    db = _accumulate(db, dz.sum(axis=0))
-            return dx, dw, du, db
+            i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
+            # d gate / d pre-activation times what the gate multiplies: g i', c f', i g' and tanh(c) o'
+            via = gates * (1.0 - gates)
+            via[..., 2 * H:3 * H] = 1.0 - g * g
+            via[..., :H] *= g
+            via[..., H:2 * H] *= cs[:-1]
+            via[..., 2 * H:3 * H] *= i
+            via[..., 3 * H:] *= tcs
+            via, dc_dh = via.reshape(t_len, batch, 4, H), o * (1.0 - tcs * tcs)
+            dz = np.empty_like(via)
+            dc = None
+            for t in reversed(range(t_len)):
+                dh = dout[t] if dc is None else dout[t] + dz[t + 1].reshape(batch, -1) @ u.data.T
+                dc = dh * dc_dh[t] if dc is None else dh * dc_dh[t] + dc * f[t + 1]
+                np.multiply(via[t, :, :3], dc[:, None], out=dz[t, :, :3])
+                np.multiply(via[t, :, 3], dh, out=dz[t, :, 3])
+            dz = dz.reshape(-1, 4 * H)
+            return ((dz @ w.data.T).reshape(t_len, batch, d_in) if dx_wanted else None,
+                    None if x_data is None else x_data.reshape(-1, d_in).T @ dz,
+                    None if h_prev is None else h_prev.reshape(-1, H).T @ dz,
+                    dz.sum(axis=0) if db_wanted else None)
 
         return T._finish(out, (x, w, u, b), backward)
-
-
-def _accumulate(total, term):
-    """total += term, or term itself when there is no total yet."""
-    if total is None:
-        return term
-    total += term
-    return total
 
 
 class LayerNorm:

@@ -1,8 +1,9 @@
 """Sequence losses: CTC (forward-backward) and label-smoothed cross-entropy.
 
 Both install analytic gradients as custom tape nodes, so the tape never
-differentiates through the dynamic programs. The CTC recursion runs in
-log space with log-sum-exp; there is no probability-space fallback.
+differentiates through the dynamic programs. The CTC recursion keeps log
+alpha and adds each frame's transitions as probabilities rescaled by the
+largest one of the frame before, not as log-sum-exps.
 
 ``ctc_loss`` runs one lattice recursion per batch (Graves et al., ICML
 2006). The blank-extended labels of the admissible utterances are padded
@@ -37,16 +38,26 @@ def _ctc_required_frames(label: np.ndarray) -> int:
 def _lattice_alpha(emit: np.ndarray, allow_skip: np.ndarray) -> np.ndarray:
     """Forward recursion over a batch of CTC lattices: log alpha [T, m, S] from
     emissions emit [T, m, S] and allow_skip [m, S], True where a position may
-    also be entered from two positions back (only ever a label position, odd s)."""
+    also be entered from two positions back (only ever a label position, odd s).
+    S is even and each lattice ends in padding, so the transitions run on the
+    lattices laid end to end: one into the next lattice carries probability 0.
+    A position no path reaches, or one over 745 below its lattice's largest
+    log alpha, is -inf."""
     alpha = np.full(emit.shape, NEG_INF)
     alpha[0, :, :2] = emit[0, :, :2]
-    skip = allow_skip[:, 3::2]
-    for t in range(1, len(emit)):
-        prev = alpha[t - 1]
-        cand = prev.copy()
-        cand[:, 1:] = np.logaddexp(cand[:, 1:], prev[:, :-1])
-        cand[:, 3::2] = np.where(skip, np.logaddexp(cand[:, 3::2], prev[:, 1:-2:2]), cand[:, 3::2])
-        alpha[t] = cand + emit[t]
+    m, width = allow_skip.shape
+    skip = allow_skip.ravel()[3::2].astype(np.float64)
+    prev = np.zeros(m * width + 2)  # two zeros, then the rescaled alpha of the previous frame
+    rows = prev[2:].reshape(m, width)
+    with np.errstate(divide="ignore"):  # log(0) = -inf; the loop's only op that can divide by zero
+        for t in range(1, len(emit)):
+            top = alpha[t - 1].max(axis=1, keepdims=True)
+            np.exp(np.subtract(alpha[t - 1], top, out=rows), out=rows)
+            cand = prev[2:] + prev[1:-1]
+            cand[3::2] += skip * prev[3:-2:2]
+            np.log(cand.reshape(m, width), out=alpha[t])
+            alpha[t] += top
+            alpha[t] += emit[t]
     return alpha
 
 
@@ -66,14 +77,20 @@ def ctc_loss(log_probs: Tensor, labels, input_lengths=None) -> Tensor:
         input_lengths = np.full(b, t_max, dtype=np.int64)
     input_lengths = np.asarray(input_lengths, dtype=np.int64)
     if len(labels) != b or len(input_lengths) != b:
-        raise DataError(f"batch size mismatch: {b} log-prob columns, {len(labels)} labels")
+        raise DataError(f"batch size mismatch: {b} log-prob columns, {len(labels)} labels, "
+                        f"{len(input_lengths)} input lengths")
     if not np.all(np.isfinite(lp)):
         raise NumericError("non-finite log-probs fed to ctc_loss")
     blank = width - 1
 
     cols, kept, t_lens = [], [], []
     for i in range(b):
-        label = np.asarray(labels[i], dtype=np.int64)
+        try:
+            label = np.asarray(labels[i])
+        except ValueError:  # a ragged nested sequence
+            label = None
+        if label is None or label.ndim != 1 or (label.size and label.dtype.kind not in "iu"):
+            raise DataError(f"label of utterance {i} is not a 1-d integer sequence")
         if label.size and (label.min() < 0 or label.max() >= blank):
             raise DataError(f"label ids out of range [0,{blank}) in utterance {i}")
         t_len = int(input_lengths[i])
@@ -93,8 +110,8 @@ def ctc_loss(log_probs: Tensor, labels, input_lengths=None) -> Tensor:
     cols, t_lens = np.array(cols), np.array(t_lens)  # batch column and frame count of each lattice
     s_lens = np.array([2 * len(label) + 1 for label in kept])
     token_mean = [1.0 / (len(label) + 1) for label in kept]
-    # blank-extended labels, forward in rows :n and label-reversed in rows n:, blank-padded on the right
-    ext = np.full((2 * n, int(s_lens.max())), blank, dtype=np.int64)
+    # blank-extended labels, forward in rows :n and label-reversed in rows n:, blank-padded to an even length
+    ext = np.full((2 * n, int(s_lens.max()) + 1), blank, dtype=np.int64)
     for k, label in enumerate(kept):
         ext[k, 1:2 * len(label):2] = label
         ext[n + k, 1:2 * len(label):2] = label[::-1]
@@ -105,7 +122,7 @@ def ctc_loss(log_probs: Tensor, labels, input_lengths=None) -> Tensor:
     frames, positions = np.arange(t_max)[:, None], np.arange(ext.shape[1])
     rev_frames = np.maximum(t_lens - 1 - frames, 0)
     time_idx = np.concatenate([np.broadcast_to(frames, (t_max, n)), rev_frames], axis=1)
-    emit = lp[time_idx[:, :, None], np.tile(cols, 2)[None, :, None], ext[None]]
+    emit = np.take(lp.ravel(), ((time_idx * b + np.tile(cols, 2)) * width)[:, :, None] + ext)
     emit[:, positions >= np.tile(s_lens, 2)[:, None]] = NEG_INF
     alpha = _lattice_alpha(emit, allow_skip)
 
@@ -117,7 +134,8 @@ def ctc_loss(log_probs: Tensor, labels, input_lengths=None) -> Tensor:
         raise NumericError(f"CTC underflow for utterance {cols[~np.isfinite(log_p)][0]}")
 
     # posterior of passing through position s at frame t; beta reads the reversed lattice back to front
-    beta = alpha[rev_frames[:, :, None], n + rows[:, None], np.maximum(s_lens[:, None] - 1 - positions, 0)]
+    rev_positions = np.maximum(s_lens[:, None] - 1 - positions, 0)
+    beta = np.take(alpha.ravel(), ((rev_frames * (2 * n) + n + rows) * len(positions))[:, :, None] + rev_positions)
     real = (frames[:, :, None] < t_lens[:, None]) & (positions < s_lens[:, None])
     occ = np.full(beta.shape, NEG_INF)  # padding stays -inf; computing it would give -inf - -inf
     np.add(alpha[:, :n], beta, out=occ, where=real)

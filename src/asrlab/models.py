@@ -91,6 +91,8 @@ class CtcModel(_ModelBase):
 
     def encode(self, feats: np.ndarray) -> Tensor:
         """Padded features [T,B,D] -> the top LSTM's hidden states [T,B,hidden]."""
+        if feats.ndim != 3 or feats.shape[0] < 1 or feats.shape[1] < 1:
+            raise ShapeError(f"CTC features must be [T>=1, B>=1, {self.cfg.feat_dim}], got {feats.shape}")
         x = Tensor(self._features(feats))
         for layer in self.lstms:
             x = layer.forward(x)
@@ -106,6 +108,8 @@ class CtcModel(_ModelBase):
 
     def log_probs_single(self, feats: np.ndarray) -> np.ndarray:
         """Inference path for one utterance [T,D] -> [T,V+1] (no tape)."""
+        if feats.ndim != 2 or feats.shape[0] < 1:
+            raise ShapeError(f"CTC features must be [T>=1, {self.cfg.feat_dim}], got {feats.shape}")
         return self.forward(feats[:, None, :]).data[:, 0]
 
 

@@ -255,13 +255,6 @@ def log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
 
-def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Logistic function on a raw array, branch-free: with e = exp(-|x|) it is
-    1/(1+e) for x >= 0 and e/(1+e) below, so exp never overflows. The
-    numerator exp(min(x, 0)) is exactly 1 for x >= 0 and exactly e below."""
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
-
-
 # -- binary tensor format ---------------------------------------------------
 # magic "NDT1", u32 rank, u32 dims[rank], little-endian f32 payload
 

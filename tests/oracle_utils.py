@@ -274,6 +274,22 @@ def reference_ctc_forward_backward(lp, label, blank):
     return log_p, -grad
 
 
+def reference_lattice_alpha(emit, allow_skip):
+    """`losses._lattice_alpha` in log space: each frame's self, +1 and skip
+    transitions as log-sum-exps. Training with it in place of the rescaled
+    recursion writes the checkpoints the log-sum-exp form wrote."""
+    alpha = np.full(emit.shape, -np.inf)
+    alpha[0, :, :2] = emit[0, :, :2]
+    skip = allow_skip[:, 3::2]
+    for t in range(1, len(emit)):
+        prev = alpha[t - 1]
+        cand = prev.copy()
+        cand[:, 1:] = np.logaddexp(cand[:, 1:], prev[:, :-1])
+        cand[:, 3::2] = np.where(skip, np.logaddexp(cand[:, 3::2], prev[:, 1:-2:2]), cand[:, 3::2])
+        alpha[t] = cand + emit[t]
+    return alpha
+
+
 def _frame(x, t):
     """x[t] of a [T, ...] tensor."""
     def backward(g):
@@ -293,7 +309,7 @@ def _slice_last(a, start, stop):
 
 def reference_sigmoid(x):
     """Logistic function by masked gather and scatter, exp only ever of a
-    non-positive argument; `tensor.sigmoid_np` must return the same bits."""
+    non-positive argument."""
     y = np.empty_like(x)
     pos = x >= 0
     y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -319,7 +335,7 @@ def _stack0(tensors):
 def reference_lstm_forward(layer, x):
     """The LSTM recurrence of `layer` over x [T, B, d_in] spelled out as 17
     generic tape ops per frame; `LstmLayer.forward` must return the same
-    output and gradients bit for bit."""
+    output and gradients within a float32 or float64 tolerance."""
     H = layer.hidden
     h = Tensor(np.zeros((x.shape[1], H), dtype=x.dtype))
     c = Tensor(np.zeros((x.shape[1], H), dtype=x.dtype))

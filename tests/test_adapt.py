@@ -10,6 +10,7 @@ from asrlab import adapt as A
 from asrlab import config as C
 from asrlab import decode as D
 from asrlab import layers as L
+from asrlab import losses as LS
 from asrlab import models as M
 from asrlab import signal as S
 from asrlab import ttssim
@@ -18,7 +19,8 @@ from asrlab.errors import DataError, DivergenceError, UsageError
 from asrlab.losses import ctc_loss
 from asrlab.tensor import Tensor, load_array, save_array
 from asrlab.tokenizer import train_bpe
-from oracle_utils import checkpoint_digest, reference_attention, reference_dense, reference_lstm_forward
+from oracle_utils import (checkpoint_digest, reference_attention, reference_dense, reference_lattice_alpha,
+                          reference_lstm_forward)
 
 
 # -- freeze policies -----------------------------------------------------------
@@ -462,10 +464,21 @@ def _trained_checkpoint_bytes(tmp_path, man, tok, family, tag):
 
 
 def test_fused_lstm_writes_the_checkpoints_of_the_per_frame_tape(tmp_path, monkeypatch):
+    """With the per-frame LSTM tape and the log-sum-exp CTC recursion in
+    place, training writes the checkpoints it wrote before the fused layer
+    and the rescaled recursion; with them, every tensor lies within 1e-6 of
+    its largest magnitude of those."""
     man, tok = _tiny_setup(tmp_path, n=16)
-    fused = _trained_checkpoint_bytes(tmp_path, man, tok, "ctc", "fused")
+    fused = [M.load_checkpoint(path).tensors for path in _trained_checkpoints(tmp_path, man, tok, "ctc", "fused")]
     monkeypatch.setattr(L.LstmLayer, "forward", reference_lstm_forward)
-    assert _trained_checkpoint_bytes(tmp_path, man, tok, "ctc", "per-frame") == fused
+    monkeypatch.setattr(LS, "_lattice_alpha", reference_lattice_alpha)
+    per_frame = _trained_checkpoints(tmp_path, man, tok, "ctc", "per-frame")
+    assert [checkpoint_digest(path) for path in per_frame] == [
+        "26268e16c46e205ad044ef4da2275050f4a1d67a1b345df223aca7aa1e245784",
+        "5181c562aa46ff854cd7e0cbd3f50b7c578a883153f84405206e6e51b16e46d7"]
+    for tensors, path in zip(fused, per_frame):
+        for name, want in M.load_checkpoint(path).tensors.items():
+            assert np.abs(tensors[name] - want).max() <= 1e-6 * np.abs(want).max(), name
 
 
 def test_fused_dense_and_attention_write_the_checkpoints_of_the_op_chain(tmp_path, monkeypatch):
@@ -486,8 +499,8 @@ def test_trained_checkpoints_are_pinned(tmp_path):
                for family in ("las", "ctc") for path in _trained_checkpoints(tmp_path, man, tok, family, family)]
     assert digests == ["61ddb8fcf1a400e34b087fbbb54a9da22d5af95bff0b0f28c99f0ca97aa283ce",
                        "f401dc99e3ab6d95af6d659f335f28fc7071102e45c4f49f1f7799af3de8a9fb",
-                       "26268e16c46e205ad044ef4da2275050f4a1d67a1b345df223aca7aa1e245784",
-                       "5181c562aa46ff854cd7e0cbd3f50b7c578a883153f84405206e6e51b16e46d7"]
+                       "dbf266afb557431aa8a881abb2357e5f6716eca8d2e0449d046d92e29231feb2",
+                       "ffdbf444d3b6e2342cd80d51d16feb52e411868fe5484b6752bbf06aa5bbb050"]
 
 
 def test_finetune_lr_zero_is_identity(tmp_path):

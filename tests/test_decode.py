@@ -144,7 +144,7 @@ def test_prefix_beam_output_is_pinned():
     assert digest.hexdigest() == "077916c8b5f4f7f9de1716f893c33d34a3ebd84e6073dff3a88082c9606c095c"
 
 
-@pytest.mark.parametrize("log_probs, error", [
+BAD_LOG_PROBS = pytest.mark.parametrize("log_probs, error", [
     (np.zeros(4), ShapeError),
     (np.zeros((2, 3, 4)), ShapeError),
     (np.zeros((3, 1)), ShapeError),
@@ -152,9 +152,18 @@ def test_prefix_beam_output_is_pinned():
     (np.array([[0.0, 0.0, np.inf, 0.0]]), NumericError),
     (np.array([[-np.inf, 0.0, 0.0, 0.0]]), NumericError),
 ], ids=["1d", "3d", "width-1", "nan", "inf", "neg-inf"])
+
+
+@BAD_LOG_PROBS
 def test_prefix_beam_rejects_bad_log_probs(log_probs, error):
     with pytest.raises(error):
         D.ctc_prefix_beam(log_probs, char_tok())
+
+
+@BAD_LOG_PROBS
+def test_greedy_rejects_bad_log_probs(log_probs, error):
+    with pytest.raises(error):
+        D.ctc_greedy(log_probs, char_tok())
 
 
 def test_prefix_beam_zero_frames_is_empty_hypothesis():

@@ -100,7 +100,11 @@ def _outputs_and_grads(call, layer_params, inputs, out_weight):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_lstm_layer_matches_per_frame_tape_bit_for_bit(dtype):
+def test_lstm_layer_matches_per_frame_tape(dtype):
+    """The fused layer against the per-frame tape, which adds the input and
+    recurrent products in another order and takes the sigmoid directly: the
+    output and each gradient lie within tol times max(max |reference|, 1)."""
+    tol = 1e-5 if dtype == np.float32 else 1e-12
     rng = np.random.default_rng(11)
     for case in range(160):
         t_len, batch = (1, 1) if case < 8 else (rng.integers(1, 9), rng.integers(1, 5))
@@ -116,7 +120,8 @@ def test_lstm_layer_matches_per_frame_tape_bit_for_bit(dtype):
         fused = _outputs_and_grads(layer.forward, params, [x], out_weight)
         per_frame = _outputs_and_grads(lambda x: reference_lstm_forward(layer, x), params, [x], out_weight)
         for name, a, b in zip(("out", "x", "w", "u", "b"), fused, per_frame):
-            assert a.dtype == b.dtype and np.array_equal(a, b), (case, name)
+            bound = tol * max(float(np.abs(b).max()), 1.0)
+            assert a.dtype == b.dtype and np.abs(a - b).max() <= bound, (case, name)
 
 
 def test_dense_forward_and_gradient():

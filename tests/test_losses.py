@@ -79,7 +79,10 @@ def _assert_same_bits(a, b):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_ctc_forward_backward_matches_reference_bit_for_bit(dtype):
+def test_ctc_forward_backward_matches_reference(dtype):
+    """The batched loss against the per-utterance log-sum-exp reference: bit
+    for bit in float32, and within 1e-12 (loss relative, gradient absolute)
+    in float64, where the rescaled recursion rounds differently."""
     rng = np.random.default_rng(5)
     for _ in range(300):
         batch, t_max, width = int(rng.integers(1, 7)), int(rng.integers(1, 13)), int(rng.integers(2, 7))
@@ -99,8 +102,13 @@ def test_ctc_forward_backward_matches_reference_bit_for_bit(dtype):
         lp = T.log_softmax_np(rng.normal(size=(t_max, batch, width)) * sharpness, axis=-1).astype(dtype)
         loss, grad = _ctc_loss_and_grad(lp, labels, lengths)
         ref_loss, ref_grad = _reference_ctc_batch(lp, labels, lengths)
-        _assert_same_bits(loss, ref_loss)
-        _assert_same_bits(grad, ref_grad)
+        if dtype == np.float32:
+            _assert_same_bits(loss, ref_loss)
+            _assert_same_bits(grad, ref_grad)
+        else:
+            assert loss.dtype == ref_loss.dtype and grad.dtype == ref_grad.dtype
+            assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+            assert np.abs(grad - ref_grad).max() <= 1e-12
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -167,15 +175,20 @@ def test_ctc_label_out_of_range():
         ctc_loss(lp, [[2]])  # 2 is the blank id
 
 
-@pytest.mark.parametrize("labels,lengths", [
-    ([[0]], None),
-    ([[0], [1]], [2]),
-    ([[0], [1]], [0, 2]),
-    ([[0], [1]], [2, 3]),
-], ids=["too-few-labels", "too-few-lengths", "zero-length", "length-past-end"])
-def test_ctc_rejects_bad_batch(labels, lengths):
+@pytest.mark.parametrize("labels,lengths,match", [
+    ([[0]], None, "1 labels"),
+    ([[0], [1]], [2], "1 input lengths"),
+    ([[0], [1]], [0, 2], "bad input length 0"),
+    ([[0], [1]], [2, 3], "bad input length 3"),
+    ([[0], [0.5, 1.0]], [2, 2], "utterance 1 is not a 1-d integer"),
+    ([[0, [1]], [1]], [2, 2], "utterance 0 is not a 1-d integer"),
+    ([[[0], [1]], [1]], [2, 2], "utterance 0 is not a 1-d integer"),
+    ([[0], 1], [2, 2], "utterance 1 is not a 1-d integer"),
+], ids=["too-few-labels", "too-few-lengths", "zero-length", "length-past-end",
+        "float-label", "ragged-label", "2-d-label", "scalar-label"])
+def test_ctc_rejects_bad_batch(labels, lengths, match):
     lp = Tensor(np.repeat(uniform_logprobs(2, 3), 2, axis=1))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=match):
         ctc_loss(lp, labels, lengths)
 
 

@@ -48,6 +48,19 @@ def test_ctc_forward_dim_mismatch():
         model.forward(np.zeros((3, 1, 9), dtype=np.float32))
 
 
+@pytest.mark.parametrize("shape", [(0, 1, 6), (3, 0, 6), (5, 6), (2, 1, 1, 6)],
+                         ids=["no-frames", "no-utterances", "2-d", "4-d"])
+def test_ctc_encode_rejects_features_not_t_b_d(shape):
+    with pytest.raises(ShapeError, match=r"\[T>=1, B>=1, 6\]"):
+        small_ctc().encode(np.zeros(shape, dtype=np.float32))
+
+
+@pytest.mark.parametrize("shape", [(0, 6), (6,), (3, 1, 6)], ids=["no-frames", "1-d", "3-d"])
+def test_ctc_log_probs_single_rejects_features_not_t_d(shape):
+    with pytest.raises(ShapeError, match="CTC features must be"):
+        small_ctc().log_probs_single(np.zeros(shape, dtype=np.float32))
+
+
 def test_ctc_forward_deterministic():
     model = small_ctc(seed=3)
     feats = np.random.default_rng(1).normal(size=(5, 2, 6)).astype(np.float32)
