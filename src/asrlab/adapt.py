@@ -10,7 +10,10 @@ dense-plus-top-k unfreezes the k LSTM layers nearest the output of a CTC
 model.
 
 Each step runs the model in two halves, the encoder (``encode``) and the
-head on its output (CTC ``log_probs``, LAS ``decode_logits``). Within one
+head on its output (CTC ``log_probs``, LAS ``decode_logits``). With
+``TrainConfig.spec_augment`` on, each utterance's features are masked
+afresh at every step by ``signal.spec_augment``, whose policy is fixed
+in ``signal``, from the run's seeded generator. Within one
 ``train_model`` call the encoder output of a batch is computed once and
 reused on later epochs when SpecAugment is off and the output does not
 require grad, i.e. no trainable tensor feeds it (dense-only, and LAS
@@ -171,15 +174,6 @@ def _las_targets(labels, bos_id, eos_id):
     return prefix, target, mask
 
 
-SA_MASK = 8  # SpecAugment: widest time and frequency mask
-SA_STRIPES = 1  # SpecAugment: masks per axis
-
-
-def _augment(feats: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    t_dim, f_dim = feats.shape
-    return spec_augment(feats, min(SA_MASK, t_dim - 1), min(SA_MASK, f_dim - 1), SA_STRIPES, SA_STRIPES, rng)
-
-
 # -- the train loop -----------------------------------------------------------------
 
 def train_model(model, items: list, cfg: TrainConfig, trainable: list[str],
@@ -219,7 +213,7 @@ def train_model(model, items: list, cfg: TrainConfig, trainable: list[str],
             for i in idxs:
                 f, ids = items[i]
                 if cfg.spec_augment:
-                    f = _augment(f, rng)
+                    f = spec_augment(f, rng)
                 feats_list.append(f)
                 labels.append(ids)
             padded, lengths = _collate(feats_list)

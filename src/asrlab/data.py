@@ -107,11 +107,12 @@ class Manifest:
             feats = tensor.load_array(path)
         except (OSError, NumericError) as exc:
             raise DataError(f"utterance {utt.id!r}: cannot read features {path}: {exc}") from exc
-        if feats.ndim != 2:
-            raise DataError(f"utterance {utt.id!r}: features {path} have shape {feats.shape}, not [frames, dim]")
+        if feats.ndim != 2 or feats.size == 0:
+            raise DataError(f"utterance {utt.id!r}: features {path} have shape {feats.shape}, "
+                            "not [frames, dim] with frames, dim >= 1")
         if not np.all(np.isfinite(feats)):
             raise DataError(f"utterance {utt.id!r}: features {path} hold non-finite values")
-        if len(feats) and np.max(np.abs(feats.mean(axis=0, dtype=np.float64))) > CMVN_MEAN_TOLERANCE:
+        if np.max(np.abs(feats.mean(axis=0, dtype=np.float64))) > CMVN_MEAN_TOLERANCE:
             raise DataError(f"utterance {utt.id!r}: features {path} are not normalized per utterance; "
                             "rebuild the feature cache")
         return feats

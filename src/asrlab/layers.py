@@ -197,8 +197,8 @@ class Embedding:
         return T._finish(out, (table,), backward)
 
 
-def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
-    """Sin/cos position table [length, dim], base 10000, dim even."""
+def positional_encoding(length: int, dim: int) -> np.ndarray:
+    """Sin/cos position table [length, dim] in float32, base 10000, dim even."""
     if length < 1 or dim < 1 or dim % 2 != 0:
         raise ShapeError(f"positional_encoding needs length>=1 and even dim, got ({length}, {dim})")
     pos = np.arange(length, dtype=np.float64)[:, None]
@@ -207,7 +207,7 @@ def positional_encoding(length: int, dim: int, dtype=np.float32) -> np.ndarray:
     pe = np.zeros((length, dim), dtype=np.float64)
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
-    return pe.astype(dtype)
+    return pe.astype(np.float32)
 
 
 class MultiHeadAttention:

@@ -185,7 +185,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None =
     if n_tok == 0:
         raise DataError("cross_entropy over an all-padding batch")
 
-    logp = T.log_softmax_np(x, axis=-1)
+    logp = T.log_softmax_np(x)
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     per_tok = -(1.0 - smoothing) * picked - (smoothing / vocab) * logp.sum(axis=-1)
     loss_val = np.asarray((per_tok * mask).sum() / n_tok, dtype=x.dtype)

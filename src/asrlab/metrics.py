@@ -70,13 +70,6 @@ def wer(ref: str, hyp: str) -> WerBreakdown:
     return WerBreakdown(subs, dels, inss, n)
 
 
-def oracle_wer(ref: str, nbest: NBestList) -> float:
-    """Best WER among the hypotheses (the top-N upper bound)."""
-    if not nbest.hyps:
-        raise DataError(f"empty n-best list for {nbest.utt_id}")
-    return min(wer(ref, h.text).wer for h in nbest.hyps)
-
-
 class CorpusWer:
     """Pooled error counts: corpus WER = sum(S+D+I) / sum(ref words)."""
 

@@ -57,7 +57,11 @@ class _ModelBase:
         self.params = {name: Tensor(tensors[name], requires_grad=True) for name in tensor_shapes(cfg)}
 
     def _features(self, feats: np.ndarray) -> np.ndarray:
-        """feats as float32, checked against the config's feature dim."""
+        """Padded features [T,B,D] as float32, checked to hold a frame and an
+        utterance and to have the config's feature dim."""
+        if feats.ndim != 3 or feats.shape[0] < 1 or feats.shape[1] < 1:
+            raise ShapeError(f"{self.cfg.kind.upper()} features must be [T>=1, B>=1, {self.cfg.feat_dim}], "
+                             f"got {feats.shape}")
         if feats.shape[-1] != self.cfg.feat_dim:
             raise ShapeError(f"feature dim {feats.shape[-1]} does not match config {self.cfg.feat_dim}")
         return feats.astype(np.float32, copy=False)
@@ -91,8 +95,6 @@ class CtcModel(_ModelBase):
 
     def encode(self, feats: np.ndarray) -> Tensor:
         """Padded features [T,B,D] -> the top LSTM's hidden states [T,B,hidden]."""
-        if feats.ndim != 3 or feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise ShapeError(f"CTC features must be [T>=1, B>=1, {self.cfg.feat_dim}], got {feats.shape}")
         x = Tensor(self._features(feats))
         for layer in self.lstms:
             x = layer.forward(x)
@@ -100,7 +102,7 @@ class CtcModel(_ModelBase):
 
     def log_probs(self, enc: Tensor) -> Tensor:
         """Encoder output [T,B,hidden] -> log-probs [T,B,V+1] (dense, log-softmax)."""
-        return T.log_softmax(self.dense(enc), axis=-1)
+        return T.log_softmax(self.dense(enc))
 
     def forward(self, feats: np.ndarray) -> Tensor:
         """Padded features [T,B,D] -> log-probs Tensor [T,B,V+1]."""
@@ -143,10 +145,11 @@ class LasModel(_ModelBase):
 
     def encode(self, feats: np.ndarray, lengths: np.ndarray | None = None):
         """Features [T,B,D] -> (memory [B,Tenc,dim], key-padding mask)."""
+        feats = self._features(feats)
         t_len, batch, _ = feats.shape
         if lengths is None:
             lengths = np.full(batch, t_len, dtype=np.int64)
-        x = self._features(feats).transpose(1, 0, 2)  # [B,T,D]
+        x = feats.transpose(1, 0, 2)  # [B,T,D]
         h = self.input_proj(Tensor(np.ascontiguousarray(x)))
         h = T.mul(h, self.content_scale)
         pe = np.broadcast_to(self._pe_slice(t_len)[None], (batch, t_len, self.cfg.dim))

@@ -1,10 +1,12 @@
-"""Waveform front-end: framing, FFT, log-mel features, spec-augment.
+"""Waveform front-end: framing, FFT, log-mel features, SpecAugment.
 
 The pipeline is 16 kHz audio -> 20 ms Hann frames with 10 ms hop ->
 one-sided power spectrum of numpy's 512-point real FFT (frames
 zero-padded) -> 20-bin triangular mel filterbank (HTK mel scale, 0-8 kHz)
 -> log -> stacking of 3 consecutive frames with a time stride of 3 ->
 per-utterance CMVN: FEATURE_DIM = 60 features, the desk models' input.
+Each stage takes only its data: the sizes, and the policy of SpecAugment
+(training-time masking of the features), are module constants.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ MEL_BINS = 20
 STACK_K = 3        # frames per stack
 STACK_STRIDE = 3   # time downsampling of the stacks
 FEATURE_DIM = MEL_BINS * STACK_K
+SA_MASK = 8        # SpecAugment: widest time and frequency mask
+SA_STRIPES = 1     # SpecAugment: masks per axis
 
 
 # -- framing -----------------------------------------------------------------
@@ -33,22 +37,23 @@ def hann_window(n: int) -> np.ndarray:
     return (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)).astype(np.float64)
 
 
-def frame(samples: np.ndarray, win: int = WIN_SAMPLES, hop: int = HOP_SAMPLES) -> np.ndarray:
-    """Slice a waveform into overlapping windowed frames [N, win]."""
+def frame(samples: np.ndarray) -> np.ndarray:
+    """Slice a waveform into overlapping windowed frames [N, WIN_SAMPLES]."""
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 1 or len(samples) < win:
-        raise DataError(f"waveform too short to frame: {samples.shape} < {win} samples")
-    return np.lib.stride_tricks.sliding_window_view(samples, win)[::hop] * hann_window(win)
+    if samples.ndim != 1 or len(samples) < WIN_SAMPLES:
+        raise DataError(f"waveform too short to frame: {samples.shape} < {WIN_SAMPLES} samples")
+    frames = np.lib.stride_tricks.sliding_window_view(samples, WIN_SAMPLES)[::HOP_SAMPLES]
+    return frames * hann_window(WIN_SAMPLES)
 
 
 # -- power spectrum ------------------------------------------------------------
 
-def power_spectrum(frames: np.ndarray, n_fft: int = N_FFT) -> np.ndarray:
-    """One-sided |FFT|^2 of zero-padded frames: [N, n_fft//2 + 1]."""
+def power_spectrum(frames: np.ndarray) -> np.ndarray:
+    """One-sided |FFT|^2 of frames zero-padded to N_FFT: [N, N_FFT//2 + 1]."""
     frames = np.atleast_2d(frames)
-    if frames.shape[-1] > n_fft:  # rfft would silently truncate
-        raise ShapeError(f"frame longer than FFT size: {frames.shape[-1]} > {n_fft}")
-    spec = np.fft.rfft(frames, n=n_fft)
+    if frames.shape[-1] > N_FFT:  # rfft would silently truncate
+        raise ShapeError(f"frame longer than FFT size: {frames.shape[-1]} > {N_FFT}")
+    spec = np.fft.rfft(frames, n=N_FFT)
     return spec.real ** 2 + spec.imag ** 2
 
 
@@ -62,15 +67,12 @@ def mel_to_hz(m):
     return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(mel_bins: int, n_fft: int = N_FFT, sample_rate: int = SAMPLE_RATE,
-                   f_min: float = 0.0, f_max: float = 8000.0) -> np.ndarray:
-    """Triangular filters [mel_bins, n_fft//2 + 1], HTK mel spacing."""
-    if mel_bins < 2:
-        raise ShapeError(f"mel_bins must be >= 2, got {mel_bins}")
-    edges = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), mel_bins + 2))
-    freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
-    fb = np.zeros((mel_bins, len(freqs)))
-    for m in range(mel_bins):
+def mel_filterbank() -> np.ndarray:
+    """Triangular filters [MEL_BINS, N_FFT//2 + 1] over 0 to SAMPLE_RATE/2, HTK mel spacing."""
+    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2), MEL_BINS + 2))
+    freqs = np.arange(N_FFT // 2 + 1) * (SAMPLE_RATE / N_FFT)
+    fb = np.zeros((MEL_BINS, len(freqs)))
+    for m in range(MEL_BINS):
         left, center, right = edges[m], edges[m + 1], edges[m + 2]
         rising = (freqs - left) / max(center - left, 1e-12)
         falling = (right - freqs) / max(right - center, 1e-12)
@@ -78,54 +80,50 @@ def mel_filterbank(mel_bins: int, n_fft: int = N_FFT, sample_rate: int = SAMPLE_
     return fb
 
 
-def logmel(power: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
-    """log(mel energies + floor); power is [..., n_fft//2+1]."""
-    return np.log(power @ filterbank.T + LOG_FLOOR)
+_FILTERBANK = mel_filterbank()
+
+
+def logmel(power: np.ndarray) -> np.ndarray:
+    """log(mel energies + floor); power is [..., N_FFT//2+1]."""
+    return np.log(power @ _FILTERBANK.T + LOG_FLOOR)
 
 
 # -- frame stacking --------------------------------------------------------------
 
-def stack(features: np.ndarray, k: int = STACK_K, stride: int = STACK_STRIDE) -> np.ndarray:
-    """Concatenate k consecutive frames, downsampling time by stride.
+def stack(features: np.ndarray) -> np.ndarray:
+    """Concatenate STACK_K consecutive frames, downsampling time by STACK_STRIDE.
 
     The last window is right-padded by repeating the final frame.
     """
-    if k < 1 or stride < 1:
-        raise ShapeError(f"stack needs k,stride >= 1, got ({k}, {stride})")
     n, m = features.shape
-    count = int(np.ceil(n / stride))
-    idx = np.arange(count)[:, None] * stride + np.arange(k)[None, :]
+    count = int(np.ceil(n / STACK_STRIDE))
+    idx = np.arange(count)[:, None] * STACK_STRIDE + np.arange(STACK_K)[None, :]
     idx = np.minimum(idx, n - 1)
-    return features[idx].reshape(count, k * m)
+    return features[idx].reshape(count, STACK_K * m)
 
 
 # -- spec-augment ------------------------------------------------------------------
 
-def spec_augment(feats: np.ndarray, t_mask: int, f_mask: int, n_t: int, n_f: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Mask random time/frequency stripes with the per-utterance mean."""
-    t_dim, f_dim = feats.shape
-    if t_mask >= t_dim or f_mask >= f_dim:
-        raise DataError(f"mask widths ({t_mask},{f_mask}) must be smaller than dims ({t_dim},{f_dim})")
+def spec_augment(feats: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """SpecAugment's time and frequency masks (Park et al., Interspeech 2019):
+    SA_STRIPES time stripes, then SA_STRIPES frequency stripes, each of a
+    width drawn from 0 to min(SA_MASK, dim - 1) and filled with the
+    utterance's mean, so no axis is ever masked whole."""
+    if min(feats.shape) < 1:
+        raise DataError(f"SpecAugment needs features with frames and dims, got {feats.shape}")
     out = feats.copy()
     fill = feats.mean()
-    for _ in range(n_t):
-        w = int(rng.integers(0, t_mask + 1))
-        if w:
-            s = int(rng.integers(0, t_dim - w + 1))
-            out[s:s + w, :] = fill
-    for _ in range(n_f):
-        w = int(rng.integers(0, f_mask + 1))
-        if w:
-            s = int(rng.integers(0, f_dim - w + 1))
-            out[:, s:s + w] = fill
+    for view in (out, out.T):  # rows of out.T are the frequency dims
+        dim = len(view)
+        for _ in range(SA_STRIPES):
+            w = int(rng.integers(0, min(SA_MASK, dim - 1) + 1))
+            if w:
+                s = int(rng.integers(0, dim - w + 1))
+                view[s:s + w] = fill
     return out
 
 
 # -- end-to-end front-end -------------------------------------------------------------
-
-_FILTERBANK = mel_filterbank(MEL_BINS)
-
 
 def cmvn(feats: np.ndarray) -> np.ndarray:
     """Cepstral mean and variance normalization of one utterance (Viikki and
@@ -142,9 +140,7 @@ def cmvn(feats: np.ndarray) -> np.ndarray:
 def extract_features(samples: np.ndarray) -> np.ndarray:
     """Waveform -> stacked log-mel FeatureMatrix [frames, FEATURE_DIM],
     normalized per utterance (``cmvn``)."""
-    frames = frame(samples)
-    mels = logmel(power_spectrum(frames), _FILTERBANK)
-    feats = stack(mels)
+    feats = stack(logmel(power_spectrum(frame(samples))))
     if not np.all(np.isfinite(feats)):
         raise DataError("non-finite features produced")
     return cmvn(feats).astype(np.float32)

@@ -228,31 +228,32 @@ def relu(a: Tensor) -> Tensor:
 
 # -- softmax ------------------------------------------------------------
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    y = log_softmax_np(a.data, axis)
+def log_softmax(a: Tensor) -> Tensor:
+    """Log-softmax over the last axis."""
+    y = log_softmax_np(a.data)
     out = Tensor(y)
 
     def backward(g):
         s = np.exp(y)
-        return (g - s * np.sum(g, axis=axis, keepdims=True),)
+        return (g - s * np.sum(g, axis=-1, keepdims=True),)
 
     return _finish(out, (a,), backward)
 
 
-def softmax_np(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """Max-subtracted softmax on a raw array, into out (out=x works in
-    place) or a new array."""
-    m = x.max(axis=axis, keepdims=True)
+def softmax_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Max-subtracted softmax over the last axis of a raw array, into out
+    (out=x works in place) or a new array."""
+    m = x.max(axis=-1, keepdims=True)
     e = np.subtract(x, m, out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = x.max(axis=axis, keepdims=True)
+def log_softmax_np(x: np.ndarray) -> np.ndarray:
+    m = x.max(axis=-1, keepdims=True)
     z = x - m
-    return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 # -- binary tensor format ---------------------------------------------------

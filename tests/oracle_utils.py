@@ -89,13 +89,13 @@ def reference_synth(text, profile) -> np.ndarray:
     return np.clip(out, -1.0, 1.0).astype(np.float32)
 
 
-def reference_frame(samples, win=S.WIN_SAMPLES, hop=S.HOP_SAMPLES) -> np.ndarray:
-    """`signal.frame` as an index gather: [frames, win] sample indices, then
-    the Hann window."""
+def reference_frame(samples) -> np.ndarray:
+    """`signal.frame` as an index gather: [frames, WIN_SAMPLES] sample
+    indices, then the Hann window."""
     samples = np.asarray(samples, dtype=np.float64)
-    count = 1 + (len(samples) - win) // hop
-    idx = np.arange(count)[:, None] * hop + np.arange(win)[None, :]
-    return samples[idx] * S.hann_window(win)
+    count = 1 + (len(samples) - S.WIN_SAMPLES) // S.HOP_SAMPLES
+    idx = np.arange(count)[:, None] * S.HOP_SAMPLES + np.arange(S.WIN_SAMPLES)[None, :]
+    return samples[idx] * S.hann_window(S.WIN_SAMPLES)
 
 
 # -- generic tape ops: the op chains below are spelled in them -------------------
@@ -129,11 +129,11 @@ def bmm(a, b):
     return T._finish(out, (a, b), backward)
 
 
-def softmax(a, axis=-1):
-    y = softmax_np(a.data, axis)
+def softmax(a):
+    y = softmax_np(a.data)
 
     def backward(g):
-        dot = np.sum(g * y, axis=axis, keepdims=True)
+        dot = np.sum(g * y, axis=-1, keepdims=True)
         return ((g - dot) * y,)
 
     return T._finish(Tensor(y), (a,), backward)

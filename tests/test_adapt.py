@@ -547,6 +547,20 @@ def test_a_bad_feature_array_fails_pretrain_and_finetune_with_data_error(tmp_pat
                    tmp_path / "ft.ckpt")
 
 
+@pytest.mark.parametrize("family", ["ctc", "las"])
+@pytest.mark.parametrize("spec_augment", [True, False], ids=["specaug", "no-specaug"])
+def test_a_zero_frame_feature_cache_fails_training_with_data_error_naming_the_utterance(tmp_path, family,
+                                                                                      spec_augment):
+    man, tok = _tiny_setup(tmp_path, n=3, domain=ttssim.ADDRESS)
+    bad = man.utterances[1]
+    save_array(man.root / bad.features, np.zeros((0, S.FEATURE_DIM), dtype=np.float32))
+    cfg = (C.CtcConfig(hidden=8, layers=1, vocab=tok.size) if family == "ctc" else
+           C.LasConfig(dim=8, ff_dim=16, heads=2, enc_blocks=1, dec_blocks=1, vocab=tok.size))
+    with pytest.raises(DataError, match=f"utterance {re.escape(repr(bad.id))}: .* with frames, dim >= 1"):
+        A.pretrain(M.build_model(cfg, seed=1), man, tok, _tiny_cfg(spec_augment=spec_augment),
+                   tmp_path / "m.ckpt")
+
+
 @pytest.mark.parametrize("stage", ["finetune", "pretrain"])
 def test_finetune_feature_dim_mismatch(tmp_path, stage):
     man, tok = _tiny_setup(tmp_path, n=8)

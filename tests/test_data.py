@@ -80,7 +80,7 @@ def test_feature_file_with_a_corrupt_rank_raises_data_error_without_a_large_allo
     assert peak < 2 ** 20, peak
 
 
-@pytest.mark.parametrize("shape", [(5,), (4, 3, 2)], ids=["1-d", "3-d"])
+@pytest.mark.parametrize("shape", [(5,), (4, 3, 2), (0, 60), (5, 0)], ids=["1-d", "3-d", "no-frames", "no-dims"])
 def test_feature_array_that_is_not_frames_by_dim_raises_data_error_naming_the_utterance(tmp_path, shape):
     tensor.save_array(tmp_path / "u1.ndt", np.zeros(shape, dtype=np.float32))
     man = Manifest.read(_manifest(tmp_path, features="u1.ndt"))
@@ -101,8 +101,7 @@ def test_feature_array_with_a_non_finite_value_raises_data_error_naming_the_utte
 def test_raw_log_mel_feature_cache_raises_data_error_and_a_normalized_one_loads(tmp_path):
     # a cache written before the front end normalized per utterance holds stacked log-mels
     wave = 0.1 * np.random.default_rng(0).standard_normal(8000)
-    raw = signal.stack(signal.logmel(signal.power_spectrum(signal.frame(wave)), signal.mel_filterbank(signal.MEL_BINS)),
-                       signal.STACK_K, signal.STACK_STRIDE)
+    raw = signal.stack(signal.logmel(signal.power_spectrum(signal.frame(wave))))
     tensor.save_array(tmp_path / "u1.ndt", raw.astype(np.float32))
     man = Manifest.read(_manifest(tmp_path, features="u1.ndt"))
     with pytest.raises(DataError, match="utterance 'u1': .* not normalized per utterance"):

@@ -49,7 +49,7 @@ def test_prefix_beam_matches_exhaustive_marginal_argmax():
     rng = np.random.default_rng(0)
     for trial in range(20):
         t_len = int(rng.integers(2, 4))
-        lp = T.log_softmax_np(rng.normal(scale=1.5, size=(t_len, 3)), axis=-1)
+        lp = T.log_softmax_np(rng.normal(scale=1.5, size=(t_len, 3)))
         marginals = exhaustive_ctc_marginals(lp, blank=2)
         # tokens {a}, blank=... width 3 means vocab {a,b}? width=3 -> 2 symbols + blank
         best_label = max(marginals, key=lambda k: (marginals[k], k))
@@ -63,7 +63,7 @@ def test_prefix_beam_top1_at_least_greedy_path_score():
     rng = np.random.default_rng(1)
     for _ in range(50):
         t_len = int(rng.integers(2, 9))
-        lp = T.log_softmax_np(rng.normal(scale=2.0, size=(t_len, 4)), axis=-1)
+        lp = T.log_softmax_np(rng.normal(scale=2.0, size=(t_len, 4)))
         greedy = D.ctc_greedy(lp, tok)
         hyps = D.ctc_prefix_beam(lp, tok, beam=10)
         assert hyps[0].am_score >= greedy.am_score - 1e-9
@@ -73,7 +73,7 @@ def test_prefix_beam_wider_never_worse():
     tok = char_tok()
     rng = np.random.default_rng(2)
     for _ in range(10):
-        lp = T.log_softmax_np(rng.normal(scale=2.0, size=(8, 4)), axis=-1)
+        lp = T.log_softmax_np(rng.normal(scale=2.0, size=(8, 4)))
         scores = [D.ctc_prefix_beam(lp, tok, beam=b)[0].am_score for b in (1, 2, 4, 8, 16)]
         assert all(b >= a - 1e-12 for a, b in zip(scores, scores[1:])), scores
 
@@ -81,7 +81,7 @@ def test_prefix_beam_wider_never_worse():
 def test_prefix_beam_no_duplicate_texts():
     tok = char_tok()
     rng = np.random.default_rng(3)
-    lp = T.log_softmax_np(rng.normal(size=(10, 4)), axis=-1)
+    lp = T.log_softmax_np(rng.normal(size=(10, 4)))
     hyps = D.ctc_prefix_beam(lp, tok, beam=10)
     texts = [h.text for h in hyps]
     assert len(texts) == len(set(texts))
@@ -99,7 +99,7 @@ def test_prefix_beam_matches_reference_on_small_vocab():
     rng = np.random.default_rng(4)
     for width in (3, 4, 5):
         for t_len in range(1, 10):
-            lp = T.log_softmax_np(rng.normal(scale=2.0, size=(t_len, width)), axis=-1)
+            lp = T.log_softmax_np(rng.normal(scale=2.0, size=(t_len, width)))
             # rounded log-probs give equal totals, which the prefix order must break
             for case in (lp, np.round(lp, 1)):
                 for beam in (1, 2, 4, 10, 32):
@@ -114,7 +114,7 @@ def test_prefix_beam_matches_reference_at_desk_shape():
     for t_len in (60, 140):
         logits = rng.normal(scale=2.0, size=(t_len, 201))
         logits[np.arange(t_len), rng.integers(0, 201, size=t_len)] += 8.0  # peaked, like a trained model
-        lp = T.log_softmax_np(logits.astype(np.float32), axis=-1)
+        lp = T.log_softmax_np(logits.astype(np.float32))
         assert lp.dtype == np.float32
         assert_same_nbest(D.ctc_prefix_beam(lp, tok, beam=8), reference_prefix_beam(lp, tok, beam=8))
 
@@ -130,12 +130,12 @@ def test_prefix_beam_output_is_pinned():
     rng = np.random.default_rng(23)
     cases = []
     for width in (3, 6):
-        lp = T.log_softmax_np(rng.normal(scale=2.0, size=(12, width)), axis=-1)
+        lp = T.log_softmax_np(rng.normal(scale=2.0, size=(12, width)))
         cases += [(small, lp), (small, np.round(lp, 1))]
     for t_len in (40, 90):
         logits = rng.normal(scale=2.0, size=(t_len, 201))
         logits[np.arange(t_len), rng.integers(0, 201, size=t_len)] += 8.0
-        cases.append((desk, T.log_softmax_np(logits.astype(np.float32), axis=-1)))
+        cases.append((desk, T.log_softmax_np(logits.astype(np.float32))))
     digest = hashlib.sha256()
     for i, (tok, lp) in enumerate(cases):
         for beam in (1, 3, 8):

@@ -255,9 +255,10 @@ def test_attention_weights_sum_to_one_over_unmasked_keys():
 
 
 def test_positional_encoding_values_and_range():
-    pe = L.positional_encoding(4, 6, dtype=np.float64)
-    assert np.allclose(pe[0], [0, 1, 0, 1, 0, 1])
-    assert np.isclose(pe[1, 0], np.sin(1.0))
+    pe = L.positional_encoding(4, 6)
+    assert pe.dtype == np.float32
+    assert np.array_equal(pe[0], [0, 1, 0, 1, 0, 1])
+    assert pe[1, 0] == np.float32(np.sin(1.0))
     rng = np.random.default_rng(11)
     for _ in range(5):
         t = int(rng.integers(1, 50))

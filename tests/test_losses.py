@@ -23,7 +23,7 @@ def test_ctc_two_frame_uniform_hand_value():
 def test_ctc_empty_label_is_all_blank_path():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(3, 1, 4))
-    lp = Tensor(T.log_softmax_np(logits, axis=-1))
+    lp = Tensor(T.log_softmax_np(logits))
     loss = ctc_loss(lp, [[]])
     expected = -lp.data[:, 0, 3].sum()  # token mean divides by |l| + 1 = 1
     assert np.isclose(loss.item(), expected, atol=1e-12)
@@ -40,7 +40,7 @@ def test_ctc_matches_brute_force_on_random_instances():
         if LS._ctc_required_frames(np.asarray(label)) > t_len:
             continue
         logits = rng.normal(scale=2.0, size=(t_len, 1, vocab + 1))
-        lp = T.log_softmax_np(logits, axis=-1)
+        lp = T.log_softmax_np(logits)
         loss = ctc_loss(Tensor(lp), [label])
         expected = -brute_force_ctc_logp(lp[:, 0], label, vocab) / (len(label) + 1)
         assert np.isclose(loss.item(), expected, rtol=1e-6, atol=1e-9), (t_len, vocab, label)
@@ -99,7 +99,7 @@ def test_ctc_forward_backward_matches_reference(dtype):
             labels.append(label)
         # about a third of the utterances saturate: logits x30 make one symbol near certain per frame
         sharpness = np.where(rng.random(batch) < 1 / 3, 30.0, 2.0)[None, :, None]
-        lp = T.log_softmax_np(rng.normal(size=(t_max, batch, width)) * sharpness, axis=-1).astype(dtype)
+        lp = T.log_softmax_np(rng.normal(size=(t_max, batch, width)) * sharpness).astype(dtype)
         loss, grad = _ctc_loss_and_grad(lp, labels, lengths)
         ref_loss, ref_grad = _reference_ctc_batch(lp, labels, lengths)
         if dtype == np.float32:
@@ -114,7 +114,7 @@ def test_ctc_forward_backward_matches_reference(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_ctc_inadmissible_utterance_mid_batch_changes_no_other_bit(dtype):
     rng = np.random.default_rng(6)
-    lp = T.log_softmax_np(rng.normal(scale=2.0, size=(7, 3, 4)), axis=-1).astype(dtype)
+    lp = T.log_softmax_np(rng.normal(scale=2.0, size=(7, 3, 4))).astype(dtype)
     labels, lengths = [[0, 1, 1], [2, 2, 2], [1]], [7, 4, 5]  # [2, 2, 2] needs 5 frames
     with pytest.warns(SkippedUtteranceWarning):
         loss, grad = _ctc_loss_and_grad(lp, labels, lengths)
@@ -128,7 +128,7 @@ def test_ctc_inadmissible_utterance_mid_batch_changes_no_other_bit(dtype):
 
 def test_ctc_batch_mean_and_lengths():
     rng = np.random.default_rng(2)
-    lp = T.log_softmax_np(rng.normal(size=(5, 2, 3)), axis=-1)
+    lp = T.log_softmax_np(rng.normal(size=(5, 2, 3)))
     single0 = ctc_loss(Tensor(lp[:4, :1]), [[0]], [4]).item()
     single1 = ctc_loss(Tensor(lp[:, 1:]), [[1, 0]], [5]).item()
     batched = ctc_loss(Tensor(lp), [[0], [1, 0]], [4, 5]).item()
@@ -140,7 +140,7 @@ def test_ctc_gradient_matches_finite_differences():
     x = Tensor(rng.normal(size=(4, 2, 4)), requires_grad=True, dtype=np.float64)
 
     def loss():
-        lp = T.log_softmax(x, axis=-1)
+        lp = T.log_softmax(x)
         return ctc_loss(lp, [[0, 1], [2]], [4, 3])
 
     assert gradient_check(loss, [x]) <= 1e-3
@@ -148,7 +148,7 @@ def test_ctc_gradient_matches_finite_differences():
 
 def test_ctc_analytic_gradient_returned():
     rng = np.random.default_rng(4)
-    lp_data = T.log_softmax_np(rng.normal(size=(3, 1, 3)), axis=-1)
+    lp_data = T.log_softmax_np(rng.normal(size=(3, 1, 3)))
     lp = Tensor(lp_data, requires_grad=True, dtype=np.float64)
     with Tape() as tape:
         (grad,) = tape.backward(ctc_loss(lp, [[0]]), [lp])
@@ -206,7 +206,7 @@ def test_ctc_loss_nonnegative_and_decreases_when_overfitting():
     losses = []
     for _ in range(50):
         with Tape() as tape:
-            loss = ctc_loss(T.log_softmax(logits, axis=-1), label)
+            loss = ctc_loss(T.log_softmax(logits), label)
             (grad,) = tape.backward(loss, [logits])
         losses.append(loss.item())
         logits.data -= 2.0 * grad
@@ -235,7 +235,7 @@ def test_cross_entropy_label_smoothing_hand_formula():
     logits_data = np.array([[[0.4, -0.7]]])
     target = np.array([[0]])
     eps = 0.1
-    logp = T.log_softmax_np(logits_data, axis=-1)
+    logp = T.log_softmax_np(logits_data)
     expected = -((1 - eps) * logp[0, 0, 0] + (eps / 2) * logp[0, 0].sum())
     loss = cross_entropy(Tensor(logits_data, dtype=np.float64), target, smoothing=eps)
     assert np.isclose(loss.item(), expected, atol=1e-9)

@@ -64,11 +64,16 @@ def _nb(utt, texts_scores):
 
 
 def test_oracle_wer_is_min():
-    nb = _nb("u", [("a x c", -1.0), ("a b c", -2.0), ("x b c", -3.0)])
-    assert np.isclose(MT.oracle_wer("a b c", nb), 0.0)
-    assert MT.oracle_wer("a b c", nb) <= MT.wer("a b c", nb.top1().text).wer
-    single = _nb("u", [("a x c", -1.0)])
-    assert np.isclose(MT.oracle_wer("a b c", single), MT.wer("a b c", "a x c").wer)
+    # evaluate_manifest's oracle_wer column pools each utterance's best hypothesis
+    man = _manifest([("u", "a b c")])
+    rep = MT.evaluate_manifest(man, [_nb("u", [("a x c", -1.0), ("a b c", -2.0), ("x b c", -3.0)])])
+    assert np.isclose(rep["oracle_wer"], 0.0)
+    assert rep["oracle_wer"] <= rep["test_wer"]
+    rep = MT.evaluate_manifest(man, [_nb("u", [("a x c", -1.0)])])
+    assert np.isclose(rep["oracle_wer"], MT.wer("a b c", "a x c").wer)
+    assert rep["oracle_wer"] == rep["test_wer"]
+    with pytest.raises(DataError, match="empty n-best list for u"):
+        MT.evaluate_manifest(man, [_nb("u", [])])
 
 
 def test_corpus_pooled_wer():

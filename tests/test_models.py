@@ -55,6 +55,13 @@ def test_ctc_encode_rejects_features_not_t_b_d(shape):
         small_ctc().encode(np.zeros(shape, dtype=np.float32))
 
 
+@pytest.mark.parametrize("shape", [(0, 1, 6), (3, 0, 6), (5, 6), (2, 1, 1, 6)],
+                         ids=["no-frames", "no-utterances", "2-d", "4-d"])
+def test_las_encode_rejects_features_not_t_b_d(shape):
+    with pytest.raises(ShapeError, match=r"LAS features must be \[T>=1, B>=1, 6\]"):
+        small_las().encode(np.zeros(shape, dtype=np.float32))
+
+
 @pytest.mark.parametrize("shape", [(0, 6), (6,), (3, 1, 6)], ids=["no-frames", "1-d", "3-d"])
 def test_ctc_log_probs_single_rejects_features_not_t_d(shape):
     with pytest.raises(ShapeError, match="CTC features must be"):

@@ -48,9 +48,11 @@ def one_sided_power(x, n_fft):
 
 
 def test_fft_impulse():
-    assert np.allclose(S.power_spectrum(np.array([1.0, 0.0, 0.0, 0.0]), n_fft=4), 1.0, atol=1e-12)
-    # a one-sample frame zero-padded to the front-end's FFT size stays flat
-    assert np.allclose(S.power_spectrum(np.array([1.0])), np.ones((1, 257)), atol=1e-12)
+    # a unit impulse anywhere in a frame has a flat unit spectrum: |exp(-2 pi i k n / N_FFT)|^2 = 1
+    for length, at in ((1, 0), (S.WIN_SAMPLES, 0), (S.WIN_SAMPLES, 37), (S.N_FFT, S.N_FFT - 1)):
+        x = np.zeros(length)
+        x[at] = 1.0
+        assert np.allclose(S.power_spectrum(x), np.ones((1, S.N_FFT // 2 + 1)), atol=1e-12)
 
 
 def test_fft_constant_input():
@@ -62,19 +64,19 @@ def test_fft_constant_input():
 
 def test_fft_matches_naive_dft():
     rng = np.random.default_rng(0)
-    for n, n_fft in ((2, 2), (8, 8), (64, 64), (512, 512), (320, 512), (48, 48)):
+    for n in (1, 2, 48, 64, S.WIN_SAMPLES, S.N_FFT):  # frames zero-padded to N_FFT
         x = rng.normal(size=n)
-        got = S.power_spectrum(x, n_fft=n_fft)
+        got = S.power_spectrum(x)
         # |X_k|^2 <= n * sum(x^2), so this bound is relative to the largest possible bin
-        assert np.max(np.abs(got - one_sided_power(x, n_fft))) <= 1e-9 * n * np.sum(x ** 2)
+        assert np.max(np.abs(got - one_sided_power(x, S.N_FFT))) <= 1e-9 * n * np.sum(x ** 2)
 
 
 def test_fft_batched_rows_match_single():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(5, 128))
-    got = S.power_spectrum(x, n_fft=128)
+    x = rng.normal(size=(5, S.WIN_SAMPLES))
+    got = S.power_spectrum(x)
     for i in range(5):
-        assert np.allclose(got[i], S.power_spectrum(x[i], n_fft=128)[0], atol=1e-12)
+        assert np.allclose(got[i], S.power_spectrum(x[i])[0], atol=1e-12)
 
 
 def test_power_spectrum_frame_longer_than_fft_rejected():
@@ -97,68 +99,106 @@ def test_mel_scale_known_point():
 
 
 def test_logmel_zero_spectrum_floor():
-    fb = S.mel_filterbank(20)
-    out = S.logmel(np.zeros(257), fb)
+    out = S.logmel(np.zeros(S.N_FFT // 2 + 1))
     assert np.allclose(out, np.log(1e-10))
 
 
 def test_mel_filterbank_rows():
-    fb = S.mel_filterbank(20)
-    assert fb.shape == (20, 257)
+    fb = S.mel_filterbank()
+    assert fb.shape == (S.MEL_BINS, S.N_FFT // 2 + 1) == (20, 257)
     assert np.all(fb >= 0)
     assert np.all(fb.sum(axis=1) > 0)
-    with pytest.raises(ShapeError):
-        S.mel_filterbank(1)
 
 
 def test_stack_shapes_and_padding():
+    assert (S.STACK_K, S.STACK_STRIDE) == (3, 3)
     f = np.arange(3 * 80, dtype=np.float64).reshape(3, 80)
-    out = S.stack(f, 3, 3)
+    out = S.stack(f)
     assert out.shape == (1, 240)
     assert np.allclose(out[0], f.reshape(-1))
 
     f4 = np.arange(4 * 2, dtype=np.float64).reshape(4, 2)
-    out = S.stack(f4, 3, 3)
+    out = S.stack(f4)
     assert out.shape == (2, 6)
     # second window starts at frame 3 and repeats the final frame twice
     assert np.allclose(out[1], np.concatenate([f4[3], f4[3], f4[3]]))
 
-    assert np.array_equal(S.stack(f4, 1, 1), f4)
+
+def reference_spec_augment(feats, rng):
+    """SpecAugment with its widths written out: SA_STRIPES time stripes of
+    width 0..min(SA_MASK, T - 1), then as many frequency stripes of width
+    0..min(SA_MASK, F - 1), each at a uniform start, filled with the mean."""
+    t_dim, f_dim = feats.shape
+    t_mask, f_mask = min(S.SA_MASK, t_dim - 1), min(S.SA_MASK, f_dim - 1)
+    out = feats.copy()
+    for _ in range(S.SA_STRIPES):
+        w = int(rng.integers(0, t_mask + 1))
+        if w:
+            start = int(rng.integers(0, t_dim - w + 1))
+            out[start:start + w, :] = feats.mean()
+    for _ in range(S.SA_STRIPES):
+        w = int(rng.integers(0, f_mask + 1))
+        if w:
+            start = int(rng.integers(0, f_dim - w + 1))
+            out[:, start:start + w] = feats.mean()
+    return out
+
+
+# shapes with at most SA_MASK frames or dims clamp the mask to dim - 1
+SA_SHAPES = [(1, 1), (1, S.FEATURE_DIM), (2, S.FEATURE_DIM), (S.SA_MASK, S.FEATURE_DIM),
+             (S.SA_MASK + 1, S.FEATURE_DIM), (40, S.FEATURE_DIM), (30, 2), (30, S.SA_MASK), (5, 3)]
+
+
+@pytest.mark.parametrize("shape", SA_SHAPES, ids=[f"{t}x{d}" for t, d in SA_SHAPES])
+def test_spec_augment_matches_reference(shape):
+    f = np.random.default_rng(7).normal(size=shape).astype(np.float32)
+    for seed in range(30):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = S.spec_augment(f, rng)
+        assert got.dtype == f.dtype
+        assert got.tobytes() == reference_spec_augment(f, ref_rng).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # same draws, in the same order
 
 
 def test_spec_augment_zero_widths_identity():
-    rng = np.random.default_rng(3)
-    f = np.random.default_rng(4).normal(size=(10, 6))
-    out = S.spec_augment(f, 0, 0, 2, 2, rng)
-    assert np.array_equal(out, f)
+    # one frame of one dim: both masks clamp to width 0
+    f = np.array([[0.3]])
+    assert np.array_equal(S.spec_augment(f, np.random.default_rng(3)), f)
 
 
 def test_spec_augment_single_time_stripe():
-    f = np.arange(40, dtype=np.float64).reshape(10, 4)
-    for seed in range(20):
-        out = S.spec_augment(f, 2, 0, 1, 0, np.random.default_rng(seed))
-        changed = np.nonzero(np.any(out != f, axis=1))[0]
-        if len(changed) == 0:
-            continue  # width 0 drawn
-        assert len(changed) <= 2
-        assert np.all(np.diff(changed) == 1)  # contiguous stripe
-        assert np.allclose(out[changed], f.mean())
-        untouched = np.setdiff1d(np.arange(10), changed)
-        assert np.array_equal(out[untouched], f[untouched])
-        break
-    else:
-        pytest.fail("no non-empty mask drawn in 20 seeds")
+    assert S.SA_STRIPES == 1
+    for t_dim in (2, S.SA_MASK, 20):
+        f = np.random.default_rng(t_dim).normal(size=(t_dim, 6))
+        widths = set()
+        for seed in range(40):
+            out = S.spec_augment(f, np.random.default_rng(seed))
+            rows = np.nonzero(np.all(out == f.mean(), axis=1))[0]  # time-masked rows
+            if len(rows):
+                assert np.all(np.diff(rows) == 1)  # one contiguous stripe
+            # outside the time stripe only whole columns (the frequency stripe) change
+            keep = np.setdiff1d(np.arange(t_dim), rows)
+            changed = out[keep] != f[keep]
+            assert np.array_equal(changed, np.broadcast_to(changed.any(axis=0), changed.shape))
+            widths.add(len(rows))
+        assert max(widths) == min(S.SA_MASK, t_dim - 1)  # never the whole utterance
 
 
 def test_spec_augment_masked_fraction_bound():
-    f = np.random.default_rng(5).normal(size=(20, 10))
-    t_mask, f_mask, n_t, n_f = 4, 2, 2, 1
-    bound = n_t * t_mask / 20 + n_f * f_mask / 10
+    t_dim, f_dim = 20, 10
+    f = np.random.default_rng(5).normal(size=(t_dim, f_dim))
+    bound = S.SA_STRIPES * (min(S.SA_MASK, t_dim - 1) / t_dim + min(S.SA_MASK, f_dim - 1) / f_dim)
     fractions = []
     for seed in range(1000):
-        out = S.spec_augment(f, t_mask, f_mask, n_t, n_f, np.random.default_rng(seed))
+        out = S.spec_augment(f, np.random.default_rng(seed))
         fractions.append(np.mean(out != f))
     assert np.mean(fractions) <= bound * 1.1
+
+
+@pytest.mark.parametrize("shape", [(0, S.FEATURE_DIM), (5, 0)], ids=["no-frames", "no-dims"])
+def test_spec_augment_rejects_empty_features(shape):
+    with pytest.raises(DataError, match="SpecAugment needs features"):
+        S.spec_augment(np.zeros(shape, dtype=np.float32), np.random.default_rng(0))
 
 
 def test_extract_features_deterministic_and_shapes():
@@ -178,10 +218,10 @@ def test_extract_features_matches_naive_dft_front_end():
     rng = np.random.default_rng(9)
     waves = [synth("turn left at main street"),
              rng.uniform(-0.5, 0.5, size=6000).astype(np.float32)]
-    fb = S.mel_filterbank(S.MEL_BINS)
+    fb = S.mel_filterbank()
     for w in waves:
         power = one_sided_power(S.frame(w), S.N_FFT)
-        stacked = S.stack(np.log(power @ fb.T + S.LOG_FLOOR), S.STACK_K, S.STACK_STRIDE)
+        stacked = S.stack(np.log(power @ fb.T + S.LOG_FLOOR))
         want = (stacked - stacked.mean(axis=0)) / stacked.std(axis=0)
         got = S.extract_features(w)
         assert got.shape == want.shape

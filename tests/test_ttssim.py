@@ -56,7 +56,7 @@ def test_characters_spectrally_distinguishable():
     bins = {}
     for ch in ("a", "c", "e", "7"):
         w = TS.synth(ch * 3)
-        mels = S.logmel(S.power_spectrum(S.frame(w)), S.mel_filterbank(20))  # before CMVN
+        mels = S.logmel(S.power_spectrum(S.frame(w)))  # before CMVN
         bins[ch] = int(np.argmax(mels[len(mels) // 2]))
     assert len(set(bins.values())) == len(bins), bins
 
