@@ -101,7 +101,11 @@ class Manifest:
     def features(self, utt: Utterance) -> np.ndarray:
         """Load cached features, or extract from the WAV when absent."""
         if utt.features is None:
-            return signal.extract_features(self.waveform(utt))
+            samples = self.waveform(utt)
+            try:
+                return signal.extract_features(samples)
+            except DataError as exc:
+                raise DataError(f"utterance {utt.id!r}: {exc}") from exc
         path = self.root / utt.features
         try:
             feats = tensor.load_array(path)

@@ -81,7 +81,10 @@ class LstmLayer:
         scale = np.full(4 * H, 0.5, dtype=w.dtype)  # tanh(z/2) / 2 + 1/2 is sigmoid(z) for i, f, o
         scale[2 * H:3 * H] = 1.0  # and tanh(z) is g
         shift = 1.0 - scale
-        gates = ((x.data.reshape(-1, d_in) @ w.data + b.data) * scale).reshape(t_len, batch, 4 * H)
+        gates = x.data.reshape(-1, d_in) @ w.data
+        gates += b.data
+        gates *= scale
+        gates = gates.reshape(t_len, batch, 4 * H)
         u_half = u.data * scale
         hs, cs = np.zeros((2, t_len + 1, batch, H), dtype=gates.dtype)  # the state frame t starts from
         tcs = np.empty_like(hs[1:])  # tanh of each frame's cell state
@@ -102,20 +105,24 @@ class LstmLayer:
         def backward(dout):
             i, f, g, o = (gates[..., k * H:(k + 1) * H] for k in range(4))
             # d gate / d pre-activation times what the gate multiplies: g i', c f', i g' and tanh(c) o'
-            via = gates * (1.0 - gates)
-            via[..., 2 * H:3 * H] = 1.0 - g * g
+            via = 1.0 - gates
+            via *= gates
+            dg = np.multiply(g, g, out=via[..., 2 * H:3 * H])
+            np.subtract(1.0, dg, out=dg)
             via[..., :H] *= g
             via[..., H:2 * H] *= cs[:-1]
-            via[..., 2 * H:3 * H] *= i
+            dg *= i
             via[..., 3 * H:] *= tcs
-            via, dc_dh = via.reshape(t_len, batch, 4, H), o * (1.0 - tcs * tcs)
-            dz = np.empty_like(via)
+            dc_dh = tcs * tcs
+            np.subtract(1.0, dc_dh, out=dc_dh)
+            dc_dh *= o
+            dz = via.reshape(t_len, batch, 4, H)  # each frame's dz is written over its own factors
             dc = None
             for t in reversed(range(t_len)):
                 dh = dout[t] if dc is None else dout[t] + dz[t + 1].reshape(batch, -1) @ u.data.T
                 dc = dh * dc_dh[t] if dc is None else dh * dc_dh[t] + dc * f[t + 1]
-                np.multiply(via[t, :, :3], dc[:, None], out=dz[t, :, :3])
-                np.multiply(via[t, :, 3], dh, out=dz[t, :, 3])
+                np.multiply(dz[t, :, :3], dc[:, None], out=dz[t, :, :3])
+                np.multiply(dz[t, :, 3], dh, out=dz[t, :, 3])
             dz = dz.reshape(-1, 4 * H)
             return ((dz @ w.data.T).reshape(t_len, batch, d_in) if dx_wanted else None,
                     None if x_data is None else x_data.reshape(-1, d_in).T @ dz,
@@ -161,10 +168,13 @@ class LayerNorm:
             dx = dgamma = dbeta = None
             if dx_wanted:
                 n = g.shape[-1]
-                dxhat = g * gamma.data
-                m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n  # np.mean bit for bit, as in _forward
-                m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
-                dx = inv * (dxhat - m1 - xhat * m2)
+                dx = g * gamma.data  # d xhat, then dx
+                m1 = np.add.reduce(dx, axis=-1, keepdims=True) / n  # np.mean bit for bit, as in _forward
+                prod = dx * xhat
+                m2 = np.add.reduce(prod, axis=-1, keepdims=True) / n
+                dx -= m1
+                dx -= np.multiply(xhat, m2, out=prod)
+                dx *= inv
             if dgamma_wanted:
                 dgamma = (g * xhat).reshape(-1, g.shape[-1]).sum(axis=0)
             if dbeta_wanted:

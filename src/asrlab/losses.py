@@ -133,18 +133,21 @@ def ctc_loss(log_probs: Tensor, labels, input_lengths=None) -> Tensor:
     if not np.all(np.isfinite(log_p)):
         raise NumericError(f"CTC underflow for utterance {cols[~np.isfinite(log_p)][0]}")
 
-    # posterior of passing through position s at frame t; beta reads the reversed lattice back to front
-    rev_positions = np.maximum(s_lens[:, None] - 1 - positions, 0)
-    beta = np.take(alpha.ravel(), ((rev_frames * (2 * n) + n + rows) * len(positions))[:, :, None] + rev_positions)
+    # posterior of passing through position s at frame t, formed in the array that first holds
+    # beta, the reversed lattice read back to front; padding stays -inf, as computing it would
+    # give -inf - -inf
+    occ = np.full((t_max, n, len(positions)), NEG_INF)
+    for k, (t_len, s_len) in enumerate(zip(t_lens, s_lens)):
+        occ[:t_len, k, :s_len] = alpha[t_len - 1::-1, n + k, s_len - 1::-1]
     real = (frames[:, :, None] < t_lens[:, None]) & (positions < s_lens[:, None])
-    occ = np.full(beta.shape, NEG_INF)  # padding stays -inf; computing it would give -inf - -inf
-    np.add(alpha[:, :n], beta, out=occ, where=real)
+    np.add(alpha[:, :n], occ, out=occ, where=real)
     np.subtract(occ, emit[:, :n], out=occ, where=real)
     np.subtract(occ, log_p[:, None], out=occ, where=real)
-    contrib = np.exp(occ)
+    del alpha, emit, real
+    np.exp(occ, out=occ)
     grad = np.zeros_like(lp)
     for s in positions:  # each cell adds its terms in position order, whatever the batch
-        grad[:, cols, ext[:n, s]] += contrib[:, :, s]
+        grad[:, cols, ext[:n, s]] += occ[:, :, s]
 
     scale = np.zeros(b, dtype=lp.dtype)
     scale[cols] = token_mean
@@ -192,10 +195,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None =
     out = Tensor(loss_val)
 
     def backward(g_out):
-        probs = np.exp(logp)
-        q = np.full_like(probs, smoothing / vocab)
+        d = np.exp(logp)  # the probabilities, then d logits
+        q = np.full_like(d, smoothing / vocab)
         np.put_along_axis(q, targets[..., None], (1.0 - smoothing) + smoothing / vocab, axis=-1)
-        dlogits = (probs - q) * mask[..., None] / n_tok
-        return (g_out * dlogits,)
+        d -= q
+        d *= mask[..., None]
+        d /= n_tok
+        d *= g_out
+        return (d,)
 
     return T._finish(out, (logits,), backward)

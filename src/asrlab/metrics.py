@@ -140,6 +140,9 @@ def evaluate_manifest(manifest, nbests: list[NBestList], lm=None, weights=None) 
     if seen != set(refs):
         missing = sorted(set(refs) ^ seen)
         raise DataError(f"manifest/n-best id mismatch, e.g. {missing[:3]}")
+    for utt_id, ref in refs.items():
+        if not ref.split():
+            raise DataError(f"utterance {utt_id!r}: empty reference")
 
     top1 = CorpusWer()
     oracle = CorpusWer()

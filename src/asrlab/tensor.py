@@ -16,6 +16,14 @@ rule reads is freed as soon as the forward pass drops it, and the rest of
 a step's activations when its tape goes out of scope. A tensor knows
 nothing of the tape it was recorded on.
 
+A rule writes only into arrays it allocated in that call, never into its
+incoming gradient (the tape may have handed that array to another parent
+too, as ``add`` does) or an array it captured (the next backward reads
+it again). The tape stores a rule's gradient as it is, cast only when its
+dtype is not the one recorded, and adds a second gradient out of place,
+so a step holds each large array once and one tape can run backward
+again with the same result.
+
 The ops here are the glue between layers: add, mul, relu and
 log-softmax. A layer records its whole forward pass as one node of its
 own (``layers``), and a loss does the same (``losses``). Broadcasting is
@@ -73,7 +81,9 @@ class Tape:
     def backward(self, loss: "Tensor", wrt) -> list:
         """Gradients of a scalar loss with respect to each tensor in wrt, in
         order; zeros for a tensor the loss does not reach or that does not
-        require grad when the ops it feeds were recorded."""
+        require grad when the ops it feeds were recorded. Two of them may be
+        one array (``add(a, b)`` gives a and b the same), so a caller must
+        not write into them."""
         if loss.data.size != 1:
             raise UsageError("backward requires a scalar loss")
         grads = {loss.key: np.ones_like(loss.data)}
@@ -85,10 +95,9 @@ class Tape:
                 if gp is None or not requires_grad:
                     continue
                 acc = grads.get(key)
-                if acc is None:
-                    grads[key] = gp.astype(dtype, copy=True)
-                else:
-                    acc += gp
+                if acc is not None:
+                    gp = acc + gp  # never into acc: a rule may hand one array to two parents
+                grads[key] = gp if gp.dtype == dtype else gp.astype(dtype)
         if loss.key in grads:  # the sweep never reached loss
             raise UsageError("backward target was not produced on this tape")
         return [grads[p.key] if p.key in grads else np.zeros_like(p.data) for p in wrt]
@@ -234,8 +243,9 @@ def log_softmax(a: Tensor) -> Tensor:
     out = Tensor(y)
 
     def backward(g):
-        s = np.exp(y)
-        return (g - s * np.sum(g, axis=-1, keepdims=True),)
+        d = np.exp(y)
+        d *= np.sum(g, axis=-1, keepdims=True)
+        return (np.subtract(g, d, out=d),)
 
     return _finish(out, (a,), backward)
 
@@ -253,7 +263,8 @@ def softmax_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def log_softmax_np(x: np.ndarray) -> np.ndarray:
     m = x.max(axis=-1, keepdims=True)
     z = x - m
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
 
 
 # -- binary tensor format ---------------------------------------------------

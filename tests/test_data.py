@@ -128,6 +128,13 @@ def test_wav_at_another_sample_rate_raises_data_error_naming_the_utterance_and_t
         man.features(man.utterances[0])
 
 
+def test_wav_too_short_to_frame_raises_data_error_naming_the_utterance(tmp_path):
+    signal.write_wav(tmp_path / "u7.wav", np.zeros(100, dtype=np.float32))
+    man = Manifest.read(_manifest(tmp_path, id="u7", wav="u7.wav"))
+    with pytest.raises(DataError, match=r"utterance 'u7': waveform too short to frame: \(100,\)"):
+        man.features(man.utterances[0])
+
+
 def test_wav_features_are_extracted_when_no_feature_file_is_listed(tmp_path):
     wave = np.random.default_rng(0).uniform(-0.5, 0.5, size=8000).astype(np.float32)
     signal.write_wav(tmp_path / "u1.wav", wave)

@@ -8,7 +8,7 @@ from asrlab import tensor as T
 from asrlab.errors import ShapeError
 from asrlab.tensor import Tape, Tensor
 from oracle_utils import (gradient_check, reference_attention, reference_dense, reference_init_tensors,
-                          reference_lstm_forward, tsum)
+                          reference_lstm_forward, traced_peak, tsum)
 
 
 def drawn(cfg, prefix, rng, dtype=np.float64):
@@ -88,6 +88,23 @@ def test_lstm_forward_shape():
     out = layer.forward(Tensor(x))
     assert out.shape == (6, 2, 5)
     assert out.dtype == np.float32
+
+
+def test_lstm_backward_holds_the_gate_array_once():
+    """The traced peak of one backward through a [96, 16, 64] float32 layer,
+    in units of its [T, B, 4H] gate array: the gate factors are formed in
+    place and each frame's dz is written over its own factors. 3.07 when the
+    factors took a temporary and dz an array of its own, 1.82 since."""
+    t_len, batch, d_in, hidden = 96, 16, 60, 64
+    rng = np.random.default_rng(0)
+    layer = make_lstm(d_in, hidden, rng, np.float32)
+    x = Tensor(rng.normal(size=(t_len, batch, d_in)).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        loss = tsum(layer.forward(x))
+        grads, peak = traced_peak(lambda: tape.backward(loss, [x, layer.w, layer.u, layer.b]))
+    assert all(np.isfinite(g).all() for g in grads)
+    gate_bytes = t_len * batch * 4 * hidden * 4
+    assert peak < 2.2 * gate_bytes, peak / gate_bytes
 
 
 def _outputs_and_grads(call, layer_params, inputs, out_weight):

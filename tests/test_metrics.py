@@ -107,6 +107,13 @@ def test_evaluate_manifest_basic_and_id_checks():
         MT.evaluate_manifest(dup, nbests)
 
 
+def test_evaluate_manifest_names_the_row_with_an_empty_reference():
+    man = _manifest([("u1", "a b"), ("u9", "")])
+    nbests = [_nb("u1", [("a b", -1.0)]), _nb("u9", [("a", -1.0)])]
+    with pytest.raises(DataError, match="utterance 'u9': empty reference"):
+        MT.evaluate_manifest(man, nbests)
+
+
 def test_evaluate_manifest_identity_weights_match_plain():
     from asrlab.lm import RescoreWeights, train_lm
     man = _manifest([("u1", "a b c"), ("u2", "a b")])

@@ -135,6 +135,18 @@ def test_backward_carries_nothing_over():
     assert np.array_equal(first[1], np.zeros(3)) and np.array_equal(second[1], np.zeros(3))
 
 
+def test_a_parent_handed_one_array_twice_gets_the_sum_on_every_pass():
+    # add hands its incoming gradient to both parents as one array, so w is given the same
+    # array three times; accumulating into it would double it instead of adding it
+    w = Tensor(np.arange(3.0), requires_grad=True)
+    with Tape() as tape:
+        loss = tsum(T.mul(T.add(T.add(w, w), w), 2.0))
+        first = tape.backward(loss, [w])
+        second = tape.backward(loss, [w])
+    assert np.array_equal(first[0], np.full(3, 6.0))
+    assert np.array_equal(second[0], first[0])
+
+
 def _mlp_loss(params, x):
     w1, b1, w2, b2, w3, b3 = params
     h = softmax(T.add(matmul(x, w1), b1))
